@@ -10,12 +10,10 @@ from .cloning import (
 from .leakage import (
     GentleLeakageInterval,
     LeakageEstimate,
-    OptimizerConfig,
     depolarized_leakage,
     gentle_leakage_interval,
     leakage_upper_bound,
     maximal_quantum_leakage,
-    qubit_grid_oracle,
     sibson_infinity,
 )
 from .linalg import (

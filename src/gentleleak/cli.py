@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input validation failure, 3 semantic precondition
 failure (e.g. certifying a POVM without an implementation), 4 numerical
-non-convergence. All commands are deterministic for a fixed --seed and write
+non-convergence (a leakage gap still above its tolerance when the iteration
+budget ran out). All commands are deterministic for a fixed --seed and write
 output atomically (temp file + rename).
 """
 
@@ -18,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloning import lower_bound_sweep
-from .leakage import (
-    LeakageEstimate,
-    OptimizerConfig,
-    depolarized_leakage,
-    gentle_leakage_interval,
-    maximal_quantum_leakage,
-    qubit_grid_oracle,
-)
+from .leakage import depolarized_leakage, gentle_leakage_interval, maximal_quantum_leakage
 from .linalg import ConvergenceError, SchemaError
 from .measurements import GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import EveStrategy, run_simulation, tradeoff_sweep
@@ -82,17 +76,6 @@ def _load_ensemble(path: str) -> CqEnsemble:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _budget(args) -> OptimizerConfig:
-    return OptimizerConfig(starts=args.starts, evals_per_start=args.evals, seed=args.seed)
-
-
-def _q_bits(e: CqEnsemble, args) -> LeakageEstimate:
-    """Reference leakage for bound computations: exhaustive oracle on qubits."""
-    if e.dim == 2:
-        return qubit_grid_oracle(e, resolution=args.grid_points)
-    return maximal_quantum_leakage(e, _budget(args))
-
-
 def _sweep_csv(rows) -> str:
     lines = ["alpha,p1,p2,lower_bits"]
     for r in rows:
@@ -102,7 +85,7 @@ def _sweep_csv(rows) -> str:
 
 def cmd_leakage(args) -> int:
     e = _load_ensemble(args.ensemble)
-    est = maximal_quantum_leakage(e, _budget(args))
+    est = maximal_quantum_leakage(e)
     _emit(json.dumps(est.to_json(), indent=2), args.out)
     return EXIT_OK
 
@@ -112,7 +95,7 @@ def cmd_lower_bound(args) -> int:
     for a in args.alpha:
         if not 0.0 <= a <= 1.0:
             raise SchemaError(f"--alpha values must lie in [0, 1], got {a}")
-    q = _q_bits(e, args)
+    q = maximal_quantum_leakage(e)
     rows = lower_bound_sweep(e, args.alpha, q.bits)
     _emit(_sweep_csv(rows), args.out)
     return EXIT_OK
@@ -122,7 +105,7 @@ def cmd_figure2(args) -> int:
     e = _load_ensemble(args.ensemble)
     if args.grid_points < 2:
         raise SchemaError("--grid needs at least 2 points")
-    q = _q_bits(e, args)
+    q = maximal_quantum_leakage(e)
     alphas = np.linspace(0.0, 1.0, args.grid_points)
     rows = lower_bound_sweep(e, alphas, q.bits)
     _emit(_sweep_csv(rows), args.out)
@@ -152,12 +135,11 @@ def cmd_depolarize(args) -> int:
     for p in args.p:
         if not 0.0 <= p <= 1.0:
             raise SchemaError(f"--p values must lie in [0, 1], got {p}")
-    budget = _budget(args)
     rows = []
     for p in args.p:
-        est = maximal_quantum_leakage(depolarize(e, p), budget)
-        rows.append({"p": p, "bits": est.bits, "kind": est.kind})
-    base = maximal_quantum_leakage(e, budget)
+        est = maximal_quantum_leakage(depolarize(e, p))
+        rows.append({"p": p, "bits": est.bits, "upper_bits": est.upper_bits})
+    base = maximal_quantum_leakage(e)
     doc = {
         "base_bits": base.bits,
         "closed_form_bits": [depolarized_leakage(base.bits, p) for p in args.p],
@@ -170,7 +152,7 @@ def cmd_depolarize(args) -> int:
 def cmd_interval(args) -> int:
     e = _load_ensemble(args.ensemble)
     spec = GentlenessSpec(args.alpha[0], args.delta)
-    iv = gentle_leakage_interval(e, spec, _budget(args))
+    iv = gentle_leakage_interval(e, spec)
     _emit(json.dumps(iv.to_json(), indent=2), args.out)
     return EXIT_OK
 
@@ -213,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("ensemble", help="ensemble JSON file")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--starts", type=int, default=32, help="optimizer multi-starts")
-        p.add_argument("--evals", type=int, default=2000, help="evaluations per start")
-        p.add_argument("--grid", dest="grid_points", type=int, default=721)
 
     p = sub.add_parser("leakage", help="maximal leakage of an ensemble")
     common(p)
@@ -228,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure2", help="lower-bound curve over a uniform alpha grid (CSV)")
     common(p)
+    p.add_argument("--grid", dest="grid_points", type=int, default=721,
+                   help="number of alpha grid points")
     p.set_defaults(func=cmd_figure2)
 
     p = sub.add_parser("certify", help="check a POVM implementation for gentleness")

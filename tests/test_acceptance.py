@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from qubit_oracle import qubit_grid_oracle
+
 from gentleleak.cli import main as cli_main
 from gentleleak.cloning import (
     cloning_lower_bound,
@@ -17,11 +19,9 @@ from gentleleak.cloning import (
     region_quadratic_form,
 )
 from gentleleak.leakage import (
-    OptimizerConfig,
     depolarized_leakage,
     leakage_upper_bound,
     maximal_quantum_leakage,
-    qubit_grid_oracle,
 )
 from gentleleak.linalg import haar_unitary, random_contraction, trace_distance
 from gentleleak.measurements import (
@@ -71,7 +71,7 @@ def run_cli(argv, capsys):
 
 def test_criterion_1_bb84_maximal_leakage(bb84, bb84_file, capsys):
     t0 = time.perf_counter()
-    code, out = run_cli(["leakage", bb84_file], capsys)  # default 32x2000 budget
+    code, out = run_cli(["leakage", bb84_file], capsys)  # default iteration budget
     doc = json.loads(out)
     oracle = qubit_grid_oracle(bb84, 721)
     elapsed = time.perf_counter() - t0
@@ -126,25 +126,24 @@ def test_criterion_3_figure2_shape(bb84, capsys):
 
 
 def test_criterion_4_depolarizing_closed_form(bb84):
-    budget = OptimizerConfig(starts=4, evals_per_start=300)
     worst_opt = worst_oracle = 0.0
     exact_zero_at_full_noise = True
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         noisy = depolarize(bb84, p)
         expected = depolarized_leakage(1.0, p)
-        opt = maximal_quantum_leakage(noisy, budget).bits
+        opt = maximal_quantum_leakage(noisy).bits
         worst_opt = max(worst_opt, abs(opt - expected))
         if p == 1.0:
             exact_zero_at_full_noise = opt == 0.0
         else:
             oracle = qubit_grid_oracle(noisy, 361).bits
             worst_oracle = max(worst_oracle, abs(oracle - expected))
-    ok = worst_opt <= 2e-3 and worst_oracle <= 1e-6 and exact_zero_at_full_noise
+    ok = worst_opt <= 1e-9 and worst_oracle <= 1e-6 and exact_zero_at_full_noise
     report(
         4,
-        "depolarized leakage matches log2(p + (1-p)2): optimizer 2e-3, oracle 1e-6, p=1 exact",
+        "depolarized leakage matches log2(p + (1-p)2): solver 1e-9, oracle 1e-6, p=1 exact",
         ok,
-        f"optimizer worst={worst_opt:.2e}, oracle worst={worst_oracle:.2e}",
+        f"solver worst={worst_opt:.2e}, oracle worst={worst_oracle:.2e}",
     )
 
 
@@ -207,16 +206,15 @@ def _random_density(d, rng):
 
 def test_criterion_6_invariance_and_positivity(bb84):
     rng = np.random.default_rng(606)
-    budget = OptimizerConfig(starts=6, evals_per_start=400)
     base_oracle = qubit_grid_oracle(bb84, 721).bits
-    base_opt = maximal_quantum_leakage(bb84, budget).bits
+    base_opt = maximal_quantum_leakage(bb84).bits
     worst_oracle = worst_opt = 0.0
     cap_ok = True
     for _ in range(20):
         u = haar_unitary(2, rng)
         rotated = apply_unitary(bb84, u)
         ob = qubit_grid_oracle(rotated, 721).bits
-        op = maximal_quantum_leakage(rotated, budget).bits
+        op = maximal_quantum_leakage(rotated).bits
         worst_oracle = max(worst_oracle, abs(ob - base_oracle))
         worst_opt = max(worst_opt, abs(op - base_opt))
         cap_ok = cap_ok and op <= leakage_upper_bound(rotated) + 1e-9
@@ -224,14 +222,14 @@ def test_criterion_6_invariance_and_positivity(bb84):
     ident = CqEnsemble(
         np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0]))
     )
-    ident_bits = maximal_quantum_leakage(ident, budget).bits
+    ident_bits = maximal_quantum_leakage(ident).bits
 
-    ok = worst_oracle <= 1e-6 and worst_opt <= 2e-3 and ident_bits == 0.0 and cap_ok
+    ok = worst_oracle <= 1e-6 and worst_opt <= 1e-9 and ident_bits == 0.0 and cap_ok
     report(
         6,
-        "20 rotations: oracle shift <= 1e-6, optimizer shift <= 2e-3; identical -> 0; cap held",
+        "20 rotations: oracle shift <= 1e-6, solver shift <= 1e-9; identical -> 0; cap held",
         ok,
-        f"oracle worst={worst_oracle:.2e}, optimizer worst={worst_opt:.2e}",
+        f"oracle worst={worst_oracle:.2e}, solver worst={worst_opt:.2e}",
     )
 
 

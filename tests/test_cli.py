@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from gentleleak.cli import main
+from gentleleak.leakage import maximal_quantum_leakage
+from gentleleak.linalg import random_density
 from gentleleak.measurements import povm_to_json, projective_povm
-from gentleleak.states import bb84_ensemble, ensemble_to_json
+from gentleleak.states import (
+    CqEnsemble,
+    DensityOperator,
+    bb84_ensemble,
+    ensemble_to_json,
+    pure_state,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-FAST = ["--starts", "2", "--evals", "150"]
 
 
 @pytest.fixture
@@ -35,36 +42,52 @@ def run_cli(argv, capsys):
 
 class TestLeakageCommand:
     def test_bb84(self, bb84_file, capsys):
-        code, out = run_cli(["leakage", bb84_file, *FAST], capsys)
+        code, out = run_cli(["leakage", bb84_file], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["bits"] == pytest.approx(1.0, abs=1e-3)
         assert doc["achieving_povm"] is not None
 
     def test_commuting_ensemble(self, tmp_path, capsys):
-        from gentleleak.states import CqEnsemble, DensityOperator
-
         e = CqEnsemble(
             np.array([0.5, 0.5]),
             (DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.25, 0.75]))),
         )
         path = tmp_path / "commuting.json"
         path.write_text(json.dumps(ensemble_to_json(e)))
-        code, out = run_cli(["leakage", str(path), *FAST], capsys)
+        code, out = run_cli(["leakage", str(path)], capsys)
         doc = json.loads(out)
         assert code == 0
-        assert doc["kind"] == "exact-commuting"
+        assert doc["upper_bits"] - doc["bits"] <= 1e-12
         assert doc["bits"] == pytest.approx(0.80735, abs=1e-5)
 
     def test_identical_states(self, tmp_path, capsys):
-        from gentleleak.states import CqEnsemble, pure_state
-
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0])))
         path = tmp_path / "ident.json"
         path.write_text(json.dumps(ensemble_to_json(e)))
-        code, out = run_cli(["leakage", str(path), *FAST], capsys)
+        code, out = run_cli(["leakage", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["bits"] == 0.0
+
+    def test_reports_certified_interval(self, bb84_file, capsys):
+        code, out = run_cli(["leakage", bb84_file], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["bits"] <= doc["upper_bits"] <= doc["bits"] + 1e-12
+        assert doc["iterations"] >= 1
+
+    def test_budget_exhaustion_exits_4(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(9)
+        states = tuple(DensityOperator(random_density(3, rng)) for _ in range(4))
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(ensemble_to_json(CqEnsemble(np.full(4, 0.25), states))))
+        monkeypatch.setitem(maximal_quantum_leakage.__kwdefaults__, "max_iters", 1)
+        code, _ = run_cli(["leakage", str(path)], capsys)
+        assert code == 4
+
+    def test_starts_and_evals_are_gone(self, bb84_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["leakage", bb84_file, "--starts", "2"])
 
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run_cli(["leakage", "/no/such/file.json"], capsys)
@@ -93,6 +116,15 @@ class TestLowerBoundCommand:
         rows = out.strip().splitlines()[1:]
         assert float(rows[0].split(",")[3]) == 0.0
         assert float(rows[1].split(",")[3]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_trine_saturates_at_one_bit(self, tmp_path, capsys):
+        angles = 2.0 * np.pi * np.arange(3) / 3.0
+        e = CqEnsemble(np.full(3, 1 / 3), tuple(pure_state([np.cos(a), np.sin(a)]) for a in angles))
+        path = tmp_path / "trine.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        code, out = run_cli(["lower-bound", str(path), "--alpha", "1"], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[3] == "1.000000"
 
     def test_bad_alpha_is_input_error(self, bb84_file, capsys):
         code, _ = run_cli(["lower-bound", bb84_file, "--alpha", "1.5"], capsys)
@@ -168,11 +200,11 @@ class TestCertifyCommand:
 
 class TestDepolarizeCommand:
     def test_full_noise_kills_leakage(self, bb84_file, capsys):
-        code, out = run_cli(["depolarize", bb84_file, "--p", "1.0", *FAST], capsys)
+        code, out = run_cli(["depolarize", bb84_file, "--p", "1.0"], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["bits"] == 0.0
-        assert doc["rows"][0]["kind"] == "exact-commuting"
+        assert doc["rows"][0]["upper_bits"] - doc["rows"][0]["bits"] <= 1e-12
 
     def test_bad_p_is_input_error(self, bb84_file, capsys):
         code, _ = run_cli(["depolarize", bb84_file, "--p", "2.0"], capsys)
@@ -227,7 +259,7 @@ class TestTradeoffCommand:
 class TestIntervalCommand:
     def test_bb84(self, bb84_file, capsys):
         code, out = run_cli(
-            ["interval", bb84_file, "--alpha", "0.1", "--delta", "0.05", *FAST], capsys
+            ["interval", bb84_file, "--alpha", "0.1", "--delta", "0.05"], capsys
         )
         assert code == 0
         doc = json.loads(out)
