@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 input validation failure, 3 semantic precondition
 failure (e.g. certifying a POVM without an implementation), 4 numerical
 non-convergence (a leakage gap still above its tolerance when the iteration
-budget ran out). All commands are deterministic for a fixed --seed and write
-output atomically (temp file + rename).
+budget ran out, or stopped shrinking). Every command is deterministic (the
+Monte Carlo ones, simulate and tradeoff, for a fixed --seed) and writes output
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -194,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         if ensemble:
             p.add_argument("ensemble", help="ensemble JSON file")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("leakage", help="maximal leakage of an ensemble")
     common(p)
@@ -235,12 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("none", "intercept-z", "w1", "w2", "gentle"),
                    required=True)
     p.add_argument("--rounds", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--epsilon", type=float, nargs="*", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tradeoff", help="gentle-strategy sweep: leakage vs disturbance (CSV)")
     common(p, ensemble=False)
     p.add_argument("--rounds", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--epsilon", type=float, nargs="*", default=None)
     p.set_defaults(func=cmd_tradeoff)
 

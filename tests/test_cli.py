@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from gentleleak import leakage
 from gentleleak.cli import main
-from gentleleak.leakage import maximal_quantum_leakage
 from gentleleak.linalg import random_density
 from gentleleak.measurements import povm_to_json, projective_povm
 from gentleleak.states import (
@@ -81,13 +81,18 @@ class TestLeakageCommand:
         states = tuple(DensityOperator(random_density(3, rng)) for _ in range(4))
         path = tmp_path / "qutrit.json"
         path.write_text(json.dumps(ensemble_to_json(CqEnsemble(np.full(4, 0.25), states))))
-        monkeypatch.setitem(maximal_quantum_leakage.__kwdefaults__, "max_iters", 1)
+        monkeypatch.setattr(leakage, "MAX_ITERS", 1)
         code, _ = run_cli(["leakage", str(path)], capsys)
         assert code == 4
 
     def test_starts_and_evals_are_gone(self, bb84_file, capsys):
         with pytest.raises(SystemExit):
             main(["leakage", bb84_file, "--starts", "2"])
+
+    def test_seed_only_on_monte_carlo_commands(self, bb84_file, capsys):
+        # nothing but simulate and tradeoff draws random numbers
+        with pytest.raises(SystemExit):
+            main(["leakage", bb84_file, "--seed", "1"])
 
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run_cli(["leakage", "/no/such/file.json"], capsys)

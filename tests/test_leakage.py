@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qubit_oracle import qubit_grid_oracle
 
+from gentleleak import leakage
 from gentleleak.leakage import (
     GAP_TOL,
     GentleLeakageInterval,
@@ -177,6 +178,8 @@ def assert_certified(est, e):
     assert 0.0 <= est.bits <= est.upper_bits + 1e-15
     assert est.upper_bits <= leakage_upper_bound(e) + 1e-15
     assert est.upper_bits - est.bits <= GAP_TOL
+    total = sum(est.achieving_povm.elements)
+    assert np.max(np.abs(total - np.eye(e.dim))) <= 1e-13
     recomputed = sibson_infinity(born_probabilities(e, est.achieving_povm))
     assert recomputed == pytest.approx(est.bits, abs=1e-12)
 
@@ -220,10 +223,25 @@ class TestCertifiedSolver:
             assert abs(rotated.bits - base.bits) <= GAP_TOL
             assert abs(rotated.upper_bits - base.upper_bits) <= GAP_TOL
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         e = random_ensemble(np.random.default_rng(9), 3, 4)
+        monkeypatch.setattr(leakage, "MAX_ITERS", 1)
         with pytest.raises(ConvergenceError):
-            maximal_quantum_leakage(e, max_iters=1)
+            maximal_quantum_leakage(e)
+
+    def test_stalled_gap_fails_fast(self, monkeypatch):
+        # no gap reaches a negative tolerance: once the gap stops falling, the
+        # stall exit must fire long before the budget ends
+        e = random_ensemble(np.random.default_rng(9), 3, 4)
+        monkeypatch.setattr(leakage, "GAP_TOL", -1.0)
+        steps = []
+        step = leakage._fixed_point_step
+        monkeypatch.setattr(
+            leakage, "_fixed_point_step", lambda mats, g: steps.append(1) or step(mats, g)
+        )
+        with pytest.raises(ConvergenceError, match="stalled"):
+            maximal_quantum_leakage(e)
+        assert len(steps) < leakage.MAX_ITERS // 2
 
 
 class TestGridOracle:
@@ -261,7 +279,8 @@ class TestOptimizerVsOracle:
             e = random_qubit_ensemble(rng)
             opt = maximal_quantum_leakage(e)
             orc = qubit_grid_oracle(e, 181)
-            assert opt.bits >= orc.bits - 1e-12
+            assert opt.upper_bits >= orc.bits - 1e-12
+            assert opt.bits >= orc.bits - GAP_TOL
 
 
 class TestDepolarizingConsistency:
