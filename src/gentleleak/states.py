@@ -41,18 +41,29 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_hermitian(self.mat)
-        w, _ = eig_hermitian(m)
-        if w[-1] < -DEFAULT_TOLS.psd:
-            raise ValueError(f"state is not PSD: min eigenvalue {w[-1]:.3e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DEFAULT_TOLS.unit_trace:
-            raise ValueError(f"state trace {tr!r} is not 1")
+        require_states(m, eig_hermitian(m)[0])
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def require_states(mats: np.ndarray, w: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of mats (..., d, d) is PSD and unit-trace.
+
+    mats must be Hermitian and w their eigenvalues in descending order, as
+    returned by eig_hermitian; callers that diagonalize a larger stack pass
+    their slice of it, so a state costs no decomposition of its own.
+    """
+    low = float(np.min(w[..., -1]))
+    if low < -DEFAULT_TOLS.psd:
+        raise ValueError(f"state is not PSD: min eigenvalue {low:.3e}")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real.ravel()
+    worst = float(tr[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > DEFAULT_TOLS.unit_trace:
+        raise ValueError(f"state trace {worst!r} is not 1")
 
 
 @dataclass(frozen=True)

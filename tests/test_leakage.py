@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +344,17 @@ class TestGentleInterval:
                 lower_bits=0.9, upper_bits=0.5, lower_witness="cloning-bound",
                 spec=GentlenessSpec(0.1, 0.1),
             )
+
+    def test_lower_above_certified_upper_raises(self, bb84, monkeypatch):
+        # a witness above the certified supremum is an error, not a wider interval
+        real = leakage.cloning_lower_bound
+
+        def inflated(e, alpha, q_bits):
+            return dataclasses.replace(real(e, alpha, q_bits), lower_bits=q_bits + 0.5)
+
+        monkeypatch.setattr(leakage, "cloning_lower_bound", inflated)
+        with pytest.raises(ValueError, match="invalid interval"):
+            gentle_leakage_interval(bb84, GentlenessSpec(0.1, 0.2))
 
 
 class TestWeakDpiAtBoundLevel:

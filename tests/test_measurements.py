@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentleleak.linalg import SchemaError, haar_unitary, positive_part, random_contraction, trace_distance
+from gentleleak.linalg import (
+    SchemaError,
+    haar_unitary,
+    positive_part,
+    random_contraction,
+    random_density,
+    trace_distance,
+)
 from gentleleak.measurements import (
+    ZERO_PROB,
     GentlenessSpec,
     Povm,
     PovmImplementation,
@@ -19,7 +27,7 @@ from gentleleak.measurements import (
     povm_to_json,
     projective_povm,
 )
-from gentleleak.states import CqEnsemble, bb84_ensemble, pure_state
+from gentleleak.states import CqEnsemble, DensityOperator, bb84_ensemble, pure_state
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -168,6 +176,77 @@ class TestCertifyGentle:
         assert len(doc["outcomes"]) == 3
         for entry in doc["outcomes"]:
             assert {"label", "good", "max_disturbance", "probabilities"} <= entry.keys()
+
+
+def reference_certificate(e, impl, spec, mode):
+    """certify_gentle pair by pair, from the public post_measurement_state and trace_distance."""
+    probs = born_probabilities(e, impl.povm)
+    good, dists = [], []
+    for y in range(len(impl)):
+        ds = [
+            trace_distance(post_measurement_state(s, impl, y).mat, s.mat)
+            for k, s in enumerate(e.states)
+            if probs[y, k] > ZERO_PROB
+        ]
+        dists.append(max(ds, default=-1.0))
+        good.append(all(x <= spec.alpha + 1e-12 for x in ds))
+    good = np.array(good)
+    if mode == "per-state":
+        worst = float(probs[good].sum(axis=0).min())
+    else:
+        worst = float((probs @ e.probs)[good].sum())
+    return worst >= 1.0 - spec.delta - 1e-12, worst, dists
+
+
+class TestStackedCertification:
+    """The stacked certify_gentle agrees with the pair-by-pair reference."""
+
+    @staticmethod
+    def assert_matches_reference(e, impl, spec):
+        for mode in ("per-state", "average-state"):
+            cert = certify_gentle(e, impl, spec, mode=mode)
+            certified, worst, dists = reference_certificate(e, impl, spec, mode)
+            assert cert.certified == certified
+            assert abs(cert.worst_prob - worst) <= 1e-12
+            assert np.max(np.abs(np.array(cert.outcome_disturbance) - dists)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_ensembles(self, d):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            states = tuple(
+                DensityOperator(random_density(d, rng, rank=int(rng.choice([1, d]))))
+                for _ in range(n)
+            )
+            e = CqEnsemble(rng.dirichlet(np.ones(n)), states)
+            spec = GentlenessSpec(float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.5)))
+            probe = gentle_povm(random_contraction(d, rng), float(rng.uniform(0.0, 0.1)))
+            for impl in (probe.implementation, projective_povm(haar_unitary(d, rng))):
+                self.assert_matches_reference(e, impl, spec)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_zero_probability_outcomes(self, d):
+        # each basis state is left alone by its own projector and never triggers the others
+        basis = np.eye(d)
+        e = CqEnsemble(np.full(d, 1.0 / d), tuple(pure_state(v) for v in basis))
+        impl = projective_povm(basis)
+        self.assert_matches_reference(e, impl, GentlenessSpec(0.0, 0.0))
+        cert = certify_gentle(e, impl, GentlenessSpec(0.0, 0.0))
+        assert cert.certified
+        assert np.all(cert.outcome_probs[~np.eye(d, dtype=bool)] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_exactly_gentle_branch_at_alpha_zero(self, d):
+        # the identity probe's '+' branch is a multiple of I: it moves no state at all
+        rng = np.random.default_rng(d)
+        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+        e = CqEnsemble(np.full(3, 1.0 / 3), states)
+        impl = gentle_povm(np.eye(d), 0.05).implementation
+        spec = GentlenessSpec(0.0, 0.0)
+        self.assert_matches_reference(e, impl, spec)
+        cert = certify_gentle(e, impl, spec)
+        assert cert.outcome_good[0] and cert.certified
 
 
 class TestGentlePovm:
