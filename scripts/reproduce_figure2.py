@@ -10,6 +10,7 @@ import argparse
 
 import numpy as np
 
+from gentleleak.cli import sweep_csv
 from gentleleak.cloning import lower_bound_sweep
 from gentleleak.leakage import maximal_quantum_leakage
 from gentleleak.states import bb84_ensemble
@@ -26,11 +27,8 @@ def main() -> int:
     print(f"maximal leakage: {q.bits:.9f} bits (certified upper value {q.upper_bits:.9f})")
 
     rows = lower_bound_sweep(e, np.linspace(0.0, 1.0, args.grid), q.bits)
-    lines = ["alpha,p1,p2,lower_bits"]
-    for r in rows:
-        lines.append(f"{r.alpha:.6f},{r.p1_star:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(sweep_csv(rows))
     print(f"wrote {args.out} ({args.grid} rows)")
 
     anchor = min(rows, key=lambda r: abs(r.alpha - 0.1))

@@ -26,7 +26,7 @@ from .measurements import GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import EveStrategy, run_simulation, tradeoff_sweep
 from .states import CqEnsemble, depolarize, ensemble_from_json
 
-__all__ = ["main"]
+__all__ = ["main", "sweep_csv"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,7 +77,8 @@ def _load_ensemble(path: str) -> CqEnsemble:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _sweep_csv(rows) -> str:
+def sweep_csv(rows) -> str:
+    """The lower-bound CSV (alpha,p1,p2,lower_bits at six decimals) of figure2 and lower-bound."""
     lines = ["alpha,p1,p2,lower_bits"]
     for r in rows:
         lines.append(f"{r.alpha:.6f},{r.p1_star:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
@@ -98,7 +99,7 @@ def cmd_lower_bound(args) -> int:
             raise SchemaError(f"--alpha values must lie in [0, 1], got {a}")
     q = maximal_quantum_leakage(e)
     rows = lower_bound_sweep(e, args.alpha, q.bits)
-    _emit(_sweep_csv(rows), args.out)
+    _emit(sweep_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -109,7 +110,7 @@ def cmd_figure2(args) -> int:
     q = maximal_quantum_leakage(e)
     alphas = np.linspace(0.0, 1.0, args.grid_points)
     rows = lower_bound_sweep(e, alphas, q.bits)
-    _emit(_sweep_csv(rows), args.out)
+    _emit(sweep_csv(rows), args.out)
     return EXIT_OK
 
 

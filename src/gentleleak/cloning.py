@@ -1,18 +1,28 @@
-"""Feasibility region for 1->2 asymmetric approximate cloning and the leakage lower bound.
+"""Asymmetric approximate cloning: the feasibility region and the leakage lower bound.
 
-A cloner whose two output branches act like global depolarizing channels with
-parameters (p1, p2) exists only inside a feasibility region in the unit
-square. Two forms of that region are implemented: one involving a square root
-(undefined where its discriminant is negative, including the whole symmetric
-line) and a quadratic form. The quadratic form is authoritative here: its
-qubit reductions check out by hand (symmetric line p >= 1/4, boundary root
-0.305573 at p1 = 0.2) while the square-root form is undefined at exactly the
-operating points of interest, so the latter is evaluated only on its real
-domain and only diagnostically.
-
+A 1->2 cloner whose two output branches act like global depolarizing channels
+with parameters (p1, p2) exists only for some points of the unit square.
 Branch 1 is handed to the legitimate receiver (its depolarization bounds the
 detectable disturbance), branch 2 feeds the eavesdropper, so the best
 undetected leakage comes from minimizing p2 subject to a disturbance cap on p1.
+
+Which p1-p2 trade-off the bound uses depends on the dimension d:
+
+- d = 2: the boundary of the paper's quadratic region, p2 = (1 - sqrt(p1))^2.
+  Its qubit reductions check out by hand (symmetric line p >= 1/4, boundary
+  root 0.305573 at p1 = 0.2) and it gives the figure-2 curve. Whether a qubit
+  cloner reaches it is open: on the symmetric line the universal
+  (Buzek-Hillery) cloner gives p = 1/3 and the phase-covariant one about 0.293.
+- d >= 3: the universal asymmetric cloner (Cerf 2000), an explicit channel in
+  every dimension, so every point of its curve is reached and the bound is a
+  bound. The quadratic region is not used there: at d >= 3 it admits
+  (p1, p2) = (0, 0.254), a perfect copy to the receiver that still leaves the
+  eavesdropper information, which no-cloning forbids.
+
+The quadratic form stays available for diagnostics at every d, as does a
+square-root form of the region, which is undefined where its discriminant is
+negative (including the whole symmetric line) and so is evaluated only on its
+real domain.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import trace_distance
+from .linalg import eig_hermitian
 from .states import CqEnsemble
 
 __all__ = [
@@ -30,6 +40,7 @@ __all__ = [
     "region_quadratic_form",
     "quadratic_coefficients",
     "min_feasible_p2",
+    "tradeoff_p2",
     "cloning_lower_bound",
     "lower_bound_sweep",
     "region_disagreement_report",
@@ -124,11 +135,11 @@ class CloningBoundResult:
     p1_star: float
     p2_star: float
     lower_bits: float
-    feasible: bool
+    feasible: bool  # always True: tradeoff_p2 gives a p2 in [0, 1] at every p1
     p1_cap: float
     alpha: float
     q_bits: float
-    slack: float  # quadratic-form value at the optimum (<= 1e-12 when feasible)
+    slack: float  # quadratic-form value at the optimum: ~0 at d = 2, negative for d >= 3
 
     def to_json(self) -> dict:
         return {
@@ -143,103 +154,64 @@ class CloningBoundResult:
         }
 
 
-def disturbance_cap(e: CqEnsemble, alpha: float) -> float:
-    """Largest p1 keeping the receiver-branch disturbance below alpha for every state.
+def tradeoff_p2(p1: float, d: int) -> float:
+    """Smallest eavesdropper-branch depolarization p2 the bound uses at receiver-branch p1.
 
-    The cap is min_x alpha / ||I/d - rho^x||_1n; a maximally mixed encoding
-    state makes its constraint vacuous (zero denominator).
+    d = 2: the boundary of the quadratic region, min_feasible_p2(p1, 2) =
+    (1 - sqrt(p1))^2. d >= 3: the universal asymmetric cloner, whose amplitudes
+    a, b with a^2 + b^2 + 2ab/d = 1 depolarize branch 1 by p1 = b^2 and
+    branch 2 by p2 = a^2, so p2 = (sqrt(1 - p1 (1 - 1/d^2)) - sqrt(p1)/d)^2.
+    Both are non-increasing in p1, give p2 = 1 at p1 = 0 and p2 = 0 at p1 = 1.
     """
-    d = e.dim
-    eye = np.eye(d, dtype=complex) / d
-    cap = float("inf")
-    for s in e.states:
-        denom = trace_distance(eye, s.mat)
-        if denom <= 1e-12:
-            continue
-        cap = min(cap, alpha / denom)
-    return min(cap, 1.0)
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if d == 2:
+        return float(min_feasible_p2(p1, 2))
+    a = np.sqrt(1.0 - p1 * (1.0 - 1.0 / (d * d))) - np.sqrt(p1) / d
+    return float(max(a, 0.0)) ** 2  # a < 0 only by rounding at p1 = 1
 
 
-def cloning_lower_bound(
-    e: CqEnsemble,
-    alpha: float,
-    q_bits: float,
-    grid: int = 256,
-    refine_iters: int = 80,
-) -> CloningBoundResult:
-    """Minimize the eavesdropper-branch depolarization p2 under the alpha cap on p1.
-
-    Scans a coarse p1 grid over [0, p1_cap] and refines around the best cell
-    by golden-section search (the feasible set is convex for qubits; for
-    d > 2 the result is a best-found point without optimality guarantees).
-    lower_bits = log2(p2* + (1 - p2*) 2^q_bits).
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if q_bits < 0.0:
-        raise ValueError("q_bits must be non-negative")
-    d = e.dim
-    cap = disturbance_cap(e, alpha)
-
-    def objective(p1: float) -> float:
-        p2 = min_feasible_p2(p1, d)
-        return p2 if p2 is not None else float("inf")
-
-    points = np.linspace(0.0, cap, grid) if cap > 0 else np.array([0.0])
-    values = np.array([objective(p) for p in points])
-    best_idx = int(np.argmin(values))
-
-    lo = points[max(best_idx - 1, 0)]
-    hi = points[min(best_idx + 1, len(points) - 1)]
-    best_p1, best_p2 = float(points[best_idx]), float(values[best_idx])
-    if hi > lo and np.isfinite(best_p2):
-        gold = (np.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - gold * (hi - lo)
-        x2 = lo + gold * (hi - lo)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(refine_iters):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - gold * (hi - lo)
-                f1 = objective(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + gold * (hi - lo)
-                f2 = objective(x2)
-        for cand, val in ((x1, f1), (x2, f2)):
-            if val < best_p2 or (val == best_p2 and cand < best_p1):
-                best_p1, best_p2 = float(cand), float(val)
-
-    if not np.isfinite(best_p2):
-        return CloningBoundResult(
-            p1_star=float("nan"),
-            p2_star=float("nan"),
-            lower_bits=0.0,
-            feasible=False,
-            p1_cap=cap,
-            alpha=alpha,
-            q_bits=q_bits,
-            slack=float("nan"),
-        )
-    _, slack = region_quadratic_form(best_p1, best_p2, d)
-    bits = q_bits if best_p2 == 0.0 else float(
-        np.log2(best_p2 + (1.0 - best_p2) * 2.0**q_bits)
-    )
-    return CloningBoundResult(
-        p1_star=best_p1,
-        p2_star=best_p2,
-        lower_bits=bits,
-        feasible=True,
-        p1_cap=cap,
-        alpha=alpha,
-        q_bits=q_bits,
-        slack=slack,
-    )
+def cloning_lower_bound(e: CqEnsemble, alpha: float, q_bits: float) -> CloningBoundResult:
+    """Lower bound at one disturbance level alpha; see lower_bound_sweep."""
+    return lower_bound_sweep(e, [alpha], q_bits)[0]
 
 
 def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> list[CloningBoundResult]:
-    """Lower bound at each alpha, ordered as given."""
-    return [cloning_lower_bound(e, float(a), q_bits) for a in alphas]
+    """Minimize the eavesdropper-branch depolarization p2 under the alpha cap on p1, per alpha.
+
+    Keeping the receiver-branch disturbance p1 ||I/d - rho^x||_1n below alpha for
+    every state caps p1 at alpha / max_x ||I/d - rho^x||_1n (at most 1; a
+    maximally mixed ensemble constrains nothing). Since tradeoff_p2 never
+    increases in p1, the optimum is p1* = cap and p2* = tradeoff_p2(cap, d),
+    and lower_bits = log2(p2* + (1 - p2*) 2^q_bits). Results are ordered as
+    the alphas are given.
+    """
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if q_bits < 0.0:
+        raise ValueError("q_bits must be non-negative")
+    d = e.dim
+    w, _ = eig_hermitian(np.eye(d) / d - e.state_mats())
+    spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
+    rows = []
+    for alpha in alphas:
+        cap = min(alpha / spread, 1.0) if spread > 1e-12 else 1.0
+        p2 = tradeoff_p2(cap, d)
+        _, slack = region_quadratic_form(cap, p2, d)
+        bits = q_bits if p2 == 0.0 else float(np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
+        rows.append(CloningBoundResult(
+            p1_star=cap,
+            p2_star=p2,
+            lower_bits=bits,
+            feasible=True,
+            p1_cap=cap,
+            alpha=alpha,
+            q_bits=q_bits,
+            slack=slack,
+        ))
+    return rows
 
 
 def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:

@@ -17,7 +17,7 @@ of the iteration budget, raises ConvergenceError.
 
 Gentle leakage (the same supremum restricted to detection-avoiding
 measurements) is bracketed: from above by the certified unrestricted
-supremum, from below by the best of the cloning-region bound and an explicit
+supremum, from below by the best of the cloning bound and an explicit
 search over certified gentle probes.
 """
 
@@ -334,10 +334,10 @@ def _gentle_probe_search(
 def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakageInterval:
     """Bracket the gentle leakage: certified unrestricted supremum above, best witness below.
 
-    The lower bound is the better of the cloning-region bound (depends only on
-    alpha) and an explicit search over certified gentle probes; at alpha = 1 or
-    delta = 1 every measurement is gentle, so the interval is the certified
-    interval of the unrestricted supremum.
+    The lower bound is the better of the cloning bound (depends only on alpha
+    and the states' distances to I/d) and an explicit search over certified
+    gentle probes; at alpha = 1 or delta = 1 every measurement is gentle, so
+    the interval is the certified interval of the unrestricted supremum.
     """
     upper = maximal_quantum_leakage(e)
     if spec.alpha >= 1.0 or spec.delta >= 1.0:
@@ -350,11 +350,10 @@ def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakag
         )
 
     clone = cloning_lower_bound(e, spec.alpha, upper.bits)
-    clone_bits = clone.lower_bits if clone.feasible else 0.0
     search_bits, detail = _gentle_probe_search(e, spec)
 
-    lower = max(clone_bits, search_bits)
-    witness = "cloning-bound" if clone_bits >= search_bits else "gentle-povm-search"
+    lower = max(clone.lower_bits, search_bits)
+    witness = "cloning-bound" if clone.lower_bits >= search_bits else "gentle-povm-search"
     return GentleLeakageInterval(
         lower_bits=lower,
         upper_bits=upper.upper_bits,

@@ -131,6 +131,15 @@ class TestLowerBoundCommand:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[3] == "1.000000"
 
+    def test_qutrit_alpha_zero_leaks_nothing(self, tmp_path, capsys):
+        plus = pure_state([1, 1, 0])
+        e = CqEnsemble(np.full(4, 0.25), tuple(pure_state(k) for k in np.eye(3)) + (plus,))
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        code, out = run_cli(["lower-bound", str(path), "--alpha", "0"], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1] == "0.000000,0.000000,1.000000,0.000000"
+
     def test_bad_alpha_is_input_error(self, bb84_file, capsys):
         code, _ = run_cli(["lower-bound", bb84_file, "--alpha", "1.5"], capsys)
         assert code == 2
@@ -146,6 +155,17 @@ class TestFigure2Command:
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bits, bits[1:]))
         assert bits[0] == 0.0
         assert all(abs(b - 1.0) <= 1e-3 for a, b in zip(np.linspace(0, 1, 101), bits) if a >= 0.5)
+
+    def test_bb84_curve_closed_form(self, bb84_file, capsys):
+        # p1 = min(2 alpha, 1) for BB84 and p2 = (1 - sqrt p1)^2 on the qubit boundary
+        code, out = run_cli(["figure2", bb84_file, "--grid", "101"], capsys)
+        assert code == 0
+        expected = []
+        for alpha in np.linspace(0.0, 1.0, 101):
+            p1 = min(2.0 * alpha, 1.0)
+            p2 = (1.0 - np.sqrt(p1)) ** 2
+            expected.append(f"{alpha:.6f},{p1:.6f},{p2:.6f},{np.log2(2.0 - p2):.6f}")
+        assert out.strip().splitlines()[1:] == expected
 
     def test_byte_identical_reruns(self, bb84_file, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

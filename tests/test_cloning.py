@@ -11,7 +11,9 @@ from gentleleak.cloning import (
     region_quadratic_form,
     region_sqrt_form,
 )
-from gentleleak.states import CqEnsemble, bb84_ensemble, pure_state
+from gentleleak.leakage import maximal_quantum_leakage
+from gentleleak.linalg import random_density
+from gentleleak.states import CqEnsemble, DensityOperator, bb84_ensemble, pure_state
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -19,6 +21,20 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 @pytest.fixture
 def bb84():
     return bb84_ensemble()
+
+
+def basis_plus(d):
+    """{|0>, ..., |d-1>, |+>} with |+> = (|0> + |1>)/sqrt 2, uniform priors."""
+    plus = np.zeros(d)
+    plus[:2] = 1.0
+    states = tuple(pure_state(np.eye(d)[k]) for k in range(d)) + (pure_state(plus),)
+    return CqEnsemble(np.full(d + 1, 1.0 / (d + 1)), states)
+
+
+def random_ensemble(d, seed):
+    rng = np.random.default_rng(seed)
+    states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+    return CqEnsemble(rng.dirichlet(np.ones(3)), states)
 
 
 class TestQuadraticForm:
@@ -117,20 +133,44 @@ class TestLowerBound:
         assert r.p2_star == 0.0
         assert r.lower_bits == 1.0
 
-    def test_alpha_zero(self, bb84):
-        r = cloning_lower_bound(bb84, 0.0, 1.0)
-        assert r.p2_star == pytest.approx(1.0, abs=1e-12)
-        assert r.lower_bits == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "e", [bb84_ensemble(), basis_plus(3), basis_plus(4), basis_plus(8)],
+        ids=["bb84", "qutrit_plus", "d4_plus", "d8_plus"],
+    )
+    def test_alpha_zero(self, e):
+        # no-cloning: a perfect copy to the receiver leaves the eavesdropper nothing
+        r = cloning_lower_bound(e, 0.0, np.log2(e.dim))
+        assert r.p1_star == 0.0
+        assert r.p2_star == 1.0
+        assert r.lower_bits == 0.0
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_symmetric_point_is_werner_optimum(self, d):
+        # pure states sit at distance 1 - 1/d from I/d, so this alpha caps p1 at d/(2(d+1))
+        sym = d / (2.0 * (d + 1))
+        r = cloning_lower_bound(basis_plus(d), sym * (1.0 - 1.0 / d), np.log2(d))
+        assert r.p1_star == pytest.approx(sym, abs=1e-12)
+        assert r.p2_star == pytest.approx(sym, abs=1e-12)
+        assert r.feasible and r.slack < 0.0
 
     def test_never_exceeds_reference(self, bb84):
         for alpha in np.linspace(0.0, 1.0, 21):
             r = cloning_lower_bound(bb84, float(alpha), 1.0)
             assert r.lower_bits <= 1.0 + 1e-12
 
-    def test_monotone_sweep(self, bb84):
-        rows = lower_bound_sweep(bb84, np.linspace(0.0, 1.0, 101), 1.0)
+    @pytest.mark.parametrize(
+        "e",
+        [bb84_ensemble(), basis_plus(3), random_ensemble(2, 5), random_ensemble(3, 6),
+         random_ensemble(4, 7)],
+        ids=["bb84", "qutrit_plus", "random_d2", "random_d3", "random_d4"],
+    )
+    def test_monotone_sweep(self, e):
+        q = maximal_quantum_leakage(e)
+        rows = lower_bound_sweep(e, np.linspace(0.0, 1.0, 21), q.bits)
         bits = [r.lower_bits for r in rows]
+        assert bits[0] == 0.0
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bits, bits[1:]))
+        assert max(bits) <= q.upper_bits
 
     def test_identical_states_flat_zero(self):
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0])))
@@ -138,8 +178,6 @@ class TestLowerBound:
             assert r.lower_bits == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_state_vacuous_cap(self):
-        from gentleleak.states import DensityOperator
-
         e = CqEnsemble(
             np.array([0.5, 0.5]),
             (DensityOperator(np.eye(2) / 2), pure_state([1, 0])),
@@ -148,9 +186,6 @@ class TestLowerBound:
         assert r.p1_cap == 1.0  # the mixed state contributes no constraint
 
     def test_higher_dimension_runs(self):
-        from gentleleak.linalg import random_density
-        from gentleleak.states import DensityOperator
-
         rng = np.random.default_rng(1)
         e = CqEnsemble(
             np.array([0.5, 0.5]),
