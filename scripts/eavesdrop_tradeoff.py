@@ -10,6 +10,7 @@ import argparse
 
 import numpy as np
 
+from gentleleak.cli import tradeoff_csv
 from gentleleak.simulate import EveStrategy, exact_round_statistics, tradeoff_sweep
 
 
@@ -27,18 +28,13 @@ def main() -> int:
 
     eps = np.linspace(0.0, 0.1, args.points)
     rows = tradeoff_sweep(eps, rounds=args.rounds, seed=args.seed)
-    lines = ["epsilon,qber,leakage_bits,mean_disturbance"]
     for r in rows:
-        lines.append(
-            f"{r['epsilon']:.6f},{r['qber']:.6f},{r['leakage_bits']:.6f},"
-            f"{r['mean_disturbance']:.6f}"
-        )
         print(
             f"eps={r['epsilon']:.3f}: qber={r['qber']:.5f}, "
             f"leakage={r['leakage_bits']:.5f} bits, disturbance={r['mean_disturbance']:.5f}"
         )
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(tradeoff_csv(rows))
     print(f"wrote {args.out}")
     return 0
 

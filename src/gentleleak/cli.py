@@ -26,7 +26,7 @@ from .measurements import GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import EveStrategy, run_simulation, tradeoff_sweep
 from .states import CqEnsemble, depolarize, ensemble_from_json
 
-__all__ = ["main", "sweep_csv"]
+__all__ = ["main", "sweep_csv", "tradeoff_csv"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,6 +82,17 @@ def sweep_csv(rows) -> str:
     lines = ["alpha,p1,p2,lower_bits"]
     for r in rows:
         lines.append(f"{r.alpha:.6f},{r.p1_star:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def tradeoff_csv(rows) -> str:
+    """The trade-off CSV (epsilon,qber,leakage_bits,mean_disturbance at six decimals)."""
+    lines = ["epsilon,qber,leakage_bits,mean_disturbance"]
+    for r in rows:
+        lines.append(
+            f"{r['epsilon']:.6f},{r['qber']:.6f},{r['leakage_bits']:.6f},"
+            f"{r['mean_disturbance']:.6f}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +172,9 @@ def cmd_interval(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.strategy == "gentle":
-        strategy = EveStrategy.gentle(args.epsilon[0] if args.epsilon else 0.05)
+        strategy = EveStrategy.gentle(0.05 if args.epsilon is None else args.epsilon)
+    elif args.epsilon is not None:
+        raise SchemaError("--epsilon applies only to --strategy gentle")
     else:
         strategy = EveStrategy(args.strategy)
     report = run_simulation(strategy, args.rounds, args.seed)
@@ -174,14 +187,7 @@ def cmd_tradeoff(args) -> int:
     for x in eps:
         if not 0.0 <= x <= 0.1:
             raise SchemaError(f"--epsilon values must lie in [0, 0.1], got {x}")
-    rows = tradeoff_sweep(eps, args.rounds, args.seed)
-    lines = ["epsilon,qber,leakage_bits,mean_disturbance"]
-    for r in rows:
-        lines.append(
-            f"{r['epsilon']:.6f},{r['qber']:.6f},{r['leakage_bits']:.6f},"
-            f"{r['mean_disturbance']:.6f}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(tradeoff_csv(tradeoff_sweep(eps, args.rounds, args.seed)), args.out)
     return EXIT_OK
 
 
@@ -237,14 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--rounds", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epsilon", type=float, nargs="*", default=None)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="probe strength of the gentle strategy (default 0.05)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tradeoff", help="gentle-strategy sweep: leakage vs disturbance (CSV)")
     common(p, ensemble=False)
     p.add_argument("--rounds", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epsilon", type=float, nargs="*", default=None)
+    p.add_argument("--epsilon", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_tradeoff)
 
     return parser

@@ -4,9 +4,15 @@ Each round Alice draws one of the four BB84 symbols, Eve applies her
 measurement implementation and forwards the collapsed state, and Bob measures
 in the basis the symbol was prepared in (sifting is deterministic here: the
 study is leakage versus disturbance, not key-rate accounting). The quantum
-mechanics of a round reduces to finite conditional tables, so the simulator
-samples exactly those tables and an enumeration oracle integrates them in
-closed form; Eve's leakage is always reported analytically, never sampled.
+mechanics of a round reduces to finite conditional tables over (symbol x,
+Eve outcome y): P[y|x], Bob's error probability and the disturbance of the
+collapse. Rounds are i.i.d., so the counts of the at most 16 (x, y) cells are
+a sufficient statistic: the simulator draws them as one multinomial, Bob's
+errors as one binomial per cell, and sums the disturbance over the cells.
+That is the same joint law of (errors, disturbance sum) as a round-by-round
+loop, at a cost that does not depend on the number of rounds. An enumeration
+oracle integrates the same tables in closed form; Eve's leakage is always
+reported analytically, never sampled.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .leakage import sibson_infinity
-from .linalg import positive_part, trace_distance
+from .linalg import eig_hermitian, positive_part
 from .measurements import (
     ZERO_PROB,
     Povm,
@@ -151,36 +157,24 @@ def _round_tables(strategy: EveStrategy):
     Outcomes with probability <= ZERO_PROB for a given symbol keep placeholder
     zeros; they can never be drawn for that symbol.
     """
-    e = bb84_ensemble()
-    basis_bit = (0, 0, 1, 1)  # first label bit selects Bob's basis
-    value_bit = (0, 1, 0, 1)  # second label bit is the payload
-    bob = (projective_povm(np.eye(2, dtype=complex)), projective_povm(_HADAMARD))
-
     impl = strategy_implementation(strategy)
     if impl is None:
-        probs = np.ones((1, 4))
-        err = np.zeros((4, 1))
-        dist = np.zeros((4, 1))
-        channel = np.ones((1, 4))
-        return probs.T, err, dist, channel
+        return np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), np.ones((1, 4))
 
+    e = bb84_ensemble()
     channel = born_probabilities(e, impl.povm)  # (outcomes, symbols)
-    n_y = len(impl)
-    err = np.zeros((4, n_y))
-    dist = np.zeros((4, n_y))
-    for x in range(4):
-        rho = e.states[x]
-        for y in range(n_y):
-            p = channel[y, x]
-            if p <= ZERO_PROB:
-                continue
-            b = impl.operators[y]
-            out = b @ rho.mat @ b.conj().T
-            post = out / np.trace(out).real
-            dist[x, y] = trace_distance(post, rho.mat)
-            wrong = bob[basis_bit[x]].povm.elements[1 - value_bit[x]]
-            err[x, y] = float(np.clip(np.einsum("ij,ji->", wrong, post).real, 0.0, 1.0))
-    return channel.T, err, dist, channel
+    live = channel > ZERO_PROB
+    x = np.nonzero(live)[1]
+    rho = e.state_mats()
+    b = np.stack(impl.operators)[:, None]
+    out = (b @ rho @ b.conj().swapaxes(-1, -2))[live]  # B_y rho^x B_y† of the live pairs
+    post = out / np.trace(out, axis1=-2, axis2=-1).real[:, None, None]
+    dist = np.zeros(channel.shape)
+    dist[live] = 0.5 * np.abs(eig_hermitian(post - rho[x])[0]).sum(axis=-1)
+    # Bob measures in the symbol's basis and errs on its partner state rho^(x ^ 1)
+    err = np.zeros(channel.shape)
+    err[live] = np.clip(np.einsum("kij,kji->k", rho[x ^ 1], post).real, 0.0, 1.0)
+    return channel.T, err.T, dist.T, channel
 
 
 def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
@@ -193,39 +187,22 @@ def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
     return qber, bits, mean_dist
 
 
-def run_simulation(
-    strategy: EveStrategy,
-    rounds: int,
-    seed: int,
-    batch_size: int = 1 << 16,
-) -> SimReport:
-    """Sample the round tables for the requested number of rounds.
+def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
+    """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
 
-    Batches draw from independent RNG streams keyed by (seed, batch index), so
-    aggregation is order-independent and a given (strategy, rounds, seed)
-    always reproduces the same report bit for bit.
+    One multinomial draw gives the cell counts, one binomial per cell Bob's
+    errors, and the disturbance sum is the count-weighted table. All draws come
+    from one ``np.random.default_rng(seed)``, so a given (strategy, rounds,
+    seed) always reproduces the same report bit for bit. The values a seed
+    gives differ from versions that sampled round by round; the law does not.
     """
-    if rounds < 1:
-        raise ValueError("need at least one round")
+    if not 1 <= rounds <= np.iinfo(np.int64).max:
+        raise ValueError(f"rounds must lie in [1, 2**63 - 1], got {rounds}")
     probs_xy, err, dist, channel = _round_tables(strategy)
-    cum = np.cumsum(probs_xy, axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)  # guard the final edge against roundoff
-
-    errors = 0
-    dist_sum = 0.0
-    done = 0
-    batch_idx = 0
-    while done < rounds:
-        n = min(batch_size, rounds - done)
-        rng = np.random.default_rng([seed, batch_idx])
-        xs = rng.integers(0, 4, size=n)
-        u1 = rng.random(n)
-        ys = np.argmax(u1[:, None] < cum[xs], axis=1)
-        u2 = rng.random(n)
-        errors += int(np.sum(u2 < err[xs, ys]))
-        dist_sum += float(np.sum(dist[xs, ys]))
-        done += n
-        batch_idx += 1
+    weights = probs_xy.ravel() / probs_xy.sum()  # uniform symbol draw, renormalized
+    rng = np.random.default_rng(seed)
+    cells = rng.multinomial(rounds, weights)
+    errors = int(rng.binomial(cells, err.ravel()).sum())
 
     qber = errors / rounds
     ci95 = 1.96 * np.sqrt(qber * (1.0 - qber) / rounds)
@@ -234,7 +211,7 @@ def run_simulation(
         sifted=rounds,
         qber=qber,
         eve_leakage_bits=sibson_infinity(channel),
-        mean_disturbance=dist_sum / rounds,
+        mean_disturbance=float(cells @ dist.ravel()) / rounds,
         ci95=float(ci95),
         strategy=strategy.describe(),
         seed=seed,

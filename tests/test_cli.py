@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gentleleak import leakage
-from gentleleak.cli import main
+from gentleleak.cli import main, tradeoff_csv
 from gentleleak.linalg import random_density
 from gentleleak.measurements import povm_to_json, projective_povm
 from gentleleak.states import (
@@ -257,6 +257,16 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["strategy"]["epsilon"] == 0.05
 
+    def test_epsilon_takes_one_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--strategy", "gentle", "--epsilon", "0.01", "0.09"])
+        assert exc.value.code == 2
+
+    def test_epsilon_needs_gentle_strategy(self, capsys):
+        code, out = run_cli(["simulate", "--strategy", "w1", "--epsilon", "0.05"], capsys)
+        assert code == 2
+        assert out == ""
+
     def test_deterministic_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["simulate", "--strategy", "w2", "--rounds", "20000", "--seed", "5"]
@@ -279,6 +289,18 @@ class TestTradeoffCommand:
     def test_epsilon_over_cap_is_input_error(self, capsys):
         code, _ = run_cli(["tradeoff", "--epsilon", "0.3", "--rounds", "100"], capsys)
         assert code == 2
+
+    def test_epsilon_needs_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tradeoff", "--epsilon", "--rounds", "100"])
+        assert exc.value.code == 2
+
+    def test_csv_format_is_pinned(self):
+        row = {"epsilon": 0.05, "qber": 0.00123456789, "leakage_bits": 0.1,
+               "mean_disturbance": 1 / 3}
+        assert tradeoff_csv([row]) == (
+            "epsilon,qber,leakage_bits,mean_disturbance\n0.050000,0.001235,0.100000,0.333333\n"
+        )
 
 
 class TestIntervalCommand:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from gentleleak.measurements import GentlenessSpec, certify_gentle
+from gentleleak.linalg import trace_distance
+from gentleleak.measurements import (
+    ZERO_PROB,
+    GentlenessSpec,
+    born_probabilities,
+    certify_gentle,
+    projective_povm,
+)
 from gentleleak.simulate import (
     EveStrategy,
+    _round_tables,
     default_gentle_probe,
     exact_round_statistics,
     run_simulation,
@@ -11,6 +19,46 @@ from gentleleak.simulate import (
     tradeoff_sweep,
 )
 from gentleleak.states import bb84_ensemble
+
+ALL_STRATEGIES = [
+    EveStrategy.none(),
+    EveStrategy.intercept_z(),
+    EveStrategy.w1(),
+    EveStrategy.w2(),
+    *(EveStrategy.gentle(eps) for eps in (0.0, 0.01, 0.05, 0.1)),
+]
+
+
+def reference_round_tables(strategy):
+    """The round tables pair by pair: one trace distance and one Bob POVM element each."""
+    e = bb84_ensemble()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    bob = (projective_povm(np.eye(2, dtype=complex)), projective_povm(hadamard))
+    impl = strategy_implementation(strategy)
+    if impl is None:
+        return np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), np.ones((1, 4))
+    channel = born_probabilities(e, impl.povm)
+    err = np.zeros((4, len(impl)))
+    dist = np.zeros((4, len(impl)))
+    for x, rho in enumerate(e.states):
+        basis, value = divmod(x, 2)
+        wrong = bob[basis].povm.elements[1 - value]
+        for y, b in enumerate(impl.operators):
+            if channel[y, x] <= ZERO_PROB:
+                continue
+            out = b @ rho.mat @ b.conj().T
+            post = out / np.trace(out).real
+            dist[x, y] = trace_distance(post, rho.mat)
+            err[x, y] = np.clip(np.trace(wrong @ post).real, 0.0, 1.0)
+    return channel.T, err, dist, channel
+
+
+class TestRoundTables:
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: str(s.describe()))
+    def test_stacked_tables_match_pairwise_reference(self, strategy):
+        for got, want in zip(_round_tables(strategy), reference_round_tables(strategy)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestExactStatistics:
@@ -86,9 +134,37 @@ class TestRunSimulation:
         rep = run_simulation(EveStrategy.gentle(0.08), 1000, seed=0)
         assert rep.eve_leakage_bits == bits
 
+    def test_round_count_does_not_limit_the_sampler(self):
+        n = 10**12
+        rep = run_simulation(EveStrategy.w1(), n, seed=11)
+        assert rep.rounds == rep.sifted == n
+        assert abs(rep.qber - 0.25) <= 4.0 * rep.ci95
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [EveStrategy.w1(), EveStrategy.intercept_z(), EveStrategy.gentle(0.1)],
+        ids=["w1", "intercept-z", "gentle-0.1"],
+    )
+    def test_same_law_as_round_by_round_sampling(self, strategy):
+        # per round: Bernoulli(q) error and a disturbance drawn from the weighted table
+        runs, n = 2000, 20000
+        probs_xy, _, dist, _ = _round_tables(strategy)
+        q, _, mean_dist = exact_round_statistics(strategy)
+        dist_var = float(np.sum(probs_xy / 4.0 * dist**2)) - mean_dist**2
+        reps = [run_simulation(strategy, n, seed=s) for s in range(runs)]
+        qbers = np.array([r.qber for r in reps])
+        dists = np.array([r.mean_disturbance for r in reps])
+        assert abs(qbers.mean() - q) <= 4.0 * np.sqrt(q * (1.0 - q) / (n * runs))
+        assert abs(dists.mean() - mean_dist) <= 4.0 * np.sqrt(dist_var / (n * runs))
+        assert qbers.var(ddof=1) == pytest.approx(q * (1.0 - q) / n, rel=0.15)
+
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
             run_simulation(EveStrategy.none(), 0, seed=0)
+
+    def test_rejects_rounds_beyond_int64(self):
+        with pytest.raises(ValueError, match="rounds must lie"):
+            run_simulation(EveStrategy.w1(), 2**63, seed=0)
 
     def test_gentle_disturbance_below_certified_alpha(self):
         # certified at (alpha, 0) in per-state mode forces every branch below alpha
