@@ -125,8 +125,9 @@ class SimReport:
     """Outcome statistics of one simulation run.
 
     qber counts sifted rounds where Bob's decoded bit differs from the sent
-    bit; ci95 is the binomial 95% half-width for qber; eve_leakage_bits is the
-    Sibson information of Eve's exact outcome channel (analytic).
+    bit; qber ± ci95 covers the 95% Wilson score interval for the error rate;
+    eve_leakage_bits is the Sibson information of Eve's exact outcome channel
+    (analytic).
     """
 
     rounds: int
@@ -187,6 +188,18 @@ def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
     return qber, bits, mean_dist
 
 
+def _wilson_ci95(errors: int, rounds: int) -> float:
+    """Distance from errors / rounds to the farther end of its 95% Wilson score interval.
+
+    Unlike the Wald half-width 1.96·sqrt(q(1-q)/n), it stays positive when no
+    round or every round errs: zero errors in n rounds gives 1.96²/(n + 1.96²).
+    """
+    q, z2n = errors / rounds, 1.96**2 / rounds
+    centre = (q + z2n / 2.0) / (1.0 + z2n)
+    half = 1.96 * np.sqrt(q * (1.0 - q) / rounds + z2n / (4.0 * rounds)) / (1.0 + z2n)
+    return float(abs(centre - q) + half)
+
+
 def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
 
@@ -199,20 +212,18 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     if not 1 <= rounds <= np.iinfo(np.int64).max:
         raise ValueError(f"rounds must lie in [1, 2**63 - 1], got {rounds}")
     probs_xy, err, dist, channel = _round_tables(strategy)
-    weights = probs_xy.ravel() / probs_xy.sum()  # uniform symbol draw, renormalized
+    weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)
     cells = rng.multinomial(rounds, weights)
     errors = int(rng.binomial(cells, err.ravel()).sum())
 
-    qber = errors / rounds
-    ci95 = 1.96 * np.sqrt(qber * (1.0 - qber) / rounds)
     return SimReport(
         rounds=rounds,
         sifted=rounds,
-        qber=qber,
+        qber=errors / rounds,
         eve_leakage_bits=sibson_infinity(channel),
         mean_disturbance=float(cells @ dist.ravel()) / rounds,
-        ci95=float(ci95),
+        ci95=_wilson_ci95(errors, rounds),
         strategy=strategy.describe(),
         seed=seed,
     )

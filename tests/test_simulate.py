@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gentleleak.measurements import (
 from gentleleak.simulate import (
     EveStrategy,
     _round_tables,
+    _wilson_ci95,
     default_gentle_probe,
     exact_round_statistics,
     run_simulation,
@@ -157,6 +160,35 @@ class TestRunSimulation:
         assert abs(qbers.mean() - q) <= 4.0 * np.sqrt(q * (1.0 - q) / (n * runs))
         assert abs(dists.mean() - mean_dist) <= 4.0 * np.sqrt(dist_var / (n * runs))
         assert qbers.var(ddof=1) == pytest.approx(q * (1.0 - q) / n, rel=0.15)
+
+    def test_ci95_stays_positive_without_errors(self):
+        # a passive Eve never causes an error; the interval must not collapse to 0
+        n = 10**4
+        rep = run_simulation(EveStrategy.none(), n, seed=0)
+        assert rep.qber == 0.0
+        assert rep.ci95 == pytest.approx(1.96**2 / (n + 1.96**2), rel=1e-12)
+        assert _wilson_ci95(n, n) == pytest.approx(rep.ci95, rel=1e-12)
+
+    def test_ci95_is_the_wald_width_for_many_errors(self):
+        n, k = 10**7, 2 * 10**6
+        wald = 1.96 * math.sqrt(0.2 * 0.8 / n)
+        assert _wilson_ci95(k, n) == pytest.approx(wald, rel=1e-3)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_ci95_covers_the_exact_qber_at_low_counts(self, epsilon, n):
+        # exact binomial coverage of qber ± ci95, down to well under one expected error
+        q, _, _ = exact_round_statistics(EveStrategy.gentle(epsilon))
+        ks = range(min(n, 2000) + 1)
+        coverage = sum(
+            math.exp(
+                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + k * math.log(q) + (n - k) * math.log1p(-q)
+            )
+            for k in ks
+            if abs(k / n - q) <= _wilson_ci95(k, n)
+        )
+        assert coverage >= 0.95
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
