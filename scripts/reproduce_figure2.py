@@ -34,7 +34,7 @@ def main() -> int:
     anchor = min(rows, key=lambda r: abs(r.alpha - 0.1))
     print(
         f"anchor alpha={anchor.alpha:.2f}: lower bound {anchor.lower_bits:.4f} bits "
-        f"at (p1*, p2*) = ({anchor.p1_star:.4f}, {anchor.p2_star:.6f})"
+        f"at (p1*, p2*) = ({anchor.p1_cap:.4f}, {anchor.p2_star:.6f})"
     )
     return 0
 

@@ -21,7 +21,6 @@ from .linalg import (
     NotPsdError,
     SchemaError,
     Tolerances,
-    commutator,
     eig_hermitian,
     is_psd,
     psd_sqrt,

@@ -1,6 +1,7 @@
 """Command-line front end: JSON/CSV in, leakage numbers out.
 
-Exit codes: 0 success, 2 input validation failure, 3 semantic precondition
+Exit codes: 0 success, 2 input validation failure (an unreadable input or an
+--out path that cannot be written included), 3 semantic precondition
 failure (e.g. certifying a POVM without an implementation), 4 numerical
 non-convergence (a leakage gap still above its tolerance when the iteration
 budget ran out, or stopped shrinking). Every command is deterministic (the
@@ -11,6 +12,7 @@ atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,15 +42,18 @@ class PreconditionFailure(RuntimeError):
 
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,6 +73,8 @@ def _load_json(path: str):
         return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read input file: {exc.strerror}") from exc
 
 
 def _load_ensemble(path: str) -> CqEnsemble:
@@ -81,7 +88,7 @@ def sweep_csv(rows) -> str:
     """The lower-bound CSV (alpha,p1,p2,lower_bits at six decimals) of figure2 and lower-bound."""
     lines = ["alpha,p1,p2,lower_bits"]
     for r in rows:
-        lines.append(f"{r.alpha:.6f},{r.p1_star:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
+        lines.append(f"{r.alpha:.6f},{r.p1_cap:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +198,9 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gentleleak",
         description="Leakage bounds for quantum encodings under detection-avoiding probing.",

@@ -132,7 +132,6 @@ def min_feasible_p2(p1: float, d: int) -> float | None:
 class CloningBoundResult:
     """Solution of the leakage lower-bound program at a disturbance level alpha."""
 
-    p1_star: float
     p2_star: float
     lower_bits: float
     feasible: bool  # always True: tradeoff_p2 gives a p2 in [0, 1] at every p1
@@ -144,7 +143,6 @@ class CloningBoundResult:
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,
-            "p1_star": self.p1_star,
             "p2_star": self.p2_star,
             "lower_bits": self.lower_bits,
             "feasible": self.feasible,
@@ -202,7 +200,6 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> list[CloningBound
         _, slack = region_quadratic_form(cap, p2, d)
         bits = q_bits if p2 == 0.0 else float(np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
         rows.append(CloningBoundResult(
-            p1_star=cap,
             p2_star=p2,
             lower_bits=bits,
             feasible=True,

@@ -24,12 +24,10 @@ __all__ = [
     "eig_hermitian",
     "trace_norm",
     "trace_distance",
-    "operator_abs",
     "psd_sqrt",
     "psd_inv_sqrt",
     "positive_part",
     "is_psd",
-    "commutator",
     "is_unitary",
     "haar_unitary",
     "random_hermitian",
@@ -135,16 +133,6 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * float(np.sum(np.abs(w)))
 
 
-def operator_abs(m) -> np.ndarray:
-    """Operator absolute value |M| = sqrt(M†M)."""
-    a = as_complex_matrix(m)
-    if np.max(np.abs(a - a.conj().T)) <= DEFAULT_TOLS.hermiticity:
-        w, v = eig_hermitian(a)
-        return (v * np.abs(w)) @ v.conj().T
-    w, v = eig_hermitian(a.conj().T @ a)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def _eig_psd(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     w, v = eig_hermitian(m)
     if w[-1] < -tol:
@@ -179,15 +167,6 @@ def is_psd(m, tol: float = DEFAULT_TOLS.psd) -> bool:
     """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
     w, _ = eig_hermitian(m)
     return bool(w[-1] >= -tol)
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    x = as_complex_matrix(a)
-    y = as_complex_matrix(b)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x @ y - y @ x
 
 
 def is_unitary(u, tol: float = 1e-9) -> bool:

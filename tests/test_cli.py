@@ -104,6 +104,10 @@ class TestLeakageCommand:
         code, _ = run_cli(["leakage", str(bad)], capsys)
         assert code == 2
 
+    def test_directory_input_is_input_error(self, tmp_path, capsys):
+        assert main(["leakage", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
+
 
 class TestLowerBoundCommand:
     def test_anchor_row(self, bb84_file, capsys):
@@ -267,6 +271,19 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
 
+    def test_out_in_missing_directory_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["simulate", "--strategy", "w1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
+
+    def test_out_on_a_directory_leaves_no_temp_file(self, tmp_path, capsys):
+        code, _ = run_cli(["simulate", "--strategy", "w1", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
+
     def test_deterministic_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["simulate", "--strategy", "w2", "--rounds", "20000", "--seed", "5"]
@@ -312,6 +329,31 @@ class TestIntervalCommand:
         doc = json.loads(out)
         assert doc["lower_bits"] >= 0.7608 - 5e-4
         assert doc["upper_bits"] >= doc["lower_bits"]
+
+
+class TestSharedParser:
+    """main builds its parser once; no call may see the options of the one before."""
+
+    def test_tradeoff_grid_resets(self, capsys):
+        assert run_cli(["tradeoff", "--epsilon", "0.02", "--rounds", "100"], capsys)[0] == 0
+        code, out = run_cli(["tradeoff", "--rounds", "100"], capsys)
+        assert code == 0
+        eps = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert eps == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
+
+    def test_simulate_epsilon_resets(self, capsys):
+        argv = ["simulate", "--strategy", "gentle", "--epsilon", "0.02", "--rounds", "100"]
+        assert run_cli(argv, capsys)[0] == 0
+        code, out = run_cli(["simulate", "--strategy", "w1", "--rounds", "100"], capsys)
+        assert code == 0
+        assert json.loads(out)["strategy"] == {"kind": "w1"}
+
+    def test_certify_mode_resets(self, bb84_file, zpovm_file, capsys):
+        argv = ["certify", bb84_file, zpovm_file, "--alpha", "0.5", "--delta", "0.1"]
+        code, out = run_cli([*argv, "--mode", "average-state"], capsys)
+        assert code == 0 and json.loads(out)["mode"] == "average-state"
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["mode"] == "per-state"
 
 
 class TestSubprocessEntryPoint:

@@ -123,7 +123,7 @@ class TestLowerBound:
         r = cloning_lower_bound(bb84, 0.1, 1.0)
         assert r.feasible
         assert r.p1_cap == pytest.approx(0.2, abs=1e-12)
-        assert r.p1_star == pytest.approx(0.2, abs=1e-9)
+        assert r.p1_cap == pytest.approx(0.2, abs=1e-9)
         assert r.p2_star == pytest.approx((2.4 - np.sqrt(3.2)) / 2.0, abs=1e-9)
         assert r.lower_bits == pytest.approx(0.76082, abs=5e-4)
         assert r.slack <= 1e-9
@@ -140,7 +140,7 @@ class TestLowerBound:
     def test_alpha_zero(self, e):
         # no-cloning: a perfect copy to the receiver leaves the eavesdropper nothing
         r = cloning_lower_bound(e, 0.0, np.log2(e.dim))
-        assert r.p1_star == 0.0
+        assert r.p1_cap == 0.0
         assert r.p2_star == 1.0
         assert r.lower_bits == 0.0
 
@@ -149,7 +149,7 @@ class TestLowerBound:
         # pure states sit at distance 1 - 1/d from I/d, so this alpha caps p1 at d/(2(d+1))
         sym = d / (2.0 * (d + 1))
         r = cloning_lower_bound(basis_plus(d), sym * (1.0 - 1.0 / d), np.log2(d))
-        assert r.p1_star == pytest.approx(sym, abs=1e-12)
+        assert r.p1_cap == pytest.approx(sym, abs=1e-12)
         assert r.p2_star == pytest.approx(sym, abs=1e-12)
         assert r.feasible and r.slack < 0.0
 
@@ -194,4 +194,4 @@ class TestLowerBound:
         r = cloning_lower_bound(e, 0.3, 1.0)
         assert r.lower_bits >= 0.0
         if r.feasible:
-            assert region_quadratic_form(r.p1_star, r.p2_star, 3)[1] <= 1e-9
+            assert region_quadratic_form(r.p1_cap, r.p2_star, 3)[1] <= 1e-9

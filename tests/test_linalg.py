@@ -7,13 +7,11 @@ from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
     as_hermitian,
-    commutator,
     eig_hermitian,
     haar_unitary,
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    operator_abs,
     positive_part,
     psd_sqrt,
     random_density,
@@ -26,7 +24,6 @@ KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestEig:
@@ -156,25 +153,6 @@ class TestPsd:
     def test_positive_part(self):
         m = np.diag([2.0, -3.0])
         assert np.allclose(positive_part(m), np.diag([2.0, 0.0]))
-
-    def test_operator_abs(self):
-        assert np.allclose(operator_abs(np.diag([2.0, -3.0])), np.diag([2.0, 3.0]))
-
-
-class TestCommutator:
-    def test_identity_commutes(self):
-        m = random_hermitian(3, np.random.default_rng(2))
-        assert np.allclose(commutator(np.eye(3), m), 0.0)
-
-    def test_diagonal_matrices_commute(self):
-        assert np.allclose(commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), 0.0)
-
-    def test_pauli_x_z(self):
-        assert np.allclose(commutator(PAULI_X, PAULI_Z), np.array([[0, -2], [2, 0]]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator(np.eye(2), np.eye(3))
 
 
 class TestHermitize:

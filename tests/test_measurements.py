@@ -10,6 +10,7 @@ from gentleleak.linalg import (
     random_contraction,
     random_density,
     trace_distance,
+    trace_norm,
 )
 from gentleleak.measurements import (
     ZERO_PROB,
@@ -19,7 +20,6 @@ from gentleleak.measurements import (
     ZeroProbabilityOutcome,
     born_probabilities,
     certify_gentle,
-    first_order_disturbance,
     gentle_povm,
     max_certified_epsilon,
     post_measurement_state,
@@ -27,7 +27,13 @@ from gentleleak.measurements import (
     povm_to_json,
     projective_povm,
 )
-from gentleleak.states import CqEnsemble, DensityOperator, bb84_ensemble, pure_state
+from gentleleak.states import (
+    CqEnsemble,
+    DensityOperator,
+    average_state,
+    bb84_ensemble,
+    pure_state,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -249,6 +255,19 @@ class TestStackedCertification:
         assert cert.outcome_good[0] and cert.certified
 
 
+def first_order_disturbance(m, rho: DensityOperator, epsilon: float) -> float:
+    """Leading-order post-measurement deviation of the '+' branch of the probe.
+
+    eps * sqrt(2/(1-2 eps^2)) * || M rho + rho M - 2 tr(rho M) rho ||_1 / 2.
+    The normalized expansion requires the minus sign on the trace term (the
+    plus-signed variant is not traceless, so it cannot be a difference of
+    states); exact disturbances are checked against this form.
+    """
+    a = np.asarray(m, dtype=complex)
+    lead = a @ rho.mat + rho.mat @ a - 2.0 * np.trace(rho.mat @ a).real * rho.mat
+    return float(epsilon * np.sqrt(2.0 / (1.0 - 2.0 * epsilon**2)) * 0.5 * trace_norm(lead))
+
+
 class TestGentlePovm:
     def test_epsilon_zero_gives_coin_flip(self):
         g = gentle_povm(bb84_pair_probe(), 0.0)
@@ -328,6 +347,87 @@ class TestEpsilonCalibration:
             bb84, gentle_povm(bb84_pair_probe(), cal.epsilon).implementation, spec
         )
         assert ok.certified
+
+
+def reference_calibration(m, spec, e, mode="per-state"):
+    """max_certified_epsilon as one gentle_povm and certify_gentle call per bisection step."""
+    a = (np.asarray(m) + np.asarray(m).conj().T) / 2.0
+    slack = 1.0 - float(np.trace(a @ a @ average_state(e).mat).real)
+    if slack <= 1e-15:
+        cap = 0.1
+    else:
+        cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
+
+    def certifies(eps):
+        return certify_gentle(e, gentle_povm(a, eps).implementation, spec, mode).certified
+
+    if certifies(0.1):
+        return 0.1, cap
+    lo, hi = 0.0, 0.1
+    for _ in range(31):
+        mid = 0.5 * (lo + hi)
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, cap
+
+
+class TestCalibrationMatchesReference:
+    """The stacked bisection returns the reference's epsilon and cap, float for float."""
+
+    @staticmethod
+    def assert_same(m, spec, e, mode):
+        cal = max_certified_epsilon(m, spec, e, mode=mode)
+        assert (cal.epsilon, cal.analytic_cap) == reference_calibration(m, spec, e, mode)
+        return cal.epsilon
+
+    @pytest.mark.parametrize("mode", ["per-state", "average-state"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_random_ensembles(self, d, mode):
+        rng = np.random.default_rng([41, d])
+        found = []
+        for _ in range(4):
+            n = int(rng.integers(2, 5))
+            states = tuple(
+                DensityOperator(random_density(d, rng, rank=int(rng.integers(1, d + 1))))
+                for _ in range(n)
+            )
+            e = CqEnsemble(rng.dirichlet(np.ones(n)), states)
+            spec = GentlenessSpec(float(rng.uniform(0.0, 0.05)), float(rng.uniform(0.0, 0.05)))
+            found.append(self.assert_same(random_contraction(d, rng), spec, e, mode))
+        assert any(0.0 < eps < 0.1 for eps in found)
+
+    @pytest.mark.parametrize("mode", ["per-state", "average-state"])
+    def test_early_exit_at_the_hard_cap(self, bb84, mode):
+        rng = np.random.default_rng(5)
+        for m in (np.eye(2), random_contraction(2, rng)):
+            assert self.assert_same(m, GentlenessSpec(0.5, 0.5), bb84, mode) == 0.1
+
+    @pytest.mark.parametrize("mode", ["per-state", "average-state"])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_probe_that_never_certifies(self, d, mode):
+        # at alpha = 0 every +/- branch of a generic probe moves some state
+        rng = np.random.default_rng([43, d])
+        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+        e = CqEnsemble(np.full(3, 1.0 / 3), states)
+        m = random_contraction(d, rng)
+        assert self.assert_same(m, GentlenessSpec(0.0, 0.0), e, mode) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec", [GentlenessSpec(0.1, 0.05), GentlenessSpec(0.1, 0.0), GentlenessSpec(0.01, 0.001)]
+    )
+    def test_bb84_pins(self, bb84, spec):
+        for mode in ("per-state", "average-state"):
+            self.assert_same(bb84_pair_probe(), spec, bb84, mode)
+
+    def test_rejects_invalid_probe_and_mode(self, bb84):
+        spec = GentlenessSpec(0.1, 0.05)
+        for m in (np.diag([1.5, 0.5]), np.diag([-0.2, 0.5])):
+            with pytest.raises(ValueError, match="eigenvalues"):
+                max_certified_epsilon(m, spec, bb84)
+        with pytest.raises(ValueError, match="mode"):
+            max_certified_epsilon(bb84_pair_probe(), spec, bb84, mode="average")
 
 
 class TestProjectivePovm:
