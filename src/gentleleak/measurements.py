@@ -55,29 +55,9 @@ PROBE_TOL = 1e-9
 # The calibration bisects [0, 1/10] this many times once 1/10 itself fails.
 BISECTION_STEPS = 31
 
-# Bisection steps decided per stacked certification: 2**depth - 1 midpoints each.
-BISECTION_DEPTH = 2
-
 
 class ZeroProbabilityOutcome(ValueError):
     """Requested the post-measurement state of an outcome that cannot occur."""
-
-
-def _checked_elements(f) -> np.ndarray:
-    """Symmetrize POVM elements (..., Y, d, d) and check each set of Y: PSD and complete.
-
-    The one PSD/completeness check, for a Povm and for the calibration's
-    stack of probes alike; returns the symmetrized stack.
-    """
-    f = as_hermitian(f)
-    low = eig_hermitian(f)[0][..., -1]
-    at = np.unravel_index(np.argmin(low), low.shape)
-    if low[at] < -DEFAULT_TOLS.psd:
-        raise ValueError(f"element {at[-1]} is not PSD: min eigenvalue {low[at]:.3e}")
-    resid = np.max(np.abs(f.sum(axis=-3) - np.eye(f.shape[-1])))
-    if resid > DEFAULT_TOLS.completeness:
-        raise ValueError(f"POVM completeness residual {resid:.3e}")
-    return f
 
 
 @dataclass(frozen=True)
@@ -95,7 +75,14 @@ class Povm:
         for i, f in enumerate(elems):
             if f.shape[0] != d:
                 raise ValueError(f"element {i} has dimension {f.shape[0]}, expected {d}")
-        stack = _checked_elements(np.stack(elems))
+        stack = as_hermitian(np.stack(elems))
+        low = eig_hermitian(stack)[0][:, -1]
+        i = int(np.argmin(low))
+        if low[i] < -DEFAULT_TOLS.psd:
+            raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
+        resid = np.max(np.abs(stack.sum(axis=0) - np.eye(d)))
+        if resid > DEFAULT_TOLS.completeness:
+            raise ValueError(f"POVM completeness residual {resid:.3e}")
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elems)))
         if len(labels) != len(elems):
             raise ValueError("labels must align with elements")
@@ -157,17 +144,13 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
 
     Columns sum to one; entries are clipped to [0, 1] after a -1e-10 check.
     """
-    return _born(np.stack(povm.elements), e.state_mats())
-
-
-def _born(f: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """born_probabilities for POVM elements (..., Y, d, d) and states (K, d, d): (..., Y, K)."""
-    if f.shape[-1] != rho.shape[-1]:
-        raise ValueError(f"dimension mismatch: POVM {f.shape[-1]}, ensemble {rho.shape[-1]}")
-    p = np.einsum("...yij,xji->...yx", f, rho).real
+    if povm.dim != e.dim:
+        raise ValueError(f"dimension mismatch: POVM {povm.dim}, ensemble {e.dim}")
+    f = np.stack(povm.elements)
+    p = np.einsum("yij,xji->yx", f, e.state_mats()).real
     if np.min(p) < -1e-10:
         raise ValueError(f"negative Born probability {np.min(p):.3e}")
-    colsums = p.sum(axis=-2)
+    colsums = p.sum(axis=0)
     if np.max(np.abs(colsums - 1.0)) > DEFAULT_TOLS.completeness:
         raise ValueError("Born columns do not sum to 1; POVM incomplete?")
     return np.clip(p, 0.0, 1.0)
@@ -244,37 +227,16 @@ def certify_gentle(
     good-event probability under each state separately and takes the minimum
     (never over-certifies); ``average-state`` draws outcomes from the mean state.
     """
-    probs, good, dists, worst, certified = _certify_stack(
-        e, np.stack(impl.operators)[None], np.stack(impl.povm.elements)[None], spec, mode
-    )
-    return GentlenessCertificate(
-        certified=bool(certified[0]),
-        worst_prob=float(worst[0]),
-        worst_disturbance=max(float(dists.max()), 0.0),
-        mode=mode,
-        outcome_labels=impl.povm.labels,
-        outcome_good=tuple(bool(g) for g in good[0]),
-        outcome_disturbance=tuple(float(x) for x in dists[0]),
-        outcome_probs=probs[0],
-    )
-
-
-def _certify_stack(e: CqEnsemble, b: np.ndarray, f: np.ndarray, spec: GentlenessSpec, mode: str):
-    """certify_gentle for n implementations at once: b (n, Y, d, d), checked elements f = B†B.
-
-    Returns the Born probabilities (n, Y, K), the good outcomes (n, Y), each
-    outcome's largest disturbance over states, -1 when no state triggers it
-    (n, Y), the worst good-event probability (n,) and the verdicts (n,).
-    """
     if mode not in ("per-state", "average-state"):
         raise ValueError(f"unknown mode {mode!r}")
+    probs = born_probabilities(e, impl.povm)  # (outcomes, states)
     rho = e.state_mats()
-    probs = _born(f, rho)
-    out = b[..., None, :, :] @ rho @ b.conj().swapaxes(-1, -2)[..., None, :, :]  # B rho^k B†
+    b = np.stack(impl.operators)[:, None]
+    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^k B_y†, (outcomes, states, d, d)
     live = probs > ZERO_PROB
     norm = np.trace(out, axis1=-2, axis2=-1).real[live]
     if np.any(norm <= ZERO_PROB):
-        y = int(np.nonzero(live)[-2][np.argmin(norm)])
+        y = int(np.nonzero(live)[0][np.argmin(norm)])
         raise ZeroProbabilityOutcome(
             f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
         )
@@ -285,14 +247,25 @@ def _certify_stack(e: CqEnsemble, b: np.ndarray, f: np.ndarray, spec: Gentleness
     dist = np.full(probs.shape, -1.0)
     dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
     # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
-    good = (dist <= spec.alpha + 1e-12).all(axis=-1)
+    good = (dist <= spec.alpha + 1e-12).all(axis=1)
+    dists = dist.max(axis=1)
 
     if mode == "per-state":
-        worst = np.where(good[..., None], probs, 0.0).sum(axis=-2).min(axis=-1)
+        worst_prob = float(probs[good].sum(axis=0).min())
     else:
         weights = probs @ e.probs  # outcome distribution under the average state
-        worst = np.where(good, weights, 0.0).sum(axis=-1)
-    return probs, good, dist.max(axis=-1), worst, worst >= 1.0 - spec.delta - 1e-12
+        worst_prob = float(weights[good].sum())
+
+    return GentlenessCertificate(
+        certified=bool(worst_prob >= 1.0 - spec.delta - 1e-12),
+        worst_prob=worst_prob,
+        worst_disturbance=max(float(dists.max()), 0.0),
+        mode=mode,
+        outcome_labels=impl.povm.labels,
+        outcome_good=tuple(bool(g) for g in good),
+        outcome_disturbance=tuple(float(x) for x in dists),
+        outcome_probs=probs,
+    )
 
 
 @dataclass(frozen=True)
@@ -319,10 +292,7 @@ def gentle_povm(m, epsilon: float) -> GentleConstruction:
     if not 0.0 <= epsilon <= 0.1:
         raise ValueError(f"epsilon must be in [0, 0.1], got {epsilon}")
     a, root = _probe(m)
-    b = _probe_operators(a, root, [epsilon])[0]
-    povm = Povm(tuple(b.conj().swapaxes(-1, -2) @ b), labels=("+", "-", "0"))
-    impl = PovmImplementation(povm, tuple(b))
-    return GentleConstruction(probe=a, epsilon=epsilon, implementation=impl)
+    return GentleConstruction(probe=a, epsilon=epsilon, implementation=_probe_at(a, root, epsilon))
 
 
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
@@ -331,18 +301,22 @@ def _probe(m) -> tuple[np.ndarray, np.ndarray]:
     w, _ = eig_hermitian(a)
     if w[-1] < -PROBE_TOL or w[0] > 1.0 + PROBE_TOL:
         raise ValueError(f"probe eigenvalues must lie in [0, 1], got [{w[-1]:.3e}, {w[0]:.3e}]")
-    eye = np.eye(a.shape[0], dtype=complex)
-    gap = eye - a @ a
+    gap = np.eye(a.shape[0], dtype=complex) - a @ a
     # clip roundoff so the square root stays defined at the M = I boundary
     return a, psd_sqrt((gap + gap.conj().T) / 2.0, tol=PROBE_TOL)
 
 
-def _probe_operators(a: np.ndarray, root: np.ndarray, epsilons) -> np.ndarray:
-    """{B+, B-, B0} of the probe of M = a, (I - M^2)^(1/2) = root, per strength: (n, 3, d, d)."""
-    eps = np.asarray(epsilons, dtype=float)[:, None, None]
+def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementation:
+    """{B+, B-, B0} of the probe of M = a at strength epsilon, given root = (I - M^2)^(1/2)."""
     eye = np.eye(a.shape[0], dtype=complex)
-    c = np.sqrt((1.0 - 2.0 * eps**2) / 2.0)
-    return np.stack([c * eye + eps * a, c * eye - eps * a, np.sqrt(2.0) * eps * root], axis=1)
+    c = np.sqrt((1.0 - 2.0 * epsilon**2) / 2.0)
+    b_plus = c * eye + epsilon * a
+    b_minus = c * eye - epsilon * a
+    b_zero = np.sqrt(2.0) * epsilon * root
+    povm = Povm(
+        (b_plus @ b_plus, b_minus @ b_minus, b_zero @ b_zero), labels=("+", "-", "0")
+    )
+    return PovmImplementation(povm, (b_plus, b_minus, b_zero))
 
 
 @dataclass(frozen=True)
@@ -374,12 +348,10 @@ def max_certified_epsilon(
 ) -> EpsilonCalibration:
     """Bisect for the largest epsilon whose gentle probe certifies at (alpha, delta).
 
-    The probe is checked and (I - M^2)^(1/2) taken once. Each stacked call
-    then certifies the midpoints of the next ``BISECTION_DEPTH`` steps
-    together, every {B+, B-, B0} checked as gentle_povm checks it, through
-    the core of certify_gentle. The steps walk the same ``0.5 * (lo + hi)``
-    path as one certify_gentle(gentle_povm(m, mid)) call per step, so the
-    returned epsilon is the same float.
+    The probe is checked and (I - M^2)^(1/2) taken once; each step then
+    builds its {B+, B-, B0} from them and runs certify_gentle. The steps are
+    those of certify_gentle(gentle_povm(m, mid)) per step, so the returned
+    epsilon is the same float.
     """
     a, root = _probe(m)
     avg = average_state(e).mat
@@ -389,31 +361,18 @@ def max_certified_epsilon(
     else:
         cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
 
-    def certifies(epsilons: list[float]) -> np.ndarray:
-        b = _probe_operators(a, root, epsilons)
-        f = _checked_elements(b.conj().swapaxes(-1, -2) @ b)
-        return _certify_stack(e, b, f, spec, mode)[-1]
+    def certifies(eps: float) -> bool:
+        return certify_gentle(e, _probe_at(a, root, eps), spec, mode).certified
 
-    if certifies([0.1])[0]:
+    if certifies(0.1):
         return EpsilonCalibration(epsilon=0.1, analytic_cap=cap)
     lo, hi = 0.0, 0.1
-    for done in range(0, BISECTION_STEPS, BISECTION_DEPTH):
-        depth = min(BISECTION_DEPTH, BISECTION_STEPS - done)
-        # midpoints of the intervals the next `depth` steps may split, breadth
-        # first: interval i leaves 2i + 1 when its midpoint fails, 2i + 2 when it passes
-        intervals, mids = [(lo, hi)], []
-        while len(mids) < 2**depth - 1:
-            x, z = intervals[len(mids)]
-            mids.append(0.5 * (x + z))
-            intervals += [(x, mids[-1]), (mids[-1], z)]
-        ok = certifies(mids)
-        i = 0
-        for _ in range(depth):
-            mid = 0.5 * (lo + hi)
-            if ok[i]:
-                lo, i = mid, 2 * i + 2
-            else:
-                hi, i = mid, 2 * i + 1
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
     return EpsilonCalibration(epsilon=lo, analytic_cap=cap)
 
 

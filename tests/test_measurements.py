@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentleleak import measurements
 from gentleleak.linalg import (
     SchemaError,
     haar_unitary,
@@ -13,6 +14,7 @@ from gentleleak.linalg import (
     trace_norm,
 )
 from gentleleak.measurements import (
+    BISECTION_STEPS,
     ZERO_PROB,
     GentlenessSpec,
     Povm,
@@ -374,7 +376,7 @@ def reference_calibration(m, spec, e, mode="per-state"):
 
 
 class TestCalibrationMatchesReference:
-    """The stacked bisection returns the reference's epsilon and cap, float for float."""
+    """The calibration returns the reference's epsilon and cap, float for float."""
 
     @staticmethod
     def assert_same(m, spec, e, mode):
@@ -420,6 +422,22 @@ class TestCalibrationMatchesReference:
     def test_bb84_pins(self, bb84, spec):
         for mode in ("per-state", "average-state"):
             self.assert_same(bb84_pair_probe(), spec, bb84, mode)
+
+    @pytest.mark.parametrize(
+        "spec", [GentlenessSpec(0.5, 0.5), GentlenessSpec(0.01, 0.001), GentlenessSpec(0.0, 0.0)]
+    )
+    def test_one_certify_gentle_call_per_tried_strength(self, bb84, spec, monkeypatch):
+        # the early exit tries 1/10 only; otherwise 1/10 and every bisection midpoint
+        tried = []
+        real = measurements.certify_gentle
+
+        def counting(e, impl, spec, mode="per-state"):
+            tried.append(impl)
+            return real(e, impl, spec, mode)
+
+        monkeypatch.setattr(measurements, "certify_gentle", counting)
+        cal = max_certified_epsilon(bb84_pair_probe(), spec, bb84)
+        assert len(tried) == (1 if cal.epsilon == 0.1 else 1 + BISECTION_STEPS)
 
     def test_rejects_invalid_probe_and_mode(self, bb84):
         spec = GentlenessSpec(0.1, 0.05)
