@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Write example input files (ensembles and POVMs) for the CLI into ./data."""
+"""Write example input files (ensembles and POVMs) for the CLI into ./data.
 
+Files of the same names already in ./data are overwritten.
+"""
+
+import argparse
 import json
 from pathlib import Path
 
@@ -17,7 +21,8 @@ from gentleleak.states import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     out = Path("data")
     out.mkdir(exist_ok=True)
 

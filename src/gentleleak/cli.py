@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 input validation failure (an unreadable input or an
 --out path that cannot be written included), 3 semantic precondition
 failure (e.g. certifying a POVM without an implementation), 4 numerical
 non-convergence (a leakage gap still above its tolerance when the iteration
-budget ran out, or stopped shrinking). Every command is deterministic (the
-Monte Carlo ones, simulate and tradeoff, for a fixed --seed) and writes output
-atomically (temp file + rename).
+budget ran out, or when a solver step could no longer close it). Every command
+is deterministic (the Monte Carlo ones, simulate and tradeoff, for a fixed
+--seed) and writes output atomically (temp file + rename).
 """
 
 from __future__ import annotations

@@ -6,14 +6,18 @@ POVM it reduces to the order-infinity Sibson mutual information of the Born
 channel, log2 sum_y max_x tr(rho^x F_y). Merging outcomes by their arg-max
 turns the supremum over POVMs into uniform-weight minimum-error
 discrimination, max sum_x tr(rho^x G_x) over POVMs {G_x}, whose dual is
-min tr Y subject to Y >= rho^x (Yuen-Kennedy-Lax). It is solved by the
-Jezek-Rehacek-Fiurasek fixed point G_x <- R^-1 rho^x G_x rho^x R^-1 with
-R = (sum_x rho^x G_x rho^x)^(1/2), sped up by Anderson mixing of recent
-iterates. Every iterate is a POVM, so its Sibson value is a lower bound; the
-dual candidate Y = sum_x rho^x G_x, raised by its violations rho^x - Y until
-it is feasible, gives a rigorous upper bound. A value is only returned once
-the two agree to within GAP_TOL bits; a gap that stops shrinking, or the end
-of the iteration budget, raises ConvergenceError.
+min tr Y subject to Y >= rho^x (Yuen-Kennedy-Lax). This SDP is solved on the
+support of sum_x rho^x by a primal-dual interior-point method: HKM search
+directions (Helmberg-Rendl-Vanderbei-Wolkowicz) with Mehrotra's
+predictor-corrector, started from G_x = I/|X| and Y = 2 I. The certificate
+does not rest on the solver's own stopping test. Each iterate, clipped to
+PSD and completed to a POVM, gives a lower bound: its Sibson value. The
+solver's Y and the candidate Y = sum_x rho^x G_x, each raised by its
+violations rho^x - Y until it is feasible, give a rigorous upper bound. The
+square-root measurement is certified before any step; it is optimal for
+BB84 and the trine. A value is only returned once the two bounds agree to
+within GAP_TOL bits; a step that can no longer close the gap, or the end of
+the iteration budget, raises ConvergenceError.
 
 Gentle leakage (the same supremum restricted to detection-avoiding
 measurements) is bracketed: from above by the certified unrestricted
@@ -50,31 +54,16 @@ __all__ = [
     "gentle_leakage_interval",
 ]
 
-MAX_ITERS = 2000
-# A margin above the floor that rounding puts under the gap. On 250 random
-# ensembles per seed (seeds 2024-2031), every solve that closed to 1e-10 bits
-# also closed to 1e-12; with an exact Anderson acceptance test in place of
-# ACCEPT_RTOL, 1e-12 stalled on 0 to 2 ensembles per seed (seeds 2024-2027).
+MAX_ITERS = 100
+# A margin above the floor that rounding puts under the gap: at 1e-12, 162 of
+# 2,000 random ensembles (seeds 2024-2031) stall between 1.0e-12 and 1.4e-11 bits.
 GAP_TOL = 1e-10  # bits
-# The iterate has stalled when its smallest gap over the last STALL_WINDOW
-# iterations is not below STALL_FACTOR times the smallest over the window
-# before. The multiplicative step shrinks some directions early and they grow
-# back slowly, so a stall restarts from the iterate blended with RESEED_SHARE
-# of the start I/|X|. The solve has failed when the best gap fell by less than
-# STALL_FACTOR over the last FAIL_WINDOW iterations, restarts included.
-STALL_WINDOW = 25
-STALL_FACTOR = 0.9
-RESEED_SHARE = 0.1
-FAIL_WINDOW = 200
-ANDERSON_DEPTH = 5
-STEP_SHARE = 0.01  # of the plain step in each Anderson point
-# A mixed point is rejected only if its diagonal value falls this far, relative,
-# below the current iterate's. Near the optimum the two agree to rounding, and
-# an exact comparison would let rounding noise decide.
-ACCEPT_RTOL = 1e-13
-# Eigenvalues of R^2 below this fraction of the largest span its kernel: directions
-# no encoding state reaches, where every G_x gets an equal share of the identity.
-KERNEL_RTOL = 1e-10
+# Each Newton step goes this share of the way to the boundary of the PSD cone.
+# At 0.98, four times as many of those ensembles end within 10x of GAP_TOL.
+BOUNDARY_SHARE = 0.95
+# Eigenvalues of sum_x rho^x below this fraction of the largest span its kernel:
+# directions no encoding state reaches, where every G_x gets an equal share of I.
+SUPPORT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,8 @@ class LeakageEstimate:
     """Certified maximal leakage: bits <= true value <= upper_bits.
 
     bits is the Sibson value of achieving_povm, upper_bits the value of a
-    dual-feasible operator, and iterations the fixed-point steps it took.
+    dual-feasible operator, and iterations counts the start-point check and
+    the interior-point (Newton) steps after it.
     """
 
     bits: float
@@ -148,127 +138,126 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _fixed_point_step(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One step G_x <- R^-1 rho^x G_x rho^x R^-1, R inverted on its support.
-
-    The kernel of R gets P_ker/|X| in every element, so the result sums to the
-    identity; no state reaches the kernel, so no value changes. R^-1 amplifies
-    rounding in near-kernel directions, so the step is renormalized.
-    """
-    w, v = eig_hermitian(_herm(np.einsum("xij,xjk,xkl->il", mats, g, mats)))
-    support = w > KERNEL_RTOL * w[0]
-    vs, vk = v[:, support], v[:, ~support]
-    r_inv = (vs / np.sqrt(w[support])) @ vs.conj().T
-    kernel = vk @ vk.conj().T / len(mats)
-    return _normalized(_herm(r_inv @ mats @ g @ mats @ r_inv) + kernel)
-
-
-def _normalized(h: np.ndarray) -> np.ndarray:
-    """S^-1/2 h_x S^-1/2 with S = sum_x h_x: PSD elements that sum to the identity."""
-    w, v = eig_hermitian(h.sum(axis=0))
+def _povm(h: np.ndarray) -> np.ndarray:
+    """Each h_x clipped to PSD, then S^-1/2 h_x S^-1/2 with S = sum_x h_x: a POVM."""
+    w, v = np.linalg.eigh(h)
+    h = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(h.sum(axis=0))
     s = (v / np.sqrt(w)) @ v.conj().T
     return _herm(s @ h @ s)
 
 
-def _as_povm(h: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Clip each element of h to PSD, blend in a share of the plain step, renormalize.
-
-    The fixed point is multiplicative, so a direction the clip zeroes could
-    never come back; the share of the step keeps every live direction alive.
-    """
-    h = (1.0 - STEP_SHARE) * positive_part(_herm(h)) + STEP_SHARE * step
-    return _normalized(h)
-
-
-def _diagonal_value(mats: np.ndarray, g: np.ndarray) -> float:
-    return float(np.einsum("xij,xji->", mats, g).real)
-
-
-class _Anderson:
-    """Anderson mixing of the last few fixed-point steps (type II, no damping).
-
-    A mixed point is brought back to a POVM and kept unless its diagonal
-    value sum_x tr(rho^x G_x) falls more than ACCEPT_RTOL below the current
-    iterate's; otherwise the plain step is taken and the history restarts.
-    """
-
-    def __init__(self):
-        self.xs: list[np.ndarray] = []
-        self.fs: list[np.ndarray] = []
-
-    def next(self, mats: np.ndarray, g: np.ndarray, step: np.ndarray) -> np.ndarray:
-        x, f = g.ravel(), (step - g).ravel()
-        self.xs = (self.xs + [x])[-(ANDERSON_DEPTH + 1):]
-        self.fs = (self.fs + [f])[-(ANDERSON_DEPTH + 1):]
-        if len(self.fs) < 2:
-            return step
-        df = np.diff(np.array(self.fs), axis=0).T
-        dx = np.diff(np.array(self.xs), axis=0).T
-        gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-        mixed = _as_povm((x + f - (dx + df) @ gamma).reshape(g.shape), step)
-        current = _diagonal_value(mats, g)
-        if _diagonal_value(mats, mixed) >= current - ACCEPT_RTOL * abs(current):
-            return mixed
-        self.xs, self.fs = self.xs[-1:], self.fs[-1:]
-        return step
-
-
-def _bounds(mats: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """(lower, upper) in bits: the Sibson value of {G_x} and a dual-feasible value.
+def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(lower, upper) in bits: the Sibson value of the POVM {G_x} and a dual-feasible value.
 
     Any Hermitian Y becomes dual-feasible once raised by t I, with
     t = max(0, max_x lambda_max(rho^x - Y)), or by sum_x (rho^x - Y)_+, since
     (rho^x - Y)_+ - (rho^x - Y) >= 0. So tr Y plus the smaller raise, d t or
-    sum_x tr (rho^x - Y)_+, bounds the optimum from above; Y = herm(sum_x rho^x G_x).
+    sum_x tr (rho^x - Y)_+, bounds the optimum from above. Both the solver's y
+    and herm(sum_x rho^x G_x) are raised; the upper value is the smaller.
     """
     total = float(np.einsum("xij,yji->yx", mats, g).real.max(axis=1).sum())
-    y = _herm(np.einsum("xij,xjk->ik", mats, g))
-    w = eig_hermitian(mats - y)[0]
-    raise_by = min(mats.shape[1] * max(0.0, float(w.max())), float(np.clip(w, 0.0, None).sum()))
-    upper = float(np.trace(y).real) + raise_by
+    ys = np.stack([_herm(np.einsum("xij,xjk->ik", mats, g)), y])
+    w = np.linalg.eigvalsh(mats[None] - ys[:, None])
+    raise_by = np.minimum(
+        mats.shape[1] * np.clip(w.max(axis=(1, 2)), 0.0, None),
+        np.clip(w, 0.0, None).sum(axis=(1, 2)),
+    )
+    upper = float((np.trace(ys, axis1=1, axis2=2).real + raise_by).min())
     return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0)
+
+
+def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One HKM step with Mehrotra's predictor-corrector from an interior point (G, Y).
+
+    The dual slacks Z_x = Y - rho^x share the move dY, so dual feasibility is
+    exact. Linearizing G_x Z_x = sigma mu I and sum_x dG_x = 0 leaves one
+    k^2 x k^2 system, sum_x herm(G_x dY Z_x^-1) = r, for dY; dG_x follows. A
+    common step t for G and Y makes mu fall by the factor 1 - t (1 - sigma),
+    as sum_x tr(dG_x dY) = 0; the completed step must lower mu, or the solve
+    has reached the floor rounding sets and ConvergenceError is raised.
+    """
+    n, k = g.shape[:2]
+    z = y - rho
+    w, v = np.linalg.eigh(np.concatenate([g, z]))
+    if not w.min() > 0.0:
+        raise ConvergenceError("the iterate left the interior of the PSD cone")
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    z_inv = inv_sqrt[n:] @ inv_sqrt[n:]
+    mu = float(np.einsum("xij,xji->", g, z).real) / (n * k)
+    # sum_x herm(G_x dY Z_x^-1) as a matrix acting on dY flattened row by row
+    schur = np.einsum("xik,xlj->ijkl", g, z_inv) + np.einsum("xik,xlj->ijkl", z_inv, g)
+    schur = schur.reshape(k * k, k * k) / 2.0
+
+    def direction(sigma_mu: float, second_order: np.ndarray):
+        r = sigma_mu * z_inv.sum(axis=0) - _herm(second_order @ z_inv).sum(axis=0) - np.eye(k)
+        dy = _herm(np.linalg.solve(schur, r.reshape(-1)).reshape(k, k))
+        dg = _herm(sigma_mu * z_inv - g - (g @ dy + second_order) @ z_inv)
+        # X + t dX >= 0 exactly when I + t X^-1/2 dX X^-1/2 >= 0
+        dx = np.concatenate([dg, np.broadcast_to(dy, z.shape)])
+        lowest = float(np.linalg.eigvalsh(inv_sqrt @ dx @ inv_sqrt).min())
+        return dg, dy, 1.0 if lowest >= 0.0 else min(1.0, -BOUNDARY_SHARE / lowest)
+
+    dg, dy, t = direction(0.0, np.zeros_like(g))
+    dg, dy, t = direction(mu * (1.0 - t) ** 3, dg @ dy)
+    g, y = _povm(g + t * dg), y + t * dy
+    if not float(np.einsum("xij,xji->", g, y - rho).real) / (n * k) < mu:
+        raise ConvergenceError("the step did not lower the duality measure")
+    return g, y
 
 
 def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     """Supremum over all POVMs of the Born-channel Sibson information, in bits.
 
-    Iterates from G_x = I/|X|, keeping the best lower and upper values seen,
-    until they are within GAP_TOL bits. Raises ConvergenceError as soon as
-    that gap stops falling, or if it is still larger after MAX_ITERS steps;
-    an uncertified value is never returned.
+    Certifies the square-root measurement and the uniform POVM I/|X| (one
+    iteration), then takes interior-point steps from I/|X|, keeping the best
+    lower and upper values seen. Once they are within GAP_TOL bits it goes
+    on while each step at least halves the gap. Raises ConvergenceError if a
+    step fails or cannot lower the solver's duality measure before the gap
+    is within GAP_TOL, or if the gap is still larger after MAX_ITERS
+    iterations; an uncertified value is never returned.
     """
     mats = e.state_mats()
     n, d = len(e), e.dim
-    start = np.repeat(np.eye(d, dtype=complex)[None] / n, n, axis=0)
-    g, mixer = start, _Anderson()
-    best_bits, best_g, best_upper = -np.inf, g, leakage_upper_bound(e)
-    gaps: list[float] = []
-    recent: list[float] = []  # the iterates' own gaps since the last restart
-    for it in range(1, MAX_ITERS + 1):
-        bits, upper = _bounds(mats, g)
-        if bits > best_bits:
-            best_bits, best_g = bits, g
-        best_upper = min(best_upper, upper)
+    w, v = eig_hermitian(mats.sum(axis=0))
+    support = w > SUPPORT_RTOL * w[0]
+    vs, ws = v[:, support], w[support]
+    rho = _herm(vs.conj().T @ mats @ vs)
+    kernel = (np.eye(d) - vs @ vs.conj().T) / n
+    g = np.repeat(np.eye(len(ws), dtype=complex)[None] / n, n, axis=0)
+    # strictly dual-feasible, as no eigenvalue of a state exceeds 1
+    y = 2.0 * np.eye(len(ws), dtype=complex)
+    scale = 1.0 / np.sqrt(ws)
+    square_root = _povm(scale[:, None] * rho * scale[None, :])
+    points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
+    best_bits, best_g, best_upper = -np.inf, None, leakage_upper_bound(e)
+    while True:
+        for point in points:
+            full = vs @ point @ vs.conj().T + kernel
+            bits, upper = _bounds(mats, full, vs @ y @ vs.conj().T)
+            if bits > best_bits:
+                best_bits, best_g = bits, full
+            best_upper = min(best_upper, upper)
         gap = max(best_upper - best_bits, 0.0)
-        if gap <= GAP_TOL:
-            # the best values come from different iterates and can cross by rounding
-            povm = Povm(tuple(best_g), labels=e.labels)
-            return LeakageEstimate(best_bits, max(best_upper, best_bits), it, povm)
-        gaps.append(gap)
-        if it > FAIL_WINDOW and gap >= STALL_FACTOR * gaps[-FAIL_WINDOW - 1]:
+        if gap <= GAP_TOL and not 0.0 < 2.0 * gap <= prev:
+            break
+        if iterations == MAX_ITERS:
             raise ConvergenceError(
-                f"leakage gap stalled at {gap:.3e} bits, above {GAP_TOL:.1e}, after {it} iterations"
+                f"leakage gap {gap:.3e} bits still above {GAP_TOL:.1e} after {MAX_ITERS} iterations"
             )
-        recent.append(max(upper - bits, 0.0))
-        w = STALL_WINDOW
-        if len(recent) >= 2 * w and min(recent[-w:]) >= STALL_FACTOR * min(recent[-2 * w:-w]):
-            g = (1.0 - RESEED_SHARE) * g + RESEED_SHARE * start
-            mixer, recent = _Anderson(), []
-            continue
-        g = mixer.next(mats, g, _fixed_point_step(mats, g))
-    raise ConvergenceError(
-        f"leakage gap {gap:.3e} bits still above {GAP_TOL:.1e} after {MAX_ITERS} iterations"
-    )
+        try:
+            g, y = _newton_step(rho, g, y)
+        except (ConvergenceError, np.linalg.LinAlgError) as exc:
+            if gap <= GAP_TOL:
+                break
+            raise ConvergenceError(
+                f"leakage gap stalled at {gap:.3e} bits, above {GAP_TOL:.1e}, "
+                f"after {iterations} iterations: {exc}"
+            ) from exc
+        points, iterations, prev = (g,), iterations + 1, gap
+    # the best values come from different iterates and can cross by rounding
+    povm = Povm(tuple(best_g), labels=e.labels)
+    return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm)
 
 
 @dataclass(frozen=True)
@@ -277,7 +266,7 @@ class GentleLeakageInterval:
 
     lower_bits: float
     upper_bits: float
-    lower_witness: str  # 'cloning-bound' or 'gentle-povm-search'
+    lower_witness: str  # 'cloning-bound', 'gentle-povm-search' or 'maximal-leakage-povm'
     spec: GentlenessSpec
     cloning: CloningBoundResult | None = None
     meta: dict = field(default_factory=dict)
@@ -344,7 +333,7 @@ def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakag
         return GentleLeakageInterval(
             lower_bits=upper.bits,
             upper_bits=upper.upper_bits,
-            lower_witness="gentle-povm-search",
+            lower_witness="maximal-leakage-povm",
             spec=spec,
             meta={"saturated": True, "upper_iterations": upper.iterations},
         )

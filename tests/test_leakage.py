@@ -210,7 +210,7 @@ class TestCertifiedSolver:
 
     def test_degenerate_optimum(self):
         # rng 77 draws outcomes whose optimal weight is zero while their state
-        # touches the dual, where the plain fixed point converges sublinearly
+        # touches the dual: the optimum is not strictly complementary
         rng = np.random.default_rng(77)
         for _ in range(10):
             e = random_qubit_ensemble(rng)
@@ -232,18 +232,32 @@ class TestCertifiedSolver:
             maximal_quantum_leakage(e)
 
     def test_stalled_gap_fails_fast(self, monkeypatch):
-        # no gap reaches a negative tolerance: once the gap stops falling, the
-        # stall exit must fire long before the budget ends
+        # no gap reaches a negative tolerance: once a step can no longer lower
+        # the duality measure, the solve must fail long before the budget ends
         e = random_ensemble(np.random.default_rng(9), 3, 4)
         monkeypatch.setattr(leakage, "GAP_TOL", -1.0)
         steps = []
-        step = leakage._fixed_point_step
+        step = leakage._newton_step
         monkeypatch.setattr(
-            leakage, "_fixed_point_step", lambda mats, g: steps.append(1) or step(mats, g)
+            leakage, "_newton_step", lambda rho, g, y: steps.append(1) or step(rho, g, y)
         )
         with pytest.raises(ConvergenceError, match="stalled"):
             maximal_quantum_leakage(e)
         assert len(steps) < leakage.MAX_ITERS // 2
+
+    @pytest.mark.parametrize("seed, rank", [(304, 1), (330, None), (662, 1)])
+    def test_six_state_qubit_ensembles(self, seed, rank):
+        # six-state qubit ensembles on which a Jezek-Rehacek-Fiurasek fixed point
+        # stalls at gaps of 5e-6 to 6e-5 bits
+        e = random_ensemble(np.random.default_rng(seed), 2, 6, rank)
+        assert_certified(maximal_quantum_leakage(e), e)
+
+    def test_seeded_sweep_certifies(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            d, n = int(rng.choice([2, 3, 4, 8])), int(rng.integers(2, 7))
+            e = random_ensemble(rng, d, n, 1 if rng.integers(2) else None)
+            assert_certified(maximal_quantum_leakage(e), e)
 
 
 class TestGridOracle:
@@ -314,10 +328,12 @@ class TestGentleInterval:
     def test_saturates_at_alpha_one(self, bb84):
         iv = gentle_leakage_interval(bb84, GentlenessSpec(1.0, 0.3))
         assert iv.lower_bits == iv.upper_bits
+        assert iv.lower_witness == "maximal-leakage-povm"
 
     def test_saturates_at_delta_one(self, bb84):
         iv = gentle_leakage_interval(bb84, GentlenessSpec(0.2, 1.0))
         assert iv.lower_bits == iv.upper_bits
+        assert iv.lower_witness == "maximal-leakage-povm"
 
     def test_bb84_alpha_point_one(self, bb84):
         iv = gentle_leakage_interval(bb84, GentlenessSpec(0.1, 0.2))
