@@ -14,13 +14,13 @@ from gentleleak.cli import tradeoff_csv
 from gentleleak.simulate import EveStrategy, exact_round_statistics, tradeoff_sweep
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--rounds", type=int, default=200000)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--points", type=int, default=11)
     ap.add_argument("--out", default="tradeoff.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     for name, strat in (("w1", EveStrategy.w1()), ("w2", EveStrategy.w2())):
         qber, bits, dist = exact_round_statistics(strat)

@@ -41,9 +41,7 @@ def main(argv=None) -> int:
         "x_basis_povm.json": povm_to_json(
             projective_povm(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
         ),
-        "gentle_probe_povm.json": povm_to_json(
-            gentle_povm(default_gentle_probe(), 0.05).implementation
-        ),
+        "gentle_probe_povm.json": povm_to_json(gentle_povm(default_gentle_probe(), 0.05)),
     }
     for name, doc in files.items():
         path = out / name

@@ -16,11 +16,11 @@ from gentleleak.leakage import maximal_quantum_leakage
 from gentleleak.states import bb84_ensemble
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid", type=int, default=101)
     ap.add_argument("--out", default="figure2.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     e = bb84_ensemble()
     q = maximal_quantum_leakage(e)

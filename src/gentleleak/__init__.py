@@ -20,7 +20,6 @@ from .linalg import (
     ConvergenceError,
     NotPsdError,
     SchemaError,
-    Tolerances,
     eig_hermitian,
     is_psd,
     psd_sqrt,
@@ -28,12 +27,12 @@ from .linalg import (
     trace_norm,
 )
 from .measurements import (
-    GentleConstruction,
     GentlenessSpec,
     Povm,
     PovmImplementation,
     born_probabilities,
     certify_gentle,
+    collapse,
     gentle_povm,
     max_certified_epsilon,
     post_measurement_state,

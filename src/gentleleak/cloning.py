@@ -93,20 +93,14 @@ def min_feasible_p2(p1: float, d: int) -> float | None:
     """Smallest p2 in [0, 1] satisfying the quadratic constraint at fixed p1.
 
     Returns None when no p2 in [0, 1] is feasible. Handles both orientations
-    of the parabola in p2 (the diagonal coefficient changes sign at d = 3).
+    of the parabola in p2: the diagonal coefficient a(d) = 2d^2 - 1 - d^4/4
+    is 3 at d = 2, -3.25 at d = 3 and falls after that, so it is never 0 at
+    an integer d >= 2 and q is always a true quadratic in p2.
     """
     a, b, c = quadratic_coefficients(d)
     # q(p2) = a p2^2 + beta p2 + gamma at fixed p1
     beta = 2.0 * b * p1 + c
     gamma = a * p1 * p1 + c * p1 + 3.0
-    if abs(a) < 1e-30:
-        if abs(beta) < 1e-30:
-            return 0.0 if gamma <= FEAS_TOL else None
-        root = -gamma / beta
-        if beta < 0.0:
-            lo = max(root, 0.0)
-            return lo if lo <= 1.0 else None
-        return 0.0 if root >= 0.0 else None
     disc = beta * beta - 4.0 * a * gamma
     if disc < 0.0:
         # no real roots: sign of q is the sign of a everywhere

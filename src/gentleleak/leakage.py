@@ -32,16 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
-from .linalg import ConvergenceError, eig_hermitian, positive_part
-from .measurements import (
-    GentlenessSpec,
-    Povm,
-    born_probabilities,
-    certify_gentle,
-    gentle_povm,
-    max_certified_epsilon,
-    povm_to_json,
-)
+from .linalg import ConvergenceError, eig_hermitian, matrix_to_json, positive_part
+from .measurements import GentlenessSpec, Povm, max_certified_epsilon, povm_to_json
 from .states import CqEnsemble
 
 __all__ = [
@@ -70,15 +62,17 @@ SUPPORT_RTOL = 1e-10
 class LeakageEstimate:
     """Certified maximal leakage: bits <= true value <= upper_bits.
 
-    bits is the Sibson value of achieving_povm, upper_bits the value of a
-    dual-feasible operator, and iterations counts the start-point check and
-    the interior-point (Newton) steps after it.
+    bits is the Sibson value of achieving_povm, upper_bits the value
+    log2 tr Y of the dual-feasible operator dual (Y >= rho^x for every x),
+    and iterations counts the start-point check and the interior-point
+    (Newton) steps after it.
     """
 
     bits: float
     upper_bits: float
     iterations: int
     achieving_povm: Povm
+    dual: np.ndarray
 
     def __post_init__(self):
         bits, upper = float(self.bits), float(self.upper_bits)
@@ -95,6 +89,7 @@ class LeakageEstimate:
             "upper_bits": self.upper_bits,
             "iterations": self.iterations,
             "achieving_povm": povm_to_json(self.achieving_povm),
+            "dual": matrix_to_json(self.dual),
         }
 
 
@@ -147,24 +142,33 @@ def _povm(h: np.ndarray) -> np.ndarray:
     return _herm(s @ h @ s)
 
 
-def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(lower, upper) in bits: the Sibson value of the POVM {G_x} and a dual-feasible value.
+def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple]:
+    """(lower, upper, dual): the Sibson value of the POVM {G_x}, a dual-feasible value.
 
-    Any Hermitian Y becomes dual-feasible once raised by t I, with
+    Both values are in bits. Any Hermitian Y becomes dual-feasible once raised by t I, with
     t = max(0, max_x lambda_max(rho^x - Y)), or by sum_x (rho^x - Y)_+, since
     (rho^x - Y)_+ - (rho^x - Y) >= 0. So tr Y plus the smaller raise, d t or
     sum_x tr (rho^x - Y)_+, bounds the optimum from above. Both the solver's y
-    and herm(sum_x rho^x G_x) are raised; the upper value is the smaller.
+    and herm(sum_x rho^x G_x) are raised; the upper value is the smaller. The
+    dual is returned as the pair (Y, raised by the sum) for _raised to build.
     """
     total = float(np.einsum("xij,yji->yx", mats, g).real.max(axis=1).sum())
     ys = np.stack([_herm(np.einsum("xij,xjk->ik", mats, g)), y])
     w = np.linalg.eigvalsh(mats[None] - ys[:, None])
-    raise_by = np.minimum(
-        mats.shape[1] * np.clip(w.max(axis=(1, 2)), 0.0, None),
-        np.clip(w, 0.0, None).sum(axis=(1, 2)),
-    )
-    upper = float((np.trace(ys, axis1=1, axis2=2).real + raise_by).min())
-    return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0)
+    by_t = mats.shape[1] * np.clip(w.max(axis=(1, 2)), 0.0, None)
+    by_sum = np.clip(w, 0.0, None).sum(axis=(1, 2))
+    values = np.trace(ys, axis1=1, axis2=2).real + np.minimum(by_t, by_sum)
+    k = int(np.argmin(values))
+    upper = float(values[k])
+    dual = (ys[k], bool(by_sum[k] < by_t[k]))
+    return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0), dual
+
+
+def _raised(mats: np.ndarray, y: np.ndarray, by_sum: bool) -> np.ndarray:
+    """Y raised to dual feasibility as _bounds prices it: by sum_x (rho^x - Y)_+ or by t I."""
+    if by_sum:
+        return y + positive_part(mats - y).sum(axis=0)
+    return y + max(float(np.linalg.eigvalsh(mats - y).max()), 0.0) * np.eye(len(y))
 
 
 def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +235,16 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     square_root = _povm(scale[:, None] * rho * scale[None, :])
     points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
     best_bits, best_g, best_upper = -np.inf, None, leakage_upper_bound(e)
+    # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x
+    best_dual = (np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0), False)
     while True:
         for point in points:
             full = vs @ point @ vs.conj().T + kernel
-            bits, upper = _bounds(mats, full, vs @ y @ vs.conj().T)
+            bits, upper, dual = _bounds(mats, full, vs @ y @ vs.conj().T)
             if bits > best_bits:
                 best_bits, best_g = bits, full
-            best_upper = min(best_upper, upper)
+            if upper < best_upper:
+                best_upper, best_dual = upper, dual
         gap = max(best_upper - best_bits, 0.0)
         if gap <= GAP_TOL and not 0.0 < 2.0 * gap <= prev:
             break
@@ -257,7 +264,8 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
         points, iterations, prev = (g,), iterations + 1, gap
     # the best values come from different iterates and can cross by rounding
     povm = Povm(tuple(best_g), labels=e.labels)
-    return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm)
+    dual = _raised(mats, *best_dual)
+    return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm, dual)
 
 
 @dataclass(frozen=True)
@@ -292,31 +300,28 @@ class GentleLeakageInterval:
 def _gentle_probe_search(
     e: CqEnsemble, spec: GentlenessSpec
 ) -> tuple[float, dict]:
-    """Best Sibson value over certified gentle probes built from pairwise differences."""
+    """Best Sibson value over certified gentle probes built from pairwise differences.
+
+    Each probe is (rho^i - rho^j)_+ at the largest strength the calibration
+    certifies; its Born table is the one that calibration certified.
+    """
     mats = e.state_mats()
+    pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats)) if i != j]
+    probes = positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
     best = 0.0
     detail: dict = {"probes": 0}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i == j:
-                continue
-            probe = positive_part(mats[i] - mats[j])
-            top = float(np.max(np.abs(probe)))
-            if top < 1e-12:
-                continue
-            cal = max_certified_epsilon(probe, spec, e)
-            if cal.epsilon <= 0.0:
-                continue
-            construction = gentle_povm(probe, cal.epsilon)
-            cert = certify_gentle(e, construction.implementation, spec)
-            if not cert.certified:
-                continue
-            bits = sibson_infinity(born_probabilities(e, construction.implementation.povm))
-            detail["probes"] += 1
-            if bits > best:
-                best = bits
-                detail["best_pair"] = (e.labels[i], e.labels[j])
-                detail["epsilon"] = cal.epsilon
+    for (i, j), probe in zip(pairs, probes):
+        if float(np.max(np.abs(probe))) < 1e-12:
+            continue
+        cal = max_certified_epsilon(probe, spec, e)
+        if cal.certificate is None:
+            continue
+        bits = sibson_infinity(cal.certificate.outcome_probs)
+        detail["probes"] += 1
+        if bits > best:
+            best = bits
+            detail["best_pair"] = (e.labels[i], e.labels[j])
+            detail["epsilon"] = cal.epsilon
     return best, detail
 
 

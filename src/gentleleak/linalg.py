@@ -9,13 +9,13 @@ that callers validate or diagonalize many operators in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLS",
+    "HERMITICITY_TOL",
+    "PSD_TOL",
+    "COMPLETENESS_TOL",
+    "UNIT_TRACE_TOL",
     "ConvergenceError",
     "NotPsdError",
     "SchemaError",
@@ -50,23 +50,14 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances, overridable per call site (never via environment).
-
-    hermiticity: max-entry asymmetry allowed before symmetrization is refused
-    psd: slack on the smallest eigenvalue for PSD checks
-    completeness: max-entry residual allowed in sum(F_y) - I
-    unit_trace: |tr - 1| allowed for density operators
-    """
-
-    hermiticity: float = 1e-10
-    psd: float = 1e-10
-    completeness: float = 1e-9
-    unit_trace: float = 1e-10
-
-
-DEFAULT_TOLS = Tolerances()
+# Max-entry asymmetry M - M† allowed before symmetrization is refused.
+HERMITICITY_TOL = 1e-10
+# Slack on the smallest eigenvalue in PSD checks.
+PSD_TOL = 1e-10
+# Max-entry residual allowed in sum_y F_y - I (and in B_y† B_y - F_y).
+COMPLETENESS_TOL = 1e-9
+# |tr rho - 1| allowed for density operators, and |sum_x p_x - 1| for priors.
+UNIT_TRACE_TOL = 1e-10
 
 
 def _as_square_stack(m) -> np.ndarray:
@@ -86,18 +77,20 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def as_hermitian(m, tol: float = DEFAULT_TOLS.hermiticity) -> np.ndarray:
+def as_hermitian(m) -> np.ndarray:
     """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
     Accepts one matrix or a stack (..., d, d), checked matrix by matrix.
-    Raises ValueError if any entry of M - M† exceeds ``tol`` in magnitude;
-    the symmetrization absorbs roundoff from channel applications.
+    Raises ValueError if any entry of M - M† exceeds ``HERMITICITY_TOL`` in
+    magnitude; the symmetrization absorbs roundoff from channel applications.
     """
     a = _as_square_stack(m)
     adj = a.conj().swapaxes(-1, -2)
     asym = np.max(np.abs(a - adj)) if a.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.3e}")
+    if asym > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITICITY_TOL:.3e}"
+        )
     return (a + adj) / 2.0
 
 
@@ -116,7 +109,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 def trace_norm(m) -> float:
     """Trace norm ||M||_1 = tr sqrt(M†M); sum of |eigenvalues| when Hermitian."""
     a = as_complex_matrix(m)
-    if np.max(np.abs(a - a.conj().T)) <= DEFAULT_TOLS.hermiticity:
+    if np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL:
         w, _ = eig_hermitian(a)
         return float(np.sum(np.abs(w)))
     w, _ = eig_hermitian(a.conj().T @ a)
@@ -140,19 +133,23 @@ def _eig_psd(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def psd_sqrt(m, tol: float = DEFAULT_TOLS.psd) -> np.ndarray:
+def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix."""
     w, v = _eig_psd(m, tol)
     root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2.0
 
 
-def psd_inv_sqrt(m, tol: float = DEFAULT_TOLS.psd, floor: float = 1e-300) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix."""
-    w, v = _eig_psd(m, tol)
+def psd_inv_sqrt(m) -> np.ndarray:
+    """Inverse square root of a positive definite Hermitian matrix.
+
+    Eigenvalues are floored at 1e-300, so a singular PSD matrix gives huge
+    finite entries rather than infinities.
+    """
+    w, v = _eig_psd(m, PSD_TOL)
     if w[0] <= 0.0:
         raise NotPsdError("matrix is zero; no inverse square root")
-    inv = (v * (1.0 / np.sqrt(np.maximum(w, floor)))) @ v.conj().T
+    inv = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ v.conj().T
     return (inv + inv.conj().T) / 2.0
 
 
@@ -163,15 +160,16 @@ def positive_part(m) -> np.ndarray:
     return (pos + pos.conj().swapaxes(-1, -2)) / 2.0
 
 
-def is_psd(m, tol: float = DEFAULT_TOLS.psd) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
+def is_psd(m) -> bool:
+    """True iff the smallest eigenvalue of the Hermitian matrix is >= -PSD_TOL."""
     w, _ = eig_hermitian(m)
-    return bool(w[-1] >= -tol)
+    return bool(w[-1] >= -PSD_TOL)
 
 
-def is_unitary(u, tol: float = 1e-9) -> bool:
+def is_unitary(u) -> bool:
+    """True iff every entry of U†U - I is within 1e-9."""
     a = as_complex_matrix(u)
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= 1e-9)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,12 +9,13 @@ every state in the protected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLS,
+    COMPLETENESS_TOL,
+    PSD_TOL,
     SchemaError,
     as_complex_matrix,
     as_hermitian,
@@ -33,10 +34,10 @@ __all__ = [
     "PovmImplementation",
     "GentlenessSpec",
     "GentlenessCertificate",
-    "GentleConstruction",
     "EpsilonCalibration",
     "born_probabilities",
     "post_measurement_state",
+    "collapse",
     "certify_gentle",
     "gentle_povm",
     "max_certified_epsilon",
@@ -78,10 +79,10 @@ class Povm:
         stack = as_hermitian(np.stack(elems))
         low = eig_hermitian(stack)[0][:, -1]
         i = int(np.argmin(low))
-        if low[i] < -DEFAULT_TOLS.psd:
+        if low[i] < -PSD_TOL:
             raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
         resid = np.max(np.abs(stack.sum(axis=0) - np.eye(d)))
-        if resid > DEFAULT_TOLS.completeness:
+        if resid > COMPLETENESS_TOL:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elems)))
         if len(labels) != len(elems):
@@ -111,7 +112,7 @@ class PovmImplementation:
             raise ValueError("one operator per POVM element required")
         for i, (b, f) in enumerate(zip(ops, self.povm.elements)):
             resid = np.max(np.abs(b.conj().T @ b - f))
-            if resid > DEFAULT_TOLS.completeness:
+            if resid > COMPLETENESS_TOL:
                 raise ValueError(f"operator {i}: B†B differs from F by {resid:.3e}")
         for b in ops:
             b.flags.writeable = False
@@ -151,7 +152,7 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
     if np.min(p) < -1e-10:
         raise ValueError(f"negative Born probability {np.min(p):.3e}")
     colsums = p.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > DEFAULT_TOLS.completeness:
+    if np.max(np.abs(colsums - 1.0)) > COMPLETENESS_TOL:
         raise ValueError("Born columns do not sum to 1; POVM incomplete?")
     return np.clip(p, 0.0, 1.0)
 
@@ -214,6 +215,38 @@ class GentlenessCertificate:
         }
 
 
+def collapse(
+    e: CqEnsemble, impl: PovmImplementation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every branch B_y rho^x B_y† / tr(rho^x F_y) of the implementation on the ensemble.
+
+    Returns ``(probs, post, dist)``: the Born table P[y | x] of shape
+    (outcomes, states); the post-measurement states of the live pairs
+    (P[y | x] > ZERO_PROB), stacked in the order of ``np.nonzero(dist >= 0)``
+    and each checked to be a density operator; and the trace distance of each
+    live post-measurement state from its input, -1 on the pairs that are not
+    live. One stacked eigendecomposition validates every state and gives every
+    distance.
+    """
+    probs = born_probabilities(e, impl.povm)
+    rho = e.state_mats()
+    b = np.stack(impl.operators)[:, None]
+    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (outcomes, states, d, d)
+    live = probs > ZERO_PROB
+    norm = np.trace(out, axis1=-2, axis2=-1).real[live]
+    if np.any(norm <= ZERO_PROB):
+        y = int(np.nonzero(live)[0][np.argmin(norm)])
+        raise ZeroProbabilityOutcome(
+            f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
+        )
+    post = out[live] / norm[:, None, None]
+    w = eig_hermitian(np.stack([post, post - np.broadcast_to(rho, out.shape)[live]]))[0]
+    require_states(post, w[0])
+    dist = np.full(probs.shape, -1.0)
+    dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
+    return probs, post, dist
+
+
 def certify_gentle(
     e: CqEnsemble,
     impl: PovmImplementation,
@@ -229,23 +262,7 @@ def certify_gentle(
     """
     if mode not in ("per-state", "average-state"):
         raise ValueError(f"unknown mode {mode!r}")
-    probs = born_probabilities(e, impl.povm)  # (outcomes, states)
-    rho = e.state_mats()
-    b = np.stack(impl.operators)[:, None]
-    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^k B_y†, (outcomes, states, d, d)
-    live = probs > ZERO_PROB
-    norm = np.trace(out, axis1=-2, axis2=-1).real[live]
-    if np.any(norm <= ZERO_PROB):
-        y = int(np.nonzero(live)[0][np.argmin(norm)])
-        raise ZeroProbabilityOutcome(
-            f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
-        )
-    post = out[live] / norm[:, None, None]
-    # one decomposition validates each post-measurement state and gives its distance
-    w = eig_hermitian(np.stack([post, post - np.broadcast_to(rho, out.shape)[live]]))[0]
-    require_states(post, w[0])
-    dist = np.full(probs.shape, -1.0)
-    dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
+    probs, _, dist = collapse(e, impl)
     # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
     good = (dist <= spec.alpha + 1e-12).all(axis=1)
     dists = dist.max(axis=1)
@@ -268,31 +285,19 @@ def certify_gentle(
     )
 
 
-@dataclass(frozen=True)
-class GentleConstruction:
-    """Three-outcome weak probe of an operator M with 0 <= M <= I.
+def gentle_povm(m, epsilon: float) -> PovmImplementation:
+    """The three-outcome weak probe of an operator M with 0 <= M <= I at strength epsilon.
 
     The implementation is {B+, B-, B0} with
         B+ = sqrt((1 - 2 eps^2)/2) I + eps M,
         B- = sqrt((1 - 2 eps^2)/2) I - eps M,
         B0 = sqrt(2) eps (I - M^2)^(1/2),
     all Hermitian, so B† B = B B† and the outcome operators sum to I exactly.
-    """
-
-    probe: np.ndarray
-    epsilon: float
-    implementation: PovmImplementation
-
-
-def gentle_povm(m, epsilon: float) -> GentleConstruction:
-    """Build the three-outcome gentle probe for operator m at strength epsilon.
-
-    Requires 0 <= m <= I (within ``PROBE_TOL``) and epsilon <= 1/10.
+    Requires 0 <= M <= I (within ``PROBE_TOL``) and epsilon <= 1/10.
     """
     if not 0.0 <= epsilon <= 0.1:
         raise ValueError(f"epsilon must be in [0, 0.1], got {epsilon}")
-    a, root = _probe(m)
-    return GentleConstruction(probe=a, epsilon=epsilon, implementation=_probe_at(a, root, epsilon))
+    return _probe_at(*_probe(m), epsilon)
 
 
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
@@ -329,11 +334,14 @@ class EpsilonCalibration:
     when no tried strength certifies. ``analytic_cap`` is
     min(sqrt(delta / (2 (1 - tr(M^2 rho)))), 1/10) with rho the ensemble
     average, the non-constructive sufficient bound. ``capped`` applies the
-    analytic cap on top of the certified value.
+    analytic cap on top of the certified value. ``certificate`` is the
+    certification of the probe at ``epsilon``, None when epsilon is 0.
     """
 
     epsilon: float
     analytic_cap: float
+    # left out of ==, which its outcome_probs array would make raise
+    certificate: GentlenessCertificate | None = field(compare=False)
 
     @property
     def capped(self) -> float:
@@ -351,7 +359,8 @@ def max_certified_epsilon(
     The probe is checked and (I - M^2)^(1/2) taken once; each step then
     builds its {B+, B-, B0} from them and runs certify_gentle. The steps are
     those of certify_gentle(gentle_povm(m, mid)) per step, so the returned
-    epsilon is the same float.
+    epsilon is the same float, and its certificate is that of the last
+    passing step.
     """
     a, root = _probe(m)
     avg = average_state(e).mat
@@ -361,19 +370,21 @@ def max_certified_epsilon(
     else:
         cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
 
-    def certifies(eps: float) -> bool:
-        return certify_gentle(e, _probe_at(a, root, eps), spec, mode).certified
+    def certify(eps: float) -> GentlenessCertificate:
+        return certify_gentle(e, _probe_at(a, root, eps), spec, mode)
 
-    if certifies(0.1):
-        return EpsilonCalibration(epsilon=0.1, analytic_cap=cap)
-    lo, hi = 0.0, 0.1
+    cert = certify(0.1)
+    if cert.certified:
+        return EpsilonCalibration(epsilon=0.1, analytic_cap=cap, certificate=cert)
+    lo, hi, best = 0.0, 0.1, None
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if certifies(mid):
-            lo = mid
+        cert = certify(mid)
+        if cert.certified:
+            lo, best = mid, cert
         else:
             hi = mid
-    return EpsilonCalibration(epsilon=lo, analytic_cap=cap)
+    return EpsilonCalibration(epsilon=lo, analytic_cap=cap, certificate=best)
 
 
 def projective_povm(basis) -> PovmImplementation:

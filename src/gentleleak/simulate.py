@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .leakage import sibson_infinity
-from .linalg import eig_hermitian, positive_part
-from .measurements import (
-    ZERO_PROB,
-    Povm,
-    PovmImplementation,
-    born_probabilities,
-    gentle_povm,
-    projective_povm,
-)
+from .linalg import positive_part
+from .measurements import Povm, PovmImplementation, collapse, gentle_povm, projective_povm
 from .states import bb84_ensemble, pure_state
 
 __all__ = [
@@ -117,7 +110,7 @@ def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
         povm = Povm(elems, labels=("z0", "z1", "x0", "x1"))
         return PovmImplementation(povm, ops)
     probe = strategy.probe if strategy.probe is not None else default_gentle_probe()
-    return gentle_povm(probe, strategy.epsilon).implementation
+    return gentle_povm(probe, strategy.epsilon)
 
 
 @dataclass(frozen=True)
@@ -163,19 +156,13 @@ def _round_tables(strategy: EveStrategy):
         return np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), np.ones((1, 4))
 
     e = bb84_ensemble()
-    channel = born_probabilities(e, impl.povm)  # (outcomes, symbols)
-    live = channel > ZERO_PROB
-    x = np.nonzero(live)[1]
-    rho = e.state_mats()
-    b = np.stack(impl.operators)[:, None]
-    out = (b @ rho @ b.conj().swapaxes(-1, -2))[live]  # B_y rho^x B_y† of the live pairs
-    post = out / np.trace(out, axis1=-2, axis2=-1).real[:, None, None]
-    dist = np.zeros(channel.shape)
-    dist[live] = 0.5 * np.abs(eig_hermitian(post - rho[x])[0]).sum(axis=-1)
+    channel, post, dist = collapse(e, impl)  # (outcomes, symbols) tables
+    live = dist >= 0.0
     # Bob measures in the symbol's basis and errs on its partner state rho^(x ^ 1)
+    partner = e.state_mats()[np.nonzero(live)[1] ^ 1]
     err = np.zeros(channel.shape)
-    err[live] = np.clip(np.einsum("kij,kji->k", rho[x ^ 1], post).real, 0.0, 1.0)
-    return channel.T, err.T, dist.T, channel
+    err[live] = np.clip(np.einsum("kij,kji->k", partner, post).real, 0.0, 1.0)
+    return channel.T, err.T, np.maximum(dist, 0.0).T, channel
 
 
 def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:

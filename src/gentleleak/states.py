@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLS,
+    PSD_TOL,
+    UNIT_TRACE_TOL,
     SchemaError,
     as_complex_matrix,
     as_hermitian,
@@ -58,11 +59,11 @@ def require_states(mats: np.ndarray, w: np.ndarray) -> None:
     their slice of it, so a state costs no decomposition of its own.
     """
     low = float(np.min(w[..., -1]))
-    if low < -DEFAULT_TOLS.psd:
+    if low < -PSD_TOL:
         raise ValueError(f"state is not PSD: min eigenvalue {low:.3e}")
     tr = np.trace(mats, axis1=-2, axis2=-1).real.ravel()
     worst = float(tr[np.argmax(np.abs(tr - 1.0))])
-    if abs(worst - 1.0) > DEFAULT_TOLS.unit_trace:
+    if abs(worst - 1.0) > UNIT_TRACE_TOL:
         raise ValueError(f"state trace {worst!r} is not 1")
 
 
@@ -86,7 +87,7 @@ class CqEnsemble:
             raise ValueError("need one probability per state, at least one item")
         if np.any(probs <= 0.0):
             raise ValueError("all probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > DEFAULT_TOLS.unit_trace:
+        if abs(float(probs.sum()) - 1.0) > UNIT_TRACE_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
         d = states[0].dim
         if any(s.dim != d for s in states):

@@ -158,10 +158,10 @@ def test_criterion_5_gentle_construction_suite():
         m = random_contraction(d, rng)
         eps = float(rng.uniform(0.0, 0.1))
         construction = gentle_povm(m, eps)
-        ops = construction.implementation.operators
+        ops = construction.operators
         total = sum(b @ b.conj().T for b in ops)
         worst_resid = max(worst_resid, float(np.max(np.abs(total - np.eye(d)))))
-        for f in construction.implementation.povm.elements:
+        for f in construction.povm.elements:
             worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(f))))
 
         states = tuple(
@@ -174,10 +174,10 @@ def test_criterion_5_gentle_construction_suite():
             test_eps = cal.epsilon * frac
             if test_eps <= 0.0:
                 continue
-            cert = certify_gentle(e, gentle_povm(m, test_eps).implementation, spec)
+            cert = certify_gentle(e, gentle_povm(m, test_eps), spec)
             all_certified = all_certified and cert.certified
 
-        tiny = gentle_povm(m, 1e-4).implementation
+        tiny = gentle_povm(m, 1e-4)
         for s in e.states:
             for branch in (0, 1):  # the +/- branches carry the good event
                 dist = trace_distance(post_measurement_state(s, tiny, branch).mat, s.mat)

@@ -208,7 +208,7 @@ class TestCertifyCommand:
 
         probe = default_gentle_probe()
         cal = max_certified_epsilon(probe, GentlenessSpec(0.1, 0.05), bb84_ensemble())
-        impl = gentle_povm(probe, cal.epsilon).implementation
+        impl = gentle_povm(probe, cal.epsilon)
         path = tmp_path / "gentle.json"
         path.write_text(json.dumps(povm_to_json(impl)))
         code, out = run_cli(

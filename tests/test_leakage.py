@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +19,20 @@ from gentleleak.leakage import (
     maximal_quantum_leakage,
     sibson_infinity,
 )
-from gentleleak.linalg import ConvergenceError, haar_unitary, random_density, trace_distance
-from gentleleak.measurements import GentlenessSpec, born_probabilities, projective_povm
+from gentleleak.linalg import (
+    ConvergenceError,
+    haar_unitary,
+    positive_part,
+    random_density,
+    trace_distance,
+)
+from gentleleak.measurements import (
+    GentlenessSpec,
+    born_probabilities,
+    certify_gentle,
+    gentle_povm,
+    projective_povm,
+)
 from gentleleak.states import (
     CqEnsemble,
     DensityOperator,
@@ -160,9 +173,13 @@ class TestMaximalLeakage:
     def test_estimate_validation(self):
         povm = projective_povm(np.eye(2)).povm
         with pytest.raises(ValueError):
-            LeakageEstimate(bits=-0.5, upper_bits=0.5, iterations=1, achieving_povm=povm)
+            LeakageEstimate(
+                bits=-0.5, upper_bits=0.5, iterations=1, achieving_povm=povm, dual=np.eye(2)
+            )
         with pytest.raises(ValueError):
-            LeakageEstimate(bits=0.5, upper_bits=0.4, iterations=1, achieving_povm=povm)
+            LeakageEstimate(
+                bits=0.5, upper_bits=0.4, iterations=1, achieving_povm=povm, dual=np.eye(2)
+            )
 
 
 def trine_ensemble():
@@ -371,6 +388,58 @@ class TestGentleInterval:
         monkeypatch.setattr(leakage, "cloning_lower_bound", inflated)
         with pytest.raises(ValueError, match="invalid interval"):
             gentle_leakage_interval(bb84, GentlenessSpec(0.1, 0.2))
+
+
+class TestGentleProbeSearch:
+    """The interval's pairwise probe search, pinned on BB84 to its floats."""
+
+    @pytest.mark.parametrize(
+        "spec, bits, epsilon",
+        [
+            (GentlenessSpec(0.1, 0.05), 0.20163386116965068, 0.1),
+            # 1/10 fails here, so every calibration runs the bisection
+            (GentlenessSpec(0.01, 0.001), 0.028556704589971744, 0.014000062830746177),
+        ],
+    )
+    def test_bb84_pins(self, bb84, spec, bits, epsilon):
+        iv = gentle_leakage_interval(bb84, spec)
+        assert iv.meta["search_bits"] == bits
+        assert iv.meta["search"] == {
+            "probes": 12, "best_pair": ("(1,0)", "(1,1)"), "epsilon": epsilon
+        }
+        # the reported best witness, rebuilt from public calls, certifies at search_bits
+        i, j = (bb84.labels.index(label) for label in iv.meta["search"]["best_pair"])
+        mats = bb84.state_mats()
+        impl = gentle_povm(positive_part(mats[i] - mats[j]), epsilon)
+        cert = certify_gentle(bb84, impl, spec)
+        assert cert.certified
+        assert sibson_infinity(cert.outcome_probs) == bits
+
+
+def dual_cases():
+    rng = np.random.default_rng(808)
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    yield pytest.param(bb84_ensemble(), id="bb84")
+    trine = tuple(pure_state([np.cos(a), np.sin(a)]) for a in angles)
+    yield pytest.param(CqEnsemble(np.full(3, 1.0 / 3), trine), id="trine")
+    for d, n in ((3, 4), (8, 6), (4, 2)):  # the last has fewer states than dimensions
+        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(n))
+        yield pytest.param(CqEnsemble(rng.dirichlet(np.ones(n)), states), id=f"d{d}-n{n}")
+    # the cap log2 min(|X|, d) is reached at |X| < d; its dual is sum_x rho^x
+    orthogonal = (pure_state([1, 0, 0]), pure_state([0, 1, 0]))
+    yield pytest.param(CqEnsemble(np.full(2, 0.5), orthogonal), id="orthogonal-d3-n2")
+
+
+class TestDualCertificate:
+    """The leakage JSON carries the feasible Y behind upper_bits; numpy alone checks it."""
+
+    @pytest.mark.parametrize("e", dual_cases())
+    def test_dual_is_feasible_and_prices_upper_bits(self, e):
+        doc = json.loads(json.dumps(maximal_quantum_leakage(e).to_json()))
+        y = np.array([[re + 1j * im for re, im in row] for row in doc["dual"]["entries"]])
+        for rho in e.state_mats():
+            assert np.linalg.eigvalsh(y - rho).min() >= -1e-12
+        assert abs(np.log2(np.trace(y).real) - doc["upper_bits"]) <= 1e-12
 
 
 class TestWeakDpiAtBoundLevel:

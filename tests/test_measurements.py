@@ -22,6 +22,7 @@ from gentleleak.measurements import (
     ZeroProbabilityOutcome,
     born_probabilities,
     certify_gentle,
+    collapse,
     gentle_povm,
     max_certified_epsilon,
     post_measurement_state,
@@ -108,7 +109,7 @@ class TestPostMeasurementState:
         assert np.allclose(out.mat, np.diag([1.0, 0.0]))
 
     def test_identity_probe_leaves_state_alone(self):
-        impl = gentle_povm(np.eye(2), 0.08).implementation
+        impl = gentle_povm(np.eye(2), 0.08)
         rho = pure_state([1, 1j])
         for y in range(2):  # outcome 0 has probability zero for M = I
             out = post_measurement_state(rho, impl, y)
@@ -154,11 +155,11 @@ class TestCertifyGentle:
         probe = bb84_pair_probe()
         cal = max_certified_epsilon(probe, spec, bb84)
         assert cal.epsilon > 0
-        impl = gentle_povm(probe, cal.epsilon).implementation
+        impl = gentle_povm(probe, cal.epsilon)
         assert certify_gentle(bb84, impl, spec).certified
 
     def test_average_state_mode(self, bb84):
-        impl = gentle_povm(bb84_pair_probe(), 0.05).implementation
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
         per = certify_gentle(bb84, impl, GentlenessSpec(0.2, 0.01), mode="per-state")
         avg = certify_gentle(bb84, impl, GentlenessSpec(0.2, 0.01), mode="average-state")
         assert avg.worst_prob >= per.worst_prob - 1e-12
@@ -171,14 +172,14 @@ class TestCertifyGentle:
         alpha_lo, alpha_hi = sorted((a1, a2))
         delta_lo, delta_hi = sorted((d1, d2))
         e = bb84_ensemble()
-        impl = gentle_povm(bb84_pair_probe(), 0.07).implementation
+        impl = gentle_povm(bb84_pair_probe(), 0.07)
         lo = certify_gentle(e, impl, GentlenessSpec(alpha_lo, delta_lo))
         hi = certify_gentle(e, impl, GentlenessSpec(alpha_hi, delta_hi))
         if lo.certified:
             assert hi.certified
 
     def test_report_structure(self, bb84):
-        impl = gentle_povm(bb84_pair_probe(), 0.05).implementation
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
         doc = certify_gentle(bb84, impl, GentlenessSpec(0.1, 0.05)).to_json()
         assert {"certified", "worst_prob", "worst_disturbance", "outcomes"} <= doc.keys()
         assert len(doc["outcomes"]) == 3
@@ -211,6 +212,12 @@ class TestStackedCertification:
 
     @staticmethod
     def assert_matches_reference(e, impl, spec):
+        probs, post, dist = collapse(e, impl)
+        live = np.argwhere(dist >= 0.0)
+        assert np.array_equal(live, np.argwhere(probs > ZERO_PROB))
+        for (y, k), state in zip(live, post):
+            want = post_measurement_state(e.states[k], impl, y).mat
+            assert np.max(np.abs(state - want)) <= 1e-12
         for mode in ("per-state", "average-state"):
             cert = certify_gentle(e, impl, spec, mode=mode)
             certified, worst, dists = reference_certificate(e, impl, spec, mode)
@@ -230,7 +237,7 @@ class TestStackedCertification:
             e = CqEnsemble(rng.dirichlet(np.ones(n)), states)
             spec = GentlenessSpec(float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.5)))
             probe = gentle_povm(random_contraction(d, rng), float(rng.uniform(0.0, 0.1)))
-            for impl in (probe.implementation, projective_povm(haar_unitary(d, rng))):
+            for impl in (probe, projective_povm(haar_unitary(d, rng))):
                 self.assert_matches_reference(e, impl, spec)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -250,7 +257,7 @@ class TestStackedCertification:
         rng = np.random.default_rng(d)
         states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
         e = CqEnsemble(np.full(3, 1.0 / 3), states)
-        impl = gentle_povm(np.eye(d), 0.05).implementation
+        impl = gentle_povm(np.eye(d), 0.05)
         spec = GentlenessSpec(0.0, 0.0)
         self.assert_matches_reference(e, impl, spec)
         cert = certify_gentle(e, impl, spec)
@@ -273,14 +280,14 @@ def first_order_disturbance(m, rho: DensityOperator, epsilon: float) -> float:
 class TestGentlePovm:
     def test_epsilon_zero_gives_coin_flip(self):
         g = gentle_povm(bb84_pair_probe(), 0.0)
-        f = g.implementation.povm.elements
+        f = g.povm.elements
         assert np.allclose(f[0], np.eye(2) / 2)
         assert np.allclose(f[1], np.eye(2) / 2)
         assert np.allclose(f[2], np.zeros((2, 2)))
 
     def test_identity_probe_null_branch_vanishes(self):
         g = gentle_povm(np.eye(2), 0.05)
-        assert np.allclose(g.implementation.operators[2], 0.0)
+        assert np.allclose(g.operators[2], 0.0)
 
     def test_rejects_probe_outside_unit_interval(self):
         with pytest.raises(ValueError, match="eigenvalues"):
@@ -299,7 +306,7 @@ class TestGentlePovm:
             m = random_contraction(d, rng)
             eps = float(rng.uniform(0.0, 0.1))
             g = gentle_povm(m, eps)
-            total = sum(b @ b.conj().T for b in g.implementation.operators)
+            total = sum(b @ b.conj().T for b in g.operators)
             assert np.max(np.abs(total - np.eye(d))) <= 1e-9
 
     def test_branch_disturbance_first_order(self):
@@ -309,7 +316,7 @@ class TestGentlePovm:
         rho = pure_state([1.0, 0.4 + 0.2j])
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
-            impl = gentle_povm(m, eps).implementation
+            impl = gentle_povm(m, eps)
             dist = trace_distance(post_measurement_state(rho, impl, 0).mat, rho.mat)
             ratios.append(dist / eps)
         assert ratios[1] == pytest.approx(ratios[2], rel=2e-2)
@@ -319,7 +326,7 @@ class TestGentlePovm:
         probe = bb84_pair_probe()
         for rho in bb84.states:
             for eps in (0.05, 0.01):
-                impl = gentle_povm(probe, eps).implementation
+                impl = gentle_povm(probe, eps)
                 exact = trace_distance(post_measurement_state(rho, impl, 0).mat, rho.mat)
                 approx = first_order_disturbance(probe, rho, eps)
                 assert abs(exact - approx) <= 5.0 * eps**2
@@ -346,7 +353,7 @@ class TestEpsilonCalibration:
         cal = max_certified_epsilon(bb84_pair_probe(), spec, bb84)
         assert 0.0 < cal.epsilon < 0.1
         ok = certify_gentle(
-            bb84, gentle_povm(bb84_pair_probe(), cal.epsilon).implementation, spec
+            bb84, gentle_povm(bb84_pair_probe(), cal.epsilon), spec
         )
         assert ok.certified
 
@@ -361,7 +368,7 @@ def reference_calibration(m, spec, e, mode="per-state"):
         cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
 
     def certifies(eps):
-        return certify_gentle(e, gentle_povm(a, eps).implementation, spec, mode).certified
+        return certify_gentle(e, gentle_povm(a, eps), spec, mode).certified
 
     if certifies(0.1):
         return 0.1, cap
@@ -382,6 +389,12 @@ class TestCalibrationMatchesReference:
     def assert_same(m, spec, e, mode):
         cal = max_certified_epsilon(m, spec, e, mode=mode)
         assert (cal.epsilon, cal.analytic_cap) == reference_calibration(m, spec, e, mode)
+        if cal.epsilon == 0.0:
+            assert cal.certificate is None
+        else:
+            fresh = certify_gentle(e, gentle_povm(m, cal.epsilon), spec, mode)
+            assert cal.certificate.to_json() == fresh.to_json()
+            assert np.array_equal(cal.certificate.outcome_probs, fresh.outcome_probs)
         return cal.epsilon
 
     @pytest.mark.parametrize("mode", ["per-state", "average-state"])

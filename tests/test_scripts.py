@@ -1,7 +1,14 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gentleleak.cli import sweep_csv, tradeoff_csv
+from gentleleak.cloning import lower_bound_sweep
+from gentleleak.leakage import maximal_quantum_leakage
+from gentleleak.simulate import tradeoff_sweep
+from gentleleak.states import bb84_ensemble
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -33,3 +40,22 @@ class TestMakeInputs:
         monkeypatch.chdir(tmp_path)
         assert load_script("make_inputs").main([]) == 0
         assert (tmp_path / "data" / "bb84.json").is_file()
+
+
+class TestReproduceFigure2:
+    def test_csv_matches_the_api_and_prints_the_anchor(self, tmp_path, capsys):
+        out = tmp_path / "figure2.csv"
+        assert load_script("reproduce_figure2").main(["--grid", "11", "--out", str(out)]) == 0
+        e = bb84_ensemble()
+        rows = lower_bound_sweep(e, np.linspace(0.0, 1.0, 11), maximal_quantum_leakage(e).bits)
+        assert out.read_text() == sweep_csv(rows)
+        assert "anchor alpha=0.10: lower bound 0.7608 bits" in capsys.readouterr().out
+
+
+class TestEavesdropTradeoff:
+    def test_csv_matches_the_api(self, tmp_path):
+        out = tmp_path / "tradeoff.csv"
+        argv = ["--rounds", "1000", "--points", "3", "--out", str(out)]
+        assert load_script("eavesdrop_tradeoff").main(argv) == 0
+        rows = tradeoff_sweep(np.linspace(0.0, 0.1, 3), rounds=1000, seed=42)
+        assert out.read_text() == tradeoff_csv(rows)
