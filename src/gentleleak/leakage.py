@@ -150,25 +150,19 @@ def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, floa
     (rho^x - Y)_+ - (rho^x - Y) >= 0. So tr Y plus the smaller raise, d t or
     sum_x tr (rho^x - Y)_+, bounds the optimum from above. Both the solver's y
     and herm(sum_x rho^x G_x) are raised; the upper value is the smaller. The
-    dual is returned as the pair (Y, raised by the sum) for _raised to build.
+    dual is returned as the pair (Y, t), with t None when the sum raise wins.
     """
     total = float(np.einsum("xij,yji->yx", mats, g).real.max(axis=1).sum())
     ys = np.stack([_herm(np.einsum("xij,xjk->ik", mats, g)), y])
     w = np.linalg.eigvalsh(mats[None] - ys[:, None])
-    by_t = mats.shape[1] * np.clip(w.max(axis=(1, 2)), 0.0, None)
+    t = np.clip(w.max(axis=(1, 2)), 0.0, None)
+    by_t = mats.shape[1] * t
     by_sum = np.clip(w, 0.0, None).sum(axis=(1, 2))
     values = np.trace(ys, axis1=1, axis2=2).real + np.minimum(by_t, by_sum)
     k = int(np.argmin(values))
     upper = float(values[k])
-    dual = (ys[k], bool(by_sum[k] < by_t[k]))
+    dual = (ys[k], None if by_sum[k] < by_t[k] else float(t[k]))
     return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0), dual
-
-
-def _raised(mats: np.ndarray, y: np.ndarray, by_sum: bool) -> np.ndarray:
-    """Y raised to dual feasibility as _bounds prices it: by sum_x (rho^x - Y)_+ or by t I."""
-    if by_sum:
-        return y + positive_part(mats - y).sum(axis=0)
-    return y + max(float(np.linalg.eigvalsh(mats - y).max()), 0.0) * np.eye(len(y))
 
 
 def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +230,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
     best_bits, best_g, best_upper = -np.inf, None, leakage_upper_bound(e)
     # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x
-    best_dual = (np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0), False)
+    best_dual = (np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0), 0.0)
     while True:
         for point in points:
             full = vs @ point @ vs.conj().T + kernel
@@ -264,7 +258,8 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
         points, iterations, prev = (g,), iterations + 1, gap
     # the best values come from different iterates and can cross by rounding
     povm = Povm(tuple(best_g), labels=e.labels)
-    dual = _raised(mats, *best_dual)
+    dual_y, t = best_dual
+    dual = dual_y + (positive_part(mats - dual_y).sum(axis=0) if t is None else t * np.eye(d))
     return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm, dual)
 
 
@@ -307,9 +302,11 @@ def _gentle_probe_search(
     """
     mats = e.state_mats()
     pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats)) if i != j]
-    probes = positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
     best = 0.0
     detail: dict = {"probes": 0}
+    if not pairs:
+        return best, detail
+    probes = positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
     for (i, j), probe in zip(pairs, probes):
         if float(np.max(np.abs(probe))) < 1e-12:
             continue

@@ -364,6 +364,12 @@ class TestGentleInterval:
         assert iv.lower_bits == pytest.approx(0.0, abs=1e-12)
         assert iv.upper_bits == pytest.approx(0.0, abs=1e-12)
 
+    def test_single_state_has_no_probes(self):
+        e = CqEnsemble(np.array([1.0]), (pure_state([1, 0]),))
+        iv = gentle_leakage_interval(e, GentlenessSpec(0.1, 0.05))
+        assert iv.meta["search_bits"] == 0.0
+        assert iv.meta["search"] == {"probes": 0}
+
     def test_lower_non_decreasing_in_alpha(self, bb84):
         prev = -1.0
         for alpha in (0.0, 0.05, 0.1, 0.3, 0.6, 1.0):
