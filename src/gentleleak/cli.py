@@ -143,7 +143,7 @@ def cmd_certify(args) -> int:
             f"{args.povm}: certification needs an 'implementation' block (gentleness"
             " is a property of one implementation, not of the POVM alone)"
         )
-    spec = GentlenessSpec(args.alpha[0], args.delta)
+    spec = GentlenessSpec(args.alpha, args.delta)
     cert = certify_gentle(e, impl, spec, mode=args.mode)
     doc = {"alpha": spec.alpha, "delta": spec.delta, **cert.to_json()}
     _emit(json.dumps(doc, indent=2), args.out)
@@ -171,7 +171,7 @@ def cmd_depolarize(args) -> int:
 
 def cmd_interval(args) -> int:
     e = _load_ensemble(args.ensemble)
-    spec = GentlenessSpec(args.alpha[0], args.delta)
+    spec = GentlenessSpec(args.alpha, args.delta)
     iv = gentle_leakage_interval(e, spec)
     _emit(json.dumps(iv.to_json(), indent=2), args.out)
     return EXIT_OK
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check a POVM implementation for gentleness")
     common(p)
     p.add_argument("povm", help="POVM JSON file (must include an implementation)")
-    p.add_argument("--alpha", type=float, nargs=1, required=True)
+    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mode", choices=("per-state", "average-state"), default="per-state")
     p.set_defaults(func=cmd_certify)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interval", help="gentle-leakage interval at (alpha, delta)")
     common(p)
-    p.add_argument("--alpha", type=float, nargs=1, required=True)
+    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.set_defaults(func=cmd_interval)
 

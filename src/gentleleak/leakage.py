@@ -12,8 +12,8 @@ directions (Helmberg-Rendl-Vanderbei-Wolkowicz) with Mehrotra's
 predictor-corrector, started from G_x = I/|X| and Y = 2 I. The certificate
 does not rest on the solver's own stopping test. Each iterate, clipped to
 PSD and completed to a POVM, gives a lower bound: its Sibson value. The
-solver's Y and the candidate Y = sum_x rho^x G_x, each raised by its
-violations rho^x - Y until it is feasible, give a rigorous upper bound. The
+solver's Y and the candidate Y = sum_x rho^x G_x, each raised by
+sum_x (rho^x - Y)_+ until it is feasible, give a rigorous upper bound. The
 square-root measurement is certified before any step; it is optimal for
 BB84 and the trine. A value is only returned once the two bounds agree to
 within GAP_TOL bits; a step that can no longer close the gap, or the end of
@@ -142,27 +142,20 @@ def _povm(h: np.ndarray) -> np.ndarray:
     return _herm(s @ h @ s)
 
 
-def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple]:
-    """(lower, upper, dual): the Sibson value of the POVM {G_x}, a dual-feasible value.
+def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, Y): the Sibson value of the POVM {G_x}, a dual-feasible value, its Y.
 
-    Both values are in bits. Any Hermitian Y becomes dual-feasible once raised by t I, with
-    t = max(0, max_x lambda_max(rho^x - Y)), or by sum_x (rho^x - Y)_+, since
-    (rho^x - Y)_+ - (rho^x - Y) >= 0. So tr Y plus the smaller raise, d t or
-    sum_x tr (rho^x - Y)_+, bounds the optimum from above. Both the solver's y
-    and herm(sum_x rho^x G_x) are raised; the upper value is the smaller. The
-    dual is returned as the pair (Y, t), with t None when the sum raise wins.
+    Both values are in bits. Any Hermitian Y becomes dual-feasible once raised by
+    sum_x (rho^x - Y)_+, since (rho^x - Y)_+ - (rho^x - Y) >= 0, so
+    tr Y + sum_x tr (rho^x - Y)_+ bounds the optimum from above. Both the solver's y
+    and herm(sum_x rho^x G_x) are priced so; the cheaper Y is returned before its raise.
     """
-    total = float(np.einsum("xij,yji->yx", mats, g).real.max(axis=1).sum())
+    lower = sibson_infinity(np.einsum("xij,yji->yx", mats, g).real)
     ys = np.stack([_herm(np.einsum("xij,xjk->ik", mats, g)), y])
     w = np.linalg.eigvalsh(mats[None] - ys[:, None])
-    t = np.clip(w.max(axis=(1, 2)), 0.0, None)
-    by_t = mats.shape[1] * t
-    by_sum = np.clip(w, 0.0, None).sum(axis=(1, 2))
-    values = np.trace(ys, axis1=1, axis2=2).real + np.minimum(by_t, by_sum)
+    values = np.trace(ys, axis1=1, axis2=2).real + np.clip(w, 0.0, None).sum(axis=(1, 2))
     k = int(np.argmin(values))
-    upper = float(values[k])
-    dual = (ys[k], None if by_sum[k] < by_t[k] else float(t[k]))
-    return max(float(np.log2(total)), 0.0), max(float(np.log2(upper)), 0.0), dual
+    return lower, max(float(np.log2(values[k])), 0.0), ys[k]
 
 
 def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +221,15 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     scale = 1.0 / np.sqrt(ws)
     square_root = _povm(scale[:, None] * rho * scale[None, :])
     points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
-    best_bits, best_g, best_upper = -np.inf, None, leakage_upper_bound(e)
-    # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x
-    best_dual = (np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0), 0.0)
+    best_bits, best_g, best_upper, best_y = -np.inf, None, leakage_upper_bound(e), None
     while True:
         for point in points:
             full = vs @ point @ vs.conj().T + kernel
-            bits, upper, dual = _bounds(mats, full, vs @ y @ vs.conj().T)
+            bits, upper, dual_y = _bounds(mats, full, vs @ y @ vs.conj().T)
             if bits > best_bits:
                 best_bits, best_g = bits, full
             if upper < best_upper:
-                best_upper, best_dual = upper, dual
+                best_upper, best_y = upper, dual_y
         gap = max(best_upper - best_bits, 0.0)
         if gap <= GAP_TOL and not 0.0 < 2.0 * gap <= prev:
             break
@@ -258,8 +249,10 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
         points, iterations, prev = (g,), iterations + 1, gap
     # the best values come from different iterates and can cross by rounding
     povm = Povm(tuple(best_g), labels=e.labels)
-    dual_y, t = best_dual
-    dual = dual_y + (positive_part(mats - dual_y).sum(axis=0) if t is None else t * np.eye(d))
+    if best_y is None:  # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x
+        dual = np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0)
+    else:
+        dual = best_y + positive_part(mats - best_y).sum(axis=0)
     return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm, dual)
 
 

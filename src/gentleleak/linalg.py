@@ -217,15 +217,17 @@ def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise SchemaError("matrix document must have 'dim' and 'entries'")
     d = doc["dim"]
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise SchemaError(f"matrix 'dim' must be a positive integer, got {d!r}")
-    entries = doc["entries"]
-    if len(entries) != d or any(len(row) != d for row in entries):
+    rows = doc["entries"]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == d
+        and all(isinstance(row, list) and len(row) == d for row in rows)
+    ):
         raise SchemaError(f"matrix 'entries' must be {d}x{d}")
     try:
-        a = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in entries], dtype=complex
-        )
-    except (TypeError, IndexError) as exc:
+        a = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     return as_complex_matrix(a)

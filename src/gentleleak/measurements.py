@@ -9,7 +9,7 @@ every state in the protected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .linalg import (
     matrix_to_json,
     psd_sqrt,
 )
-from .states import CqEnsemble, DensityOperator, average_state, require_states
+from .states import CqEnsemble, DensityOperator, require_states
 
 __all__ = [
     "ZERO_PROB",
@@ -192,6 +192,15 @@ class GentlenessCertificate:
     outcome_disturbance: tuple[float, ...]  # max over states; -1 when never triggered
     outcome_probs: np.ndarray  # (outcomes, states)
 
+    def __eq__(self, other):
+        # field by field with np.array_equal: the generated == would take the
+        # truth value of the outcome_probs comparison, an array, and raise
+        if not isinstance(other, GentlenessCertificate):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
     def to_json(self) -> dict:
         return {
             "certified": self.certified,
@@ -326,26 +335,17 @@ def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementa
 
 @dataclass(frozen=True)
 class EpsilonCalibration:
-    """Largest certified probe strength for a given budget, with the analytic cap.
+    """Largest certified probe strength for a given budget, with its certificate.
 
     ``epsilon`` comes from bisecting the numerical certifier over [0, 1/10]:
     1/10 itself when it certifies, else ``lo`` after ``BISECTION_STEPS``
     halvings of [lo, hi] = [0, 1/10] at midpoints ``0.5 * (lo + hi)``, so 0
-    when no tried strength certifies. ``analytic_cap`` is
-    min(sqrt(delta / (2 (1 - tr(M^2 rho)))), 1/10) with rho the ensemble
-    average, the non-constructive sufficient bound. ``capped`` applies the
-    analytic cap on top of the certified value. ``certificate`` is the
-    certification of the probe at ``epsilon``, None when epsilon is 0.
+    when no tried strength certifies. ``certificate`` is the certification of
+    the probe at ``epsilon``, None when epsilon is 0.
     """
 
     epsilon: float
-    analytic_cap: float
-    # left out of ==, which its outcome_probs array would make raise
-    certificate: GentlenessCertificate | None = field(compare=False)
-
-    @property
-    def capped(self) -> float:
-        return min(self.epsilon, self.analytic_cap)
+    certificate: GentlenessCertificate | None
 
 
 def max_certified_epsilon(
@@ -363,19 +363,13 @@ def max_certified_epsilon(
     passing step.
     """
     a, root = _probe(m)
-    avg = average_state(e).mat
-    slack = 1.0 - float(np.trace(a @ a @ avg).real)
-    if slack <= 1e-15:
-        cap = 0.1
-    else:
-        cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
 
     def certify(eps: float) -> GentlenessCertificate:
         return certify_gentle(e, _probe_at(a, root, eps), spec, mode)
 
     cert = certify(0.1)
     if cert.certified:
-        return EpsilonCalibration(epsilon=0.1, analytic_cap=cap, certificate=cert)
+        return EpsilonCalibration(epsilon=0.1, certificate=cert)
     lo, hi, best = 0.0, 0.1, None
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
@@ -384,7 +378,7 @@ def max_certified_epsilon(
             lo, best = mid, cert
         else:
             hi = mid
-    return EpsilonCalibration(epsilon=lo, analytic_cap=cap, certificate=best)
+    return EpsilonCalibration(epsilon=lo, certificate=best)
 
 
 def projective_povm(basis) -> PovmImplementation:
@@ -425,7 +419,10 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
             mats.append(matrix_from_json(raw))
         except SchemaError as exc:
             raise SchemaError(f"element {i}: {exc}") from exc
-    labels = tuple(str(x) for x in doc.get("labels", []) or ())
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise SchemaError(f"POVM 'labels' must be a list, got {labels!r}")
+    labels = tuple(str(x) for x in labels or ())
     try:
         povm = Povm(tuple(mats), labels)
     except ValueError as exc:

@@ -203,7 +203,7 @@ def ensemble_from_json(doc) -> CqEnsemble:
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"state {i}: {exc}") from exc
     for i, p in enumerate(probs):
-        if not isinstance(p, (int, float)) or not 0.0 < float(p) <= 1.0:
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
             raise SchemaError(f"prob {i}: must be a number in (0, 1], got {p!r}")
     try:
         return CqEnsemble(np.array(probs, dtype=float), tuple(ops), tuple(str(x) for x in labels))

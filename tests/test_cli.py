@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,45 @@ class TestLeakageCommand:
     def test_directory_input_is_input_error(self, tmp_path, capsys):
         assert main(["leakage", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
+
+
+ONE_BY_ONE = {"dim": 1, "entries": [[[1.0, 0.0]]]}
+
+
+def one_state_ensemble(matrix=ONE_BY_ONE, prob=1.0):
+    return {"labels": ["a"], "probs": [prob], "states": [matrix]}
+
+
+class TestMalformedJson:
+    """Each malformed document exits 2 with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "ensemble, povm",
+        [
+            pytest.param(one_state_ensemble({"dim": 1, "entries": 5}), None, id="entries-number"),
+            pytest.param(one_state_ensemble({"dim": 1, "entries": [5]}), None, id="row-number"),
+            pytest.param(
+                one_state_ensemble({"dim": 1, "entries": [[{"re": 1}]]}), None, id="cell-object"
+            ),
+            pytest.param(
+                one_state_ensemble({"dim": True, "entries": [[[1, 0]]]}), None, id="dim-bool"
+            ),
+            pytest.param(one_state_ensemble(prob=True), None, id="prob-bool"),
+            pytest.param(
+                one_state_ensemble(), {"labels": 5, "elements": [ONE_BY_ONE]}, id="povm-labels"
+            ),
+        ],
+    )
+    def test_exits_2(self, ensemble, povm, tmp_path, capsys):
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(ensemble))
+        argv = ["leakage", str(path)]
+        if povm is not None:
+            povm_path = tmp_path / "povm.json"
+            povm_path.write_text(json.dumps(povm))
+            argv = ["certify", str(path), str(povm_path), "--alpha", "0.1", "--delta", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLowerBoundCommand:
@@ -330,6 +371,14 @@ class TestIntervalCommand:
         assert doc["lower_bits"] >= 0.7608 - 5e-4
         assert doc["upper_bits"] >= doc["lower_bits"]
 
+    @pytest.mark.parametrize("command", ["interval", "certify"])
+    def test_alpha_takes_one_value(self, command, bb84_file, zpovm_file, capsys):
+        files = [bb84_file] if command == "interval" else [bb84_file, zpovm_file]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, "--alpha", "0.1", "0.2", "--delta", "0.05"])
+        assert exc.value.code == 2
+        assert run_cli([command, *files, "--alpha=0.1", "--delta", "0.05"], capsys)[0] == 0
+
 
 class TestSharedParser:
     """main builds its parser once; no call may see the options of the one before."""
@@ -356,22 +405,25 @@ class TestSharedParser:
         assert code == 0 and json.loads(out)["mode"] == "per-state"
 
 
+def run_module(*argv, timeout):
+    """python -m gentleleak in a child that imports the package these tests import."""
+    src = str(Path(leakage.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gentleleak", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, bb84_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gentleleak", "lower-bound", bb84_file, "--alpha", "0.1"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module("lower-bound", bb84_file, "--alpha", "0.1", timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "alpha,p1,p2,lower_bits"
 
     def test_exit_code_for_bad_input(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gentleleak", "leakage", "/no/file.json"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_module("leakage", "/no/file.json", timeout=60)
         assert proc.returncode == 2

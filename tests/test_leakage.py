@@ -396,6 +396,31 @@ class TestGentleInterval:
             gentle_leakage_interval(bb84, GentlenessSpec(0.1, 0.2))
 
 
+class TestIntervalProperties:
+    """Physical laws on both ends of the interval, over derandomized d <= 4 ensembles."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3, 4]),
+        n=st.integers(2, 4),
+        pure=st.booleans(),
+        alpha=st.floats(0.0, 0.6),
+        delta=st.floats(0.0, 0.6),
+        p=st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_invariance_noise_and_cap(self, seed, d, n, pure, alpha, delta, p):
+        rng = np.random.default_rng(seed)
+        e = random_ensemble(rng, d, n, 1 if pure else None)
+        spec = GentlenessSpec(alpha, delta)
+        iv = gentle_leakage_interval(e, spec)
+        assert 0.0 <= iv.lower_bits <= iv.upper_bits <= leakage_upper_bound(e)
+        rotated = gentle_leakage_interval(apply_unitary(e, haar_unitary(d, rng)), spec)
+        assert abs(rotated.lower_bits - iv.lower_bits) <= 1e-9
+        assert abs(rotated.upper_bits - iv.upper_bits) <= 1e-9
+        assert gentle_leakage_interval(depolarize(e, p), spec).upper_bits <= iv.upper_bits
+
+
 class TestGentleProbeSearch:
     """The interval's pairwise probe search, pinned on BB84 to its floats."""
 

@@ -33,7 +33,6 @@ from gentleleak.measurements import (
 from gentleleak.states import (
     CqEnsemble,
     DensityOperator,
-    average_state,
     bb84_ensemble,
     pure_state,
 )
@@ -149,6 +148,24 @@ class TestCertifyGentle:
         cert = certify_gentle(e, impl, GentlenessSpec(0.5, 0.99))
         assert not cert.certified
         assert cert.worst_disturbance == pytest.approx(1 / np.sqrt(2), abs=1e-10)
+
+    def test_certificates_compare_by_value(self, bb84):
+        spec = GentlenessSpec(0.1, 0.05)
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        first, second = (certify_gentle(bb84, impl, spec) for _ in range(2))
+        assert first is not second
+        assert first == second and not first != second
+        two_states = CqEnsemble(np.full(2, 0.5), bb84.states[:2])
+        for other in (
+            certify_gentle(bb84, impl, spec, mode="average-state"),
+            certify_gentle(bb84, gentle_povm(bb84_pair_probe(), 0.06), spec),
+            certify_gentle(two_states, impl, spec),  # outcome_probs of another shape
+        ):
+            assert first != other and not first == other
+        assert first != first.to_json()
+        cal = max_certified_epsilon(bb84_pair_probe(), spec, bb84)
+        assert cal == max_certified_epsilon(bb84_pair_probe(), spec, bb84)
+        assert cal != max_certified_epsilon(bb84_pair_probe(), GentlenessSpec(0.01, 0.001), bb84)
 
     def test_gentle_construction_certifies_at_calibrated_epsilon(self, bb84):
         spec = GentlenessSpec(0.1, 0.05)
@@ -336,12 +353,6 @@ class TestEpsilonCalibration:
     def test_identity_probe_hits_hard_cap(self, bb84):
         cal = max_certified_epsilon(np.eye(2), GentlenessSpec(0.1, 0.05), bb84)
         assert cal.epsilon == pytest.approx(0.1)
-        assert cal.analytic_cap == pytest.approx(0.1)
-
-    def test_delta_zero_analytic_cap(self, bb84):
-        cal = max_certified_epsilon(bb84_pair_probe(), GentlenessSpec(0.1, 0.0), bb84)
-        assert cal.analytic_cap == 0.0
-        assert cal.capped == 0.0
 
     def test_bb84_pair_probe_regression(self, bb84):
         # frozen calibration anchor for the canonical BB84 probe
@@ -361,17 +372,12 @@ class TestEpsilonCalibration:
 def reference_calibration(m, spec, e, mode="per-state"):
     """max_certified_epsilon as one gentle_povm and certify_gentle call per bisection step."""
     a = (np.asarray(m) + np.asarray(m).conj().T) / 2.0
-    slack = 1.0 - float(np.trace(a @ a @ average_state(e).mat).real)
-    if slack <= 1e-15:
-        cap = 0.1
-    else:
-        cap = min(float(np.sqrt(max(spec.delta, 0.0) / (2.0 * slack))), 0.1)
 
     def certifies(eps):
         return certify_gentle(e, gentle_povm(a, eps), spec, mode).certified
 
     if certifies(0.1):
-        return 0.1, cap
+        return 0.1
     lo, hi = 0.0, 0.1
     for _ in range(31):
         mid = 0.5 * (lo + hi)
@@ -379,22 +385,21 @@ def reference_calibration(m, spec, e, mode="per-state"):
             lo = mid
         else:
             hi = mid
-    return lo, cap
+    return lo
 
 
 class TestCalibrationMatchesReference:
-    """The calibration returns the reference's epsilon and cap, float for float."""
+    """The calibration returns the reference's epsilon, float for float."""
 
     @staticmethod
     def assert_same(m, spec, e, mode):
         cal = max_certified_epsilon(m, spec, e, mode=mode)
-        assert (cal.epsilon, cal.analytic_cap) == reference_calibration(m, spec, e, mode)
+        assert cal.epsilon == reference_calibration(m, spec, e, mode)
         if cal.epsilon == 0.0:
             assert cal.certificate is None
         else:
             fresh = certify_gentle(e, gentle_povm(m, cal.epsilon), spec, mode)
-            assert cal.certificate.to_json() == fresh.to_json()
-            assert np.array_equal(cal.certificate.outcome_probs, fresh.outcome_probs)
+            assert cal.certificate == fresh
         return cal.epsilon
 
     @pytest.mark.parametrize("mode", ["per-state", "average-state"])
