@@ -22,7 +22,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="tradeoff.csv")
     args = ap.parse_args(argv)
 
-    for name, strat in (("w1", EveStrategy.w1()), ("w2", EveStrategy.w2())):
+    for name, strat in (("w1", EveStrategy("w1")), ("w2", EveStrategy("w2"))):
         qber, bits, dist = exact_round_statistics(strat)
         print(f"baseline {name}: qber={qber:.4f}, leakage={bits:.4f} bits, disturbance={dist:.4f}")
 

@@ -124,8 +124,6 @@ def depolarized_leakage(base_bits: float, p: float) -> float:
         raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
     if p == 0.0:
         return float(base_bits)
-    if p == 1.0:
-        return 0.0
     return float(np.log2(p + (1.0 - p) * 2.0**base_bits))
 
 

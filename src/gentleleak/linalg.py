@@ -227,7 +227,13 @@ def matrix_from_json(doc) -> np.ndarray:
     ):
         raise SchemaError(f"matrix 'entries' must be {d}x{d}")
     try:
-        a = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        # complex() reads True as 1: drop pairs holding a bool, so their row comes out short
+        cells = [
+            [complex(re, im) for re, im in row if type(re) is not bool and type(im) is not bool]
+            for row in rows
+        ]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    return as_complex_matrix(a)
+    if any(len(row) != d for row in cells):
+        raise SchemaError("matrix entries must be [re, im] pairs of numbers, not booleans")
+    return as_complex_matrix(np.array(cells, dtype=complex))

@@ -9,7 +9,7 @@ every state in the protected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,14 @@ ZERO_PROB = 1e-12
 # A probe's eigenvalues may leave [0, 1] by this much (roundoff in a user's M).
 PROBE_TOL = 1e-9
 
-# The calibration bisects [0, 1/10] this many times once 1/10 itself fails.
+# Largest gentle-probe strength that gentle_povm, the calibration and the simulator accept.
+MAX_EPSILON = 0.1
+
+# The calibration bisects [0, MAX_EPSILON] this many times once MAX_EPSILON itself fails.
 BISECTION_STEPS = 31
+
+# How certify_gentle scores the good event: under each state, or under their average.
+MODES = ("per-state", "average-state")
 
 
 class ZeroProbabilityOutcome(ValueError):
@@ -190,16 +196,7 @@ class GentlenessCertificate:
     outcome_labels: tuple[str, ...]
     outcome_good: tuple[bool, ...]
     outcome_disturbance: tuple[float, ...]  # max over states; -1 when never triggered
-    outcome_probs: np.ndarray  # (outcomes, states)
-
-    def __eq__(self, other):
-        # field by field with np.array_equal: the generated == would take the
-        # truth value of the outcome_probs comparison, an array, and raise
-        if not isinstance(other, GentlenessCertificate):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+    outcome_probs: tuple[tuple[float, ...], ...]  # P[y | x], one row per outcome
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +209,7 @@ class GentlenessCertificate:
                     "label": lab,
                     "good": good,
                     "max_disturbance": dist if dist >= 0 else None,
-                    "probabilities": [float(p) for p in probs],
+                    "probabilities": list(probs),
                 }
                 for lab, good, dist, probs in zip(
                     self.outcome_labels,
@@ -269,7 +266,7 @@ def certify_gentle(
     good-event probability under each state separately and takes the minimum
     (never over-certifies); ``average-state`` draws outcomes from the mean state.
     """
-    if mode not in ("per-state", "average-state"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     probs, _, dist = collapse(e, impl)
     # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
@@ -290,7 +287,7 @@ def certify_gentle(
         outcome_labels=impl.povm.labels,
         outcome_good=tuple(bool(g) for g in good),
         outcome_disturbance=tuple(float(x) for x in dists),
-        outcome_probs=probs,
+        outcome_probs=tuple(map(tuple, probs.tolist())),
     )
 
 
@@ -302,10 +299,10 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
         B- = sqrt((1 - 2 eps^2)/2) I - eps M,
         B0 = sqrt(2) eps (I - M^2)^(1/2),
     all Hermitian, so B† B = B B† and the outcome operators sum to I exactly.
-    Requires 0 <= M <= I (within ``PROBE_TOL``) and epsilon <= 1/10.
+    Requires 0 <= M <= I (within ``PROBE_TOL``) and epsilon <= MAX_EPSILON.
     """
-    if not 0.0 <= epsilon <= 0.1:
-        raise ValueError(f"epsilon must be in [0, 0.1], got {epsilon}")
+    if not 0.0 <= epsilon <= MAX_EPSILON:
+        raise ValueError(f"epsilon must be in [0, {MAX_EPSILON}], got {epsilon}")
     return _probe_at(*_probe(m), epsilon)
 
 
@@ -337,9 +334,9 @@ def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementa
 class EpsilonCalibration:
     """Largest certified probe strength for a given budget, with its certificate.
 
-    ``epsilon`` comes from bisecting the numerical certifier over [0, 1/10]:
-    1/10 itself when it certifies, else ``lo`` after ``BISECTION_STEPS``
-    halvings of [lo, hi] = [0, 1/10] at midpoints ``0.5 * (lo + hi)``, so 0
+    ``epsilon`` comes from bisecting the numerical certifier over [0, MAX_EPSILON]:
+    MAX_EPSILON itself when it certifies, else ``lo`` after ``BISECTION_STEPS``
+    halvings of [lo, hi] = [0, MAX_EPSILON] at midpoints ``0.5 * (lo + hi)``, so 0
     when no tried strength certifies. ``certificate`` is the certification of
     the probe at ``epsilon``, None when epsilon is 0.
     """
@@ -367,10 +364,10 @@ def max_certified_epsilon(
     def certify(eps: float) -> GentlenessCertificate:
         return certify_gentle(e, _probe_at(a, root, eps), spec, mode)
 
-    cert = certify(0.1)
+    cert = certify(MAX_EPSILON)
     if cert.certified:
-        return EpsilonCalibration(epsilon=0.1, certificate=cert)
-    lo, hi, best = 0.0, 0.1, None
+        return EpsilonCalibration(epsilon=MAX_EPSILON, certificate=cert)
+    lo, hi, best = 0.0, MAX_EPSILON, None
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         cert = certify(mid)

@@ -17,13 +17,15 @@ reported analytically, never sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .leakage import sibson_infinity
 from .linalg import positive_part
-from .measurements import Povm, PovmImplementation, collapse, gentle_povm, projective_povm
+from .measurements import (
+    MAX_EPSILON, Povm, PovmImplementation, collapse, gentle_povm, projective_povm,
+)
 from .states import bb84_ensemble, pure_state
 
 __all__ = [
@@ -48,48 +50,30 @@ def default_gentle_probe() -> np.ndarray:
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Eavesdropping behaviour: intercept-resend variants or a gentle probe.
+    """Eve's behaviour, one of ``STRATEGY_KINDS``: passive, intercept-resend or a gentle probe.
 
     w1 tosses a fair coin between the Z and X bases each round; w2 always
     measures in the X basis; 'gentle' applies the three-outcome weak probe of
-    ``probe`` at strength ``epsilon`` (defaults to the BB84 pair probe).
+    ``default_gentle_probe()`` at strength ``epsilon`` in [0, MAX_EPSILON].
     """
 
     kind: str
     epsilon: float = 0.0
-    probe: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
-        if self.kind == "gentle" and not 0.0 <= self.epsilon <= 0.1:
-            raise ValueError("gentle strategy needs epsilon in [0, 0.1]")
+        if self.kind == "gentle" and not 0.0 <= self.epsilon <= MAX_EPSILON:
+            raise ValueError(f"gentle epsilon must be in [0, {MAX_EPSILON}], got {self.epsilon}")
 
     @classmethod
-    def none(cls) -> "EveStrategy":
-        return cls("none")
-
-    @classmethod
-    def intercept_z(cls) -> "EveStrategy":
-        return cls("intercept-z")
-
-    @classmethod
-    def w1(cls) -> "EveStrategy":
-        return cls("w1")
-
-    @classmethod
-    def w2(cls) -> "EveStrategy":
-        return cls("w2")
-
-    @classmethod
-    def gentle(cls, epsilon: float, probe=None) -> "EveStrategy":
-        return cls("gentle", epsilon=epsilon, probe=probe)
+    def gentle(cls, epsilon: float) -> "EveStrategy":
+        return cls("gentle", epsilon=epsilon)
 
     def describe(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "gentle":
             out["epsilon"] = self.epsilon
-            out["default_probe"] = self.probe is None
         return out
 
 
@@ -109,22 +93,20 @@ def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
         ops = tuple(b / np.sqrt(2.0) for b in (*z.operators, *x.operators))
         povm = Povm(elems, labels=("z0", "z1", "x0", "x1"))
         return PovmImplementation(povm, ops)
-    probe = strategy.probe if strategy.probe is not None else default_gentle_probe()
-    return gentle_povm(probe, strategy.epsilon)
+    return gentle_povm(default_gentle_probe(), strategy.epsilon)
 
 
 @dataclass(frozen=True)
 class SimReport:
     """Outcome statistics of one simulation run.
 
-    qber counts sifted rounds where Bob's decoded bit differs from the sent
-    bit; qber ± ci95 covers the 95% Wilson score interval for the error rate;
-    eve_leakage_bits is the Sibson information of Eve's exact outcome channel
-    (analytic).
+    Every round counts as sifted, so qber is the share of ``rounds`` where
+    Bob's decoded bit differs from the sent bit; qber ± ci95 covers the 95%
+    Wilson score interval for the error rate; eve_leakage_bits is the Sibson
+    information of Eve's exact outcome channel (analytic).
     """
 
     rounds: int
-    sifted: int
     qber: float
     eve_leakage_bits: float
     mean_disturbance: float
@@ -133,16 +115,7 @@ class SimReport:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "sifted": self.sifted,
-            "qber": self.qber,
-            "eve_leakage_bits": self.eve_leakage_bits,
-            "mean_disturbance": self.mean_disturbance,
-            "ci95": self.ci95,
-            "strategy": self.strategy,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _round_tables(strategy: EveStrategy):
@@ -206,7 +179,6 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
 
     return SimReport(
         rounds=rounds,
-        sifted=rounds,
         qber=errors / rounds,
         eve_leakage_bits=sibson_infinity(channel),
         mean_disturbance=float(cells @ dist.ravel()) / rounds,
@@ -216,20 +188,16 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     )
 
 
-def tradeoff_sweep(
-    epsilons,
-    rounds: int,
-    seed: int,
-    probe=None,
-) -> list[dict]:
+def tradeoff_sweep(epsilons, rounds: int, seed: int) -> list[dict]:
     """Leakage/disturbance trade-off of the gentle strategy over a strength grid.
 
     Rows carry Monte Carlo qber and mean disturbance next to the analytic
-    leakage, ordered as the input grid.
+    leakage, ordered as the input grid; a strength outside [0, MAX_EPSILON]
+    raises ValueError.
     """
     rows = []
     for eps in epsilons:
-        strat = EveStrategy.gentle(float(eps), probe=probe)
+        strat = EveStrategy.gentle(float(eps))
         rep = run_simulation(strat, rounds, seed)
         rows.append(
             {

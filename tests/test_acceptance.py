@@ -260,15 +260,15 @@ def test_criterion_8_simulator_oracle_equivalence():
     n = 100000
     sigma = np.sqrt(0.25 * 0.75 / n)
     ok = True
-    for strategy in (EveStrategy.w1(), EveStrategy.w2()):
+    for strategy in (EveStrategy("w1"), EveStrategy("w2")):
         rep = run_simulation(strategy, n, seed=88)
         ok = ok and abs(rep.qber - 0.25) <= 3.0 * sigma
 
-    passive = run_simulation(EveStrategy.none(), n, seed=88)
+    passive = run_simulation(EveStrategy("none"), n, seed=88)
     ok = ok and passive.qber == 0.0
 
-    a = run_simulation(EveStrategy.w1(), 40000, seed=3)
-    b = run_simulation(EveStrategy.w1(), 40000, seed=3)
+    a = run_simulation(EveStrategy("w1"), 40000, seed=3)
+    b = run_simulation(EveStrategy("w1"), 40000, seed=3)
     ok = ok and a == b and json.dumps(a.to_json()) == json.dumps(b.to_json())
     report(
         8,

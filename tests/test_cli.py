@@ -112,6 +112,7 @@ class TestLeakageCommand:
 
 
 ONE_BY_ONE = {"dim": 1, "entries": [[[1.0, 0.0]]]}
+BOOL_CELL = {"dim": 1, "entries": [[[True, False]]]}
 
 
 def one_state_ensemble(matrix=ONE_BY_ONE, prob=1.0):
@@ -133,6 +134,11 @@ class TestMalformedJson:
                 one_state_ensemble({"dim": True, "entries": [[[1, 0]]]}), None, id="dim-bool"
             ),
             pytest.param(one_state_ensemble(prob=True), None, id="prob-bool"),
+            pytest.param(one_state_ensemble(BOOL_CELL), None, id="cell-bool"),
+            pytest.param(
+                one_state_ensemble({"dim": 1, "entries": [[[10**400, 0]]]}), None, id="cell-big-int"
+            ),
+            pytest.param(one_state_ensemble(), {"elements": [BOOL_CELL]}, id="povm-cell-bool"),
             pytest.param(
                 one_state_ensemble(), {"labels": 5, "elements": [ONE_BY_ONE]}, id="povm-labels"
             ),
@@ -325,6 +331,15 @@ class TestSimulateCommand:
         assert code == 2
         assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
 
+    def test_json_keys(self, capsys):
+        code, out = run_cli(["simulate", "--strategy", "gentle", "--rounds", "1000"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == [
+            "rounds", "qber", "eve_leakage_bits", "mean_disturbance", "ci95", "strategy", "seed"
+        ]
+        assert doc["strategy"] == {"kind": "gentle", "epsilon": 0.05}
+
     def test_deterministic_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["simulate", "--strategy", "w2", "--rounds", "20000", "--seed", "5"]
@@ -359,6 +374,33 @@ class TestTradeoffCommand:
         assert tradeoff_csv([row]) == (
             "epsilon,qber,leakage_bits,mean_disturbance\n0.050000,0.001235,0.100000,0.333333\n"
         )
+
+
+class TestOutOfRangeValues:
+    """The library's range checks reach the CLI as exit 2 and an error line naming the value."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["lower-bound", "BB84", "--alpha", "-0.1"], "-0.1"),
+            (["lower-bound", "BB84", "--alpha", "1.5"], "1.5"),
+            (["lower-bound", "BB84", "--alpha", "nan"], "nan"),
+            (["depolarize", "BB84", "--p", "-1"], "-1.0"),
+            (["depolarize", "BB84", "--p", "0.5", "2"], "2.0"),
+            (["tradeoff", "--epsilon", "0.2"], "0.2"),
+            (["tradeoff", "--epsilon", "0.05", "nan"], "nan"),
+            (["simulate", "--strategy", "gentle", "--epsilon", "0.2"], "0.2"),
+        ],
+    )
+    def test_exits_2_naming_the_value(self, argv, bad, bb84_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [bb84_file if a == "BB84" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"got {bad}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestIntervalCommand:

@@ -266,7 +266,7 @@ class TestStackedCertification:
         self.assert_matches_reference(e, impl, GentlenessSpec(0.0, 0.0))
         cert = certify_gentle(e, impl, GentlenessSpec(0.0, 0.0))
         assert cert.certified
-        assert np.all(cert.outcome_probs[~np.eye(d, dtype=bool)] == 0.0)
+        assert np.all(np.asarray(cert.outcome_probs)[~np.eye(d, dtype=bool)] == 0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_exactly_gentle_branch_at_alpha_zero(self, d):
