@@ -2,6 +2,7 @@
 
 from .cloning import (
     CloningBoundResult,
+    CloningSweep,
     cloning_lower_bound,
     lower_bound_sweep,
     region_quadratic_form,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloning import lower_bound_sweep
+from .cloning import CloningSweep, lower_bound_sweep
 from .leakage import depolarized_leakage, gentle_leakage_interval, maximal_quantum_leakage
 from .linalg import ConvergenceError, SchemaError
 from .measurements import MODES, GentlenessSpec, certify_gentle, povm_from_json
@@ -84,12 +84,14 @@ def _load_ensemble(path: str) -> CqEnsemble:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def sweep_csv(rows) -> str:
-    """The lower-bound CSV (alpha,p1,p2,lower_bits at six decimals) of figure2 and lower-bound."""
-    lines = ["alpha,p1,p2,lower_bits"]
-    for r in rows:
-        lines.append(f"{r.alpha:.6f},{r.p1_cap:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}")
-    return "\n".join(lines) + "\n"
+def sweep_csv(sweep: CloningSweep) -> str:
+    """The lower-bound CSV (alpha,p1,p2,lower_bits at six decimals) of figure2 and lower-bound.
+
+    Written from the sweep's columns, so no row object is built.
+    """
+    columns = (sweep.alpha, sweep.p1_cap, sweep.p2_star, sweep.lower_bits)
+    rows = zip(*(c.tolist() for c in columns))
+    return "alpha,p1,p2,lower_bits\n" + "".join("%.6f,%.6f,%.6f,%.6f\n" % r for r in rows)
 
 
 def tradeoff_csv(rows) -> str:

@@ -23,10 +23,17 @@ The quadratic form stays available for diagnostics at every d, as does a
 square-root form of the region, which is undefined where its discriminant is
 negative (including the whole symmetric line) and so is evaluated only on its
 real domain.
+
+The region forms and tradeoff_p2 work elementwise on arrays as well as on
+floats. lower_bound_sweep bounds a whole alpha grid in one array pass and
+returns a CloningSweep: read-only columns alpha, p1_cap, p2_star, lower_bits
+and slack with the shared q_bits. Indexing it gives CloningBoundResult rows,
+built only when asked for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,7 @@ from .states import CqEnsemble
 
 __all__ = [
     "CloningBoundResult",
+    "CloningSweep",
     "region_sqrt_form",
     "region_quadratic_form",
     "quadratic_coefficients",
@@ -59,11 +67,12 @@ def quadratic_coefficients(d: int) -> tuple[float, float, float]:
     return a, b, c
 
 
-def region_quadratic_form(p1: float, p2: float, d: int) -> tuple[bool, float]:
-    """Evaluate the quadratic feasibility constraint q(p1, p2) <= 0.
+def region_quadratic_form(p1, p2, d: int):
+    """Evaluate the quadratic feasibility constraint q(p1, p2) <= 0, elementwise.
 
     Returns (satisfied, slack) where slack is the value of q; feasible points
-    have slack <= 1e-12.
+    have slack <= 1e-12. Floats give a bool and a float; arrays give arrays of
+    their broadcast shape.
     """
     _check_point(p1, p2)
     a, b, c = quadratic_coefficients(d)
@@ -71,22 +80,37 @@ def region_quadratic_form(p1: float, p2: float, d: int) -> tuple[bool, float]:
     return q <= FEAS_TOL, q
 
 
-def region_sqrt_form(p1: float, p2: float, d: int) -> tuple[bool, bool, float]:
-    """Evaluate the square-root form of the region on its real domain.
+def region_sqrt_form(p1, p2, d: int):
+    """Evaluate the square-root form of the region on its real domain, elementwise.
 
-    Returns (defined, satisfied, lhs_minus_rhs). When the discriminant is
-    negative the form is undefined and no feasibility judgement is made.
+    Returns (defined, satisfied, lhs_minus_rhs). Where the discriminant is
+    negative the form is undefined and no feasibility judgement is made:
+    defined and satisfied are False there and lhs_minus_rhs is NaN.
     """
     _check_point(p1, p2)
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    disc = d * d * (p1 - p2) ** 2 - 4.0 * (1.0 - p1) * (1.0 - p2)
-    if disc < -FEAS_TOL:
-        return False, False, float("nan")
-    root = np.sqrt(max(disc, 0.0))
+    # np.float_power calls libm pow, as a float's ** 2 does; an array's ** 2
+    # multiplies instead, which can differ in the last bit
+    disc = d * d * np.float_power(p1 - p2, 2.0) - 4.0 * (1.0 - p1) * (1.0 - p2)
+    defined = disc >= -FEAS_TOL
+    root = np.sqrt(np.maximum(disc, 0.0))
     lhs = d / 2.0 * (d * (2.0 - p1 - p2) + root) - (2.0 - p1 - p2)
-    diff = lhs - (d * d - 1.0)
-    return True, diff <= FEAS_TOL, diff
+    diff = np.where(defined, lhs - (d * d - 1.0), np.nan)[()]
+    return defined, diff <= FEAS_TOL, diff
+
+
+def _p2_roots(p1, d: int):
+    """Discriminant and ordered roots (low, high) in p2 of q(p1, p2) = 0 at fixed p1, elementwise."""
+    a, b, c = quadratic_coefficients(d)
+    # q(p2) = a p2^2 + beta p2 + gamma at fixed p1
+    beta = 2.0 * b * p1 + c
+    gamma = a * p1 * p1 + c * p1 + 3.0
+    disc = beta * beta - 4.0 * a * gamma
+    root = np.sqrt(np.maximum(disc, 0.0))
+    r1 = (-beta - root) / (2.0 * a)
+    r2 = (-beta + root) / (2.0 * a)
+    return disc, np.minimum(r1, r2), np.maximum(r1, r2)
 
 
 def min_feasible_p2(p1: float, d: int) -> float | None:
@@ -97,17 +121,11 @@ def min_feasible_p2(p1: float, d: int) -> float | None:
     is 3 at d = 2, -3.25 at d = 3 and falls after that, so it is never 0 at
     an integer d >= 2 and q is always a true quadratic in p2.
     """
-    a, b, c = quadratic_coefficients(d)
-    # q(p2) = a p2^2 + beta p2 + gamma at fixed p1
-    beta = 2.0 * b * p1 + c
-    gamma = a * p1 * p1 + c * p1 + 3.0
-    disc = beta * beta - 4.0 * a * gamma
+    a = quadratic_coefficients(d)[0]
+    disc, root_lo, root_hi = _p2_roots(p1, d)
     if disc < 0.0:
         # no real roots: sign of q is the sign of a everywhere
         return 0.0 if a < 0.0 else None
-    root_lo = (-beta - np.sqrt(disc)) / (2.0 * a)
-    root_hi = (-beta + np.sqrt(disc)) / (2.0 * a)
-    root_lo, root_hi = min(root_lo, root_hi), max(root_lo, root_hi)
     if a > 0.0:
         # feasible between the roots
         lo = max(root_lo, 0.0)
@@ -146,21 +164,63 @@ class CloningBoundResult:
         }
 
 
-def tradeoff_p2(p1: float, d: int) -> float:
+@dataclass(frozen=True, eq=False)
+class CloningSweep(Sequence):
+    """The lower bound over an alpha grid, held as read-only columns in the order of the alphas.
+
+    Each column has one entry per alpha; q_bits is shared. len() and
+    indexing give CloningBoundResult rows, built only when asked for.
+    """
+
+    alpha: np.ndarray
+    p1_cap: np.ndarray
+    p2_star: np.ndarray
+    lower_bits: np.ndarray
+    slack: np.ndarray
+    q_bits: float
+
+    def __post_init__(self):
+        for column in (self.alpha, self.p1_cap, self.p2_star, self.lower_bits, self.slack):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i: int) -> CloningBoundResult:
+        return CloningBoundResult(
+            p2_star=float(self.p2_star[i]),
+            lower_bits=float(self.lower_bits[i]),
+            feasible=True,
+            p1_cap=float(self.p1_cap[i]),
+            alpha=float(self.alpha[i]),
+            q_bits=self.q_bits,
+            slack=float(self.slack[i]),
+        )
+
+
+def tradeoff_p2(p1, d: int):
     """Smallest eavesdropper-branch depolarization p2 the bound uses at receiver-branch p1.
 
     d = 2: the boundary of the quadratic region, min_feasible_p2(p1, 2) =
-    (1 - sqrt(p1))^2. d >= 3: the universal asymmetric cloner, whose amplitudes
-    a, b with a^2 + b^2 + 2ab/d = 1 depolarize branch 1 by p1 = b^2 and
-    branch 2 by p2 = a^2, so p2 = (sqrt(1 - p1 (1 - 1/d^2)) - sqrt(p1)/d)^2.
-    Both are non-increasing in p1, give p2 = 1 at p1 = 0 and p2 = 0 at p1 = 1.
+    (1 - sqrt(p1))^2, from the same root formula. d >= 3: the universal
+    asymmetric cloner, whose amplitudes a, b with a^2 + b^2 + 2ab/d = 1
+    depolarize branch 1 by p1 = b^2 and branch 2 by p2 = a^2, so
+    p2 = (sqrt(1 - p1 (1 - 1/d^2)) - sqrt(p1)/d)^2. Both are non-increasing in
+    p1, give p2 = 1 at p1 = 0 and p2 = 0 at p1 = 1. Works elementwise: a float
+    p1 in [0, 1] gives a float, an array gives an array.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    if not np.all((0.0 <= p1) & (p1 <= 1.0)):
+        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     if d == 2:
-        return float(min_feasible_p2(p1, 2))
-    a = np.sqrt(1.0 - p1 * (1.0 - 1.0 / (d * d))) - np.sqrt(p1) / d
-    return float(max(a, 0.0)) ** 2  # a < 0 only by rounding at p1 = 1
+        _, root_lo, _ = _p2_roots(p1, 2)
+        p2 = np.minimum(np.maximum(root_lo, 0.0), 1.0)
+    else:
+        a = np.sqrt(1.0 - p1 * (1.0 - 1.0 / (d * d))) - np.sqrt(p1) / d
+        # a < 0 only by rounding at p1 = 1; libm pow, as in region_sqrt_form
+        p2 = np.float_power(np.maximum(a, 0.0), 2.0)
+    return float(p2) if np.ndim(p2) == 0 else p2
 
 
 def cloning_lower_bound(e: CqEnsemble, alpha: float, q_bits: float) -> CloningBoundResult:
@@ -168,41 +228,34 @@ def cloning_lower_bound(e: CqEnsemble, alpha: float, q_bits: float) -> CloningBo
     return lower_bound_sweep(e, [alpha], q_bits)[0]
 
 
-def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> list[CloningBoundResult]:
+def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     """Minimize the eavesdropper-branch depolarization p2 under the alpha cap on p1, per alpha.
 
     Keeping the receiver-branch disturbance p1 ||I/d - rho^x||_1n below alpha for
     every state caps p1 at alpha / max_x ||I/d - rho^x||_1n (at most 1; a
     maximally mixed ensemble constrains nothing). Since tradeoff_p2 never
     increases in p1, the optimum is p1* = cap and p2* = tradeoff_p2(cap, d),
-    and lower_bits = log2(p2* + (1 - p2*) 2^q_bits). Results are ordered as
-    the alphas are given.
+    and lower_bits = log2(p2* + (1 - p2*) 2^q_bits). The whole grid is one
+    array pass: one stacked eigendecomposition for the cap, then cap, p2*,
+    the quadratic-form slack and the bits as columns of a CloningSweep, in the
+    order the alphas are given.
     """
-    alphas = [float(a) for a in alphas]
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alphas = np.array(alphas, dtype=float)  # a copy: the sweep makes its columns read-only
+    if alphas.ndim != 1:
+        raise ValueError("alphas must be a one-dimensional sequence")
+    outside = ~((0.0 <= alphas) & (alphas <= 1.0))
+    if outside.any():
+        raise ValueError(f"alpha must be in [0, 1], got {float(alphas[outside.argmax()])}")
     if q_bits < 0.0:
         raise ValueError("q_bits must be non-negative")
     d = e.dim
     w, _ = eig_hermitian(np.eye(d) / d - e.state_mats())
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
-    rows = []
-    for alpha in alphas:
-        cap = min(alpha / spread, 1.0) if spread > 1e-12 else 1.0
-        p2 = tradeoff_p2(cap, d)
-        _, slack = region_quadratic_form(cap, p2, d)
-        bits = q_bits if p2 == 0.0 else float(np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
-        rows.append(CloningBoundResult(
-            p2_star=p2,
-            lower_bits=bits,
-            feasible=True,
-            p1_cap=cap,
-            alpha=alpha,
-            q_bits=q_bits,
-            slack=slack,
-        ))
-    return rows
+    cap = np.minimum(alphas / spread, 1.0) if spread > 1e-12 else np.ones_like(alphas)
+    p2 = tradeoff_p2(cap, d)
+    _, slack = region_quadratic_form(cap, p2, d)
+    bits = np.where(p2 == 0.0, q_bits, np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
+    return CloningSweep(alphas, cap, p2, bits, slack, q_bits)
 
 
 def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
@@ -210,37 +263,27 @@ def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
 
     Counts the points where the square-root form is defined and how often its
     verdict differs from the quadratic form's. The two do not algebraically
-    agree; this report records the mismatch instead of resolving it.
+    agree; this report records the mismatch instead of resolving it. Both
+    forms are evaluated on the whole grid in one array pass.
     """
     pts = np.linspace(0.0, 1.0, grid)
-    defined = 0
-    both_feasible = 0
-    sqrt_only = 0
-    quad_only = 0
-    for p1 in pts:
-        for p2 in pts:
-            ok_def, ok_sqrt, _ = region_sqrt_form(float(p1), float(p2), d)
-            ok_quad, _ = region_quadratic_form(float(p1), float(p2), d)
-            if not ok_def:
-                continue
-            defined += 1
-            if ok_sqrt and ok_quad:
-                both_feasible += 1
-            elif ok_sqrt:
-                sqrt_only += 1
-            elif ok_quad:
-                quad_only += 1
+    p1, p2 = pts[:, None], pts[None, :]
+    defined, ok_sqrt, _ = region_sqrt_form(p1, p2, d)
+    ok_quad, _ = region_quadratic_form(p1, p2, d)
     return {
         "dim": d,
         "grid": grid,
         "points": grid * grid,
-        "sqrt_defined": defined,
-        "agree_feasible": both_feasible,
-        "sqrt_only_feasible": sqrt_only,
-        "quad_only_feasible": quad_only,
+        "sqrt_defined": int(defined.sum()),
+        "agree_feasible": int((ok_sqrt & ok_quad).sum()),
+        "sqrt_only_feasible": int((ok_sqrt & ~ok_quad).sum()),
+        "quad_only_feasible": int((defined & ~ok_sqrt & ok_quad).sum()),
     }
 
 
-def _check_point(p1: float, p2: float) -> None:
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValueError(f"(p1, p2) must lie in the unit square, got ({p1}, {p2})")
+def _check_point(p1, p2) -> None:
+    inside = (0.0 <= p1) & (p1 <= 1.0) & (0.0 <= p2) & (p2 <= 1.0)
+    if not np.all(inside):
+        first = np.argmin(inside)  # flat index of the first point outside
+        q1, q2 = (np.broadcast_to(p, np.shape(inside)).flat[first] for p in (p1, p2))
+        raise ValueError(f"(p1, p2) must lie in the unit square, got ({q1}, {q2})")

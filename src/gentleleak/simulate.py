@@ -24,9 +24,10 @@ import numpy as np
 from .leakage import sibson_infinity
 from .linalg import positive_part
 from .measurements import (
-    MAX_EPSILON, Povm, PovmImplementation, collapse, gentle_povm, projective_povm,
+    MAX_EPSILON, Povm, PovmImplementation, _probe, _probe_at, collapse, gentle_povm,
+    projective_povm,
 )
-from .states import bb84_ensemble, pure_state
+from .states import CqEnsemble, bb84_ensemble, pure_state
 
 __all__ = [
     "EveStrategy",
@@ -55,6 +56,7 @@ class EveStrategy:
     w1 tosses a fair coin between the Z and X bases each round; w2 always
     measures in the X basis; 'gentle' applies the three-outcome weak probe of
     ``default_gentle_probe()`` at strength ``epsilon`` in [0, MAX_EPSILON].
+    Every other kind takes no strength: its ``epsilon`` must stay 0.
     """
 
     kind: str
@@ -65,6 +67,10 @@ class EveStrategy:
             raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
         if self.kind == "gentle" and not 0.0 <= self.epsilon <= MAX_EPSILON:
             raise ValueError(f"gentle epsilon must be in [0, {MAX_EPSILON}], got {self.epsilon}")
+        if self.kind != "gentle" and self.epsilon != 0.0:
+            raise ValueError(
+                f"epsilon applies only to the gentle strategy, got {self.epsilon} for {self.kind!r}"
+            )
 
     @classmethod
     def gentle(cls, epsilon: float) -> "EveStrategy":
@@ -118,17 +124,19 @@ class SimReport:
         return asdict(self)
 
 
-def _round_tables(strategy: EveStrategy):
-    """Conditional tables of one round: P[y|x], Bob error and disturbance per (x, y).
+def _round_tables(impl: PovmImplementation | None, e: CqEnsemble | None = None):
+    """Conditional tables of one round under Eve's implementation on the BB84 ensemble.
 
+    Returns P[y|x], Bob error and disturbance per (x, y), and Eve's channel
+    P[y|x] as (outcomes, symbols). A passive Eve (impl None) has one outcome.
+    ``e`` is the BB84 ensemble when the caller already holds it.
     Outcomes with probability <= ZERO_PROB for a given symbol keep placeholder
     zeros; they can never be drawn for that symbol.
     """
-    impl = strategy_implementation(strategy)
     if impl is None:
         return np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), np.ones((1, 4))
 
-    e = bb84_ensemble()
+    e = bb84_ensemble() if e is None else e
     channel, post, dist = collapse(e, impl)  # (outcomes, symbols) tables
     live = dist >= 0.0
     # Bob measures in the symbol's basis and errs on its partner state rho^(x ^ 1)
@@ -140,7 +148,7 @@ def _round_tables(strategy: EveStrategy):
 
 def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
     """Closed-form (qber, eve_leakage_bits, mean_disturbance) by full enumeration."""
-    probs_xy, err, dist, channel = _round_tables(strategy)
+    probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy / 4.0  # uniform symbol draw
     qber = float(np.sum(weights * err))
     mean_dist = float(np.sum(weights * dist))
@@ -160,18 +168,11 @@ def _wilson_ci95(errors: int, rounds: int) -> float:
     return float(abs(centre - q) + half)
 
 
-def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
-    """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
-
-    One multinomial draw gives the cell counts, one binomial per cell Bob's
-    errors, and the disturbance sum is the count-weighted table. All draws come
-    from one ``np.random.default_rng(seed)``, so a given (strategy, rounds,
-    seed) always reproduces the same report bit for bit. The values a seed
-    gives differ from versions that sampled round by round; the law does not.
-    """
+def _sample(strategy: EveStrategy, tables, rounds: int, seed: int) -> SimReport:
+    """Draw ``rounds`` rounds from the round tables of ``strategy``; see run_simulation."""
     if not 1 <= rounds <= np.iinfo(np.int64).max:
         raise ValueError(f"rounds must lie in [1, 2**63 - 1], got {rounds}")
-    probs_xy, err, dist, channel = _round_tables(strategy)
+    probs_xy, err, dist, channel = tables
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)
     cells = rng.multinomial(rounds, weights)
@@ -188,20 +189,38 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     )
 
 
+def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
+    """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
+
+    One multinomial draw gives the cell counts, one binomial per cell Bob's
+    errors, and the disturbance sum is the count-weighted table. All draws come
+    from one ``np.random.default_rng(seed)``, so a given (strategy, rounds,
+    seed) always reproduces the same report bit for bit. The values a seed
+    gives differ from versions that sampled round by round; the law does not.
+    """
+    tables = _round_tables(strategy_implementation(strategy))
+    return _sample(strategy, tables, rounds, seed)
+
+
 def tradeoff_sweep(epsilons, rounds: int, seed: int) -> list[dict]:
     """Leakage/disturbance trade-off of the gentle strategy over a strength grid.
 
     Rows carry Monte Carlo qber and mean disturbance next to the analytic
     leakage, ordered as the input grid; a strength outside [0, MAX_EPSILON]
-    raises ValueError.
+    raises ValueError. The BB84 ensemble and the probe's (I - M^2)^(1/2) are
+    built once per sweep; each strength then takes its implementation from
+    them and draws with the seed as run_simulation does, so every row holds
+    the fields of run_simulation(EveStrategy.gentle(eps), rounds, seed).
     """
+    e = bb84_ensemble()
+    a, root = _probe(default_gentle_probe())
     rows = []
     for eps in epsilons:
         strat = EveStrategy.gentle(float(eps))
-        rep = run_simulation(strat, rounds, seed)
+        rep = _sample(strat, _round_tables(_probe_at(a, root, strat.epsilon), e), rounds, seed)
         rows.append(
             {
-                "epsilon": float(eps),
+                "epsilon": strat.epsilon,
                 "qber": rep.qber,
                 "leakage_bits": rep.eve_leakage_bits,
                 "mean_disturbance": rep.mean_disturbance,

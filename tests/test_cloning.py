@@ -1,19 +1,32 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentleleak.cli import main
 from gentleleak.cloning import (
+    CloningBoundResult,
     cloning_lower_bound,
     lower_bound_sweep,
     min_feasible_p2,
+    quadratic_coefficients,
     region_disagreement_report,
     region_quadratic_form,
     region_sqrt_form,
+    tradeoff_p2,
 )
 from gentleleak.leakage import maximal_quantum_leakage
-from gentleleak.linalg import random_density
-from gentleleak.states import CqEnsemble, DensityOperator, bb84_ensemble, pure_state
+from gentleleak.linalg import eig_hermitian, random_density
+from gentleleak.states import (
+    CqEnsemble,
+    DensityOperator,
+    bb84_ensemble,
+    ensemble_from_json,
+    ensemble_to_json,
+    pure_state,
+)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -35,6 +48,51 @@ def random_ensemble(d, seed):
     rng = np.random.default_rng(seed)
     states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
     return CqEnsemble(rng.dirichlet(np.ones(3)), states)
+
+
+def maximally_mixed_ensemble():
+    return CqEnsemble(np.array([0.5, 0.5]), (DensityOperator(np.eye(2) / 2),) * 2)
+
+
+def spread(e):
+    w, _ = eig_hermitian(np.eye(e.dim) / e.dim - e.state_mats())
+    return 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
+
+
+def reference_sweep(e, alphas, q_bits):
+    """The lower bound alpha by alpha, in scalar arithmetic: one row per alpha."""
+    d, s = e.dim, spread(e)
+    a, b, c = quadratic_coefficients(d)
+    rows = []
+    for alpha in (float(x) for x in alphas):
+        cap = min(alpha / s, 1.0) if s > 1e-12 else 1.0
+        if d == 2:  # the low root of q(cap, p2) = a p2^2 + beta p2 + gamma
+            beta, gamma = 2.0 * b * cap + c, a * cap * cap + c * cap + 3.0
+            disc = beta * beta - 4.0 * a * gamma
+            roots = ((-beta - np.sqrt(disc)) / (2.0 * a), (-beta + np.sqrt(disc)) / (2.0 * a))
+            p2 = float(min(max(min(roots), 0.0), 1.0))
+        else:
+            amp = np.sqrt(1.0 - cap * (1.0 - 1.0 / (d * d))) - np.sqrt(cap) / d
+            p2 = float(max(amp, 0.0)) ** 2
+        slack = a * (cap * cap + p2 * p2) + 2.0 * b * cap * p2 + c * (cap + p2) + 3.0
+        bits = q_bits if p2 == 0.0 else float(np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
+        rows.append(CloningBoundResult(p2, bits, True, cap, alpha, q_bits, slack))
+    return rows
+
+
+def reference_csv(rows):
+    lines = [f"{r.alpha:.6f},{r.p1_cap:.6f},{r.p2_star:.6f},{r.lower_bits:.6f}" for r in rows]
+    return "\n".join(["alpha,p1,p2,lower_bits", *lines]) + "\n"
+
+
+SWEEP_INPUTS = {
+    "bb84": bb84_ensemble,
+    "mixed_qubit": lambda: random_ensemble(2, 11),
+    "qutrit_plus": lambda: basis_plus(3),
+    "random_d4": lambda: random_ensemble(4, 7),
+    "random_d8": lambda: random_ensemble(8, 8),
+    "maximally_mixed": maximally_mixed_ensemble,
+}
 
 
 class TestQuadraticForm:
@@ -61,6 +119,10 @@ class TestQuadraticForm:
     def test_rejects_out_of_square(self):
         with pytest.raises(ValueError):
             region_quadratic_form(1.2, 0.5, 2)
+
+    def test_array_names_the_first_point_outside(self):
+        with pytest.raises(ValueError, match=r"got \(1\.2, 0\.5\)"):
+            region_quadratic_form(np.array([0.3, 1.2, -1.0]), 0.5, 2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -96,6 +158,29 @@ class TestSqrtForm:
         assert rep["sqrt_defined"] > 0
         tallied = rep["agree_feasible"] + rep["sqrt_only_feasible"] + rep["quad_only_feasible"]
         assert tallied <= rep["sqrt_defined"] <= rep["points"]
+
+    @pytest.mark.parametrize(
+        "d, grid, counts",
+        [
+            (2, 60, (1413, 1349, 64, 0)),
+            (2, 200, (15403, 14911, 492, 0)),
+            (3, 60, (1901, 1901, 0, 0)),
+            (3, 200, (20879, 20879, 0, 0)),
+        ],
+    )
+    def test_disagreement_counts_are_pinned(self, d, grid, counts):
+        # counts of the point-by-point scan the report used to run
+        rep = region_disagreement_report(d, grid)
+        keys = ("sqrt_defined", "agree_feasible", "sqrt_only_feasible", "quad_only_feasible")
+        assert tuple(rep[k] for k in keys) == counts
+
+    def test_array_matches_point_calls(self):
+        p1, p2 = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
+        defined, ok, diff = region_sqrt_form(p1, p2, 3)
+        for idx in np.ndindex(p1.shape):
+            want = region_sqrt_form(float(p1[idx]), float(p2[idx]), 3)
+            assert (defined[idx], ok[idx]) == want[:2]
+            assert diff[idx] == want[2] or (np.isnan(diff[idx]) and np.isnan(want[2]))
 
 
 class TestMinFeasibleP2:
@@ -195,3 +280,65 @@ class TestLowerBound:
         assert r.lower_bits >= 0.0
         if r.feasible:
             assert region_quadratic_form(r.p1_cap, r.p2_star, 3)[1] <= 1e-9
+
+
+class TestTradeoffP2:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_array_matches_scalar_calls(self, d):
+        p1 = np.linspace(0.0, 1.0, 1001)
+        got = tradeoff_p2(p1, d)
+        assert got.tolist() == [tradeoff_p2(float(p), d) for p in p1]
+        assert type(tradeoff_p2(0.2, d)) is float
+
+    def test_qubit_curve_is_the_region_boundary(self):
+        for p1 in np.linspace(0.0, 1.0, 101):
+            assert tradeoff_p2(float(p1), 2) == min_feasible_p2(float(p1), 2)
+
+    @pytest.mark.parametrize("p1", [-0.1, 1.5, float("nan")])
+    def test_rejects_p1_outside_unit_interval(self, p1):
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            tradeoff_p2(p1, 2)
+
+
+class TestSweepMatchesReference:
+    """The array pass against the alpha-by-alpha loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", SWEEP_INPUTS)
+    def test_rows_equal_reference(self, name):
+        e = SWEEP_INPUTS[name]()
+        q = maximal_quantum_leakage(e).bits
+        alphas = np.linspace(0.0, 1.0, 1001)
+        sweep = lower_bound_sweep(e, alphas, q)
+        want = reference_sweep(e, alphas, q)
+        assert len(sweep) == len(want) == 1001
+        for got, ref in zip(sweep, want):
+            assert got == ref
+        assert sweep[-1] == want[-1]
+        if name == "maximally_mixed":
+            assert spread(e) <= 1e-12
+            assert set(sweep.p1_cap.tolist()) == {1.0}
+
+    @pytest.mark.parametrize("name", SWEEP_INPUTS)
+    def test_csvs_equal_reference(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(ensemble_to_json(SWEEP_INPUTS[name]())))
+        e = ensemble_from_json(json.loads(path.read_text()))
+        q = maximal_quantum_leakage(e).bits
+        runs = {
+            "figure2": (["--grid", "1001"], np.linspace(0.0, 1.0, 1001)),
+            "lower-bound": (["--alpha", "0", "0.05", "0.1", "0.3", "0.5", "1"],
+                            [0.0, 0.05, 0.1, 0.3, 0.5, 1.0]),
+        }
+        for command, (args, alphas) in runs.items():
+            out = tmp_path / f"{command}.csv"
+            assert main([command, str(path), *args, "--out", str(out)]) == 0
+            assert out.read_text() == reference_csv(reference_sweep(e, alphas, q))
+
+    def test_columns_are_read_only(self, bb84):
+        sweep = lower_bound_sweep(bb84, [0.0, 0.1], 1.0)
+        with pytest.raises(ValueError):
+            sweep.lower_bits[0] = 2.0
+
+    def test_first_bad_alpha_is_named(self, bb84):
+        with pytest.raises(ValueError, match="got 1.5"):
+            lower_bound_sweep(bb84, [0.1, 1.5, -0.2], 1.0)

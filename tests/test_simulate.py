@@ -59,7 +59,8 @@ def reference_round_tables(strategy):
 class TestRoundTables:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: str(s.describe()))
     def test_stacked_tables_match_pairwise_reference(self, strategy):
-        for got, want in zip(_round_tables(strategy), reference_round_tables(strategy)):
+        got_tables = _round_tables(strategy_implementation(strategy))
+        for got, want in zip(got_tables, reference_round_tables(strategy)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -151,7 +152,7 @@ class TestRunSimulation:
     def test_same_law_as_round_by_round_sampling(self, strategy):
         # per round: Bernoulli(q) error and a disturbance drawn from the weighted table
         runs, n = 2000, 20000
-        probs_xy, _, dist, _ = _round_tables(strategy)
+        probs_xy, _, dist, _ = _round_tables(strategy_implementation(strategy))
         q, _, mean_dist = exact_round_statistics(strategy)
         dist_var = float(np.sum(probs_xy / 4.0 * dist**2)) - mean_dist**2
         reps = [run_simulation(strategy, n, seed=s) for s in range(runs)]
@@ -237,6 +238,19 @@ class TestTradeoffSweep:
         assert row["leakage_bits"] == bits
         assert abs(row["mean_disturbance"] - d_exact) <= 3.0 / np.sqrt(n)
 
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_rows_are_the_run_simulation_fields(self, seed):
+        eps = [0.0, 0.03, 0.1, 0.07]
+        rows = tradeoff_sweep(eps, rounds=10**6, seed=seed)
+        for epsilon, row in zip(eps, rows, strict=True):
+            rep = run_simulation(EveStrategy.gentle(epsilon), 10**6, seed)
+            assert row == {
+                "epsilon": epsilon,
+                "qber": rep.qber,
+                "leakage_bits": rep.eve_leakage_bits,
+                "mean_disturbance": rep.mean_disturbance,
+            }
+
 
 class TestStrategyPlumbing:
     def test_unknown_kind_rejected(self):
@@ -246,6 +260,12 @@ class TestStrategyPlumbing:
     def test_gentle_epsilon_range(self):
         with pytest.raises(ValueError):
             EveStrategy.gentle(0.5)
+
+    @pytest.mark.parametrize("kind", ["none", "intercept-z", "w1", "w2"])
+    def test_epsilon_only_for_gentle(self, kind):
+        with pytest.raises(ValueError, match="got 0.5"):
+            EveStrategy(kind, 0.5)
+        assert EveStrategy(kind).describe() == {"kind": kind}
 
     def test_default_probe_is_valid_contraction(self):
         m = default_gentle_probe()
