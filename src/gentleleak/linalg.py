@@ -4,10 +4,15 @@ Everything operates on plain ``numpy`` arrays of ``complex128``. Every
 eigendecomposition goes through :func:`eig_hermitian`, a thin wrapper of
 LAPACK's Hermitian solver (``numpy.linalg.eigh``) that checks Hermiticity,
 returns eigenvalues in descending order, and accepts a stack of matrices so
-that callers validate or diagonalize many operators in one call.
+that callers validate or diagonalize many operators in one call. Finiteness
+and Hermiticity are checked in :func:`as_hermitian`; a constructor that keeps
+the symmetrized stack it returned decomposes that stack with ``_eigh`` rather
+than checking it a second time.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -59,12 +64,15 @@ COMPLETENESS_TOL = 1e-9
 # |tr rho - 1| allowed for density operators, and |sum_x p_x - 1| for priors.
 UNIT_TRACE_TOL = 1e-10
 
+# The cell types a JSON parser produces for numbers.
+_JSON_NUMBERS = frozenset((int, float))
+
 
 def _as_square_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -86,7 +94,7 @@ def as_hermitian(m) -> np.ndarray:
     """
     a = _as_square_stack(m)
     adj = a.conj().swapaxes(-1, -2)
-    asym = np.max(np.abs(a - adj)) if a.size else 0.0
+    asym = np.abs(a - adj).max() if a.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITICITY_TOL:.3e}"
@@ -102,7 +110,15 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors, so that ``m @ v == v @ diag(w)``. The input must pass
     :func:`as_hermitian`; LAPACK (``numpy.linalg.eigh``) does the work.
     """
-    w, v = np.linalg.eigh(as_hermitian(m))
+    return _eigh(as_hermitian(m))
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_hermitian of an array that as_hermitian returned, without checking it again.
+
+    For constructors that keep the symmetrized matrix as well as its spectrum.
+    """
+    w, v = np.linalg.eigh(h)
     return w[..., ::-1], v[..., ::-1]
 
 
@@ -226,14 +242,17 @@ def matrix_from_json(doc) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == d for row in rows)
     ):
         raise SchemaError(f"matrix 'entries' must be {d}x{d}")
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        raise SchemaError("matrix entries must be [re, im] pairs")
+    # type scans in C: numpy would read True as 1, "1" as 1.0 and None as nan
+    flat = list(chain.from_iterable(cells))
+    kinds = set(map(type, flat))
+    if not kinds <= _JSON_NUMBERS:
+        odd = ", ".join(sorted(k.__name__ for k in kinds - _JSON_NUMBERS))
+        raise SchemaError(f"matrix entries must be [re, im] pairs of numbers, got {odd}")
     try:
-        # complex() reads True as 1: drop pairs holding a bool, so their row comes out short
-        cells = [
-            [complex(re, im) for re, im in row if type(re) is not bool and type(im) is not bool]
-            for row in rows
-        ]
-    except (TypeError, ValueError, OverflowError) as exc:
+        pairs = np.array(flat, dtype=float)
+    except OverflowError as exc:
         raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if any(len(row) != d for row in cells):
-        raise SchemaError("matrix entries must be [re, im] pairs of numbers, not booleans")
-    return as_complex_matrix(np.array(cells, dtype=complex))
+    return as_complex_matrix(pairs.view(complex).reshape(d, d))

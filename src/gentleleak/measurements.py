@@ -9,7 +9,7 @@ every state in the protected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .linalg import (
     COMPLETENESS_TOL,
     PSD_TOL,
     SchemaError,
+    _as_square_stack,
+    _eigh,
     as_complex_matrix,
     as_hermitian,
     eig_hermitian,
@@ -67,35 +69,52 @@ class ZeroProbabilityOutcome(ValueError):
     """Requested the post-measurement state of an outcome that cannot occur."""
 
 
+def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
+    """The matrices as one complex (n, d, d) array, naming the first that is not d x d.
+
+    d defaults to the dimension of the first matrix. Entries are not checked.
+    """
+    arrs = [np.asarray(m, dtype=complex) for m in mats]
+    for i, a in enumerate(arrs):
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"{what} {i}: expected a square matrix, got shape {a.shape}")
+        d = d or a.shape[0]
+        if a.shape[0] != d:
+            raise ValueError(f"{what} {i} has dimension {a.shape[0]}, expected {d}")
+    return np.array(arrs)
+
+
 @dataclass(frozen=True)
 class Povm:
-    """Positive operators {F_y} summing to the identity."""
+    """Positive operators {F_y} summing to the identity.
+
+    ``stack`` holds the checked, symmetrized elements as one read-only
+    (outcomes, d, d) array; ``elements`` are its rows.
+    """
 
     elements: tuple[np.ndarray, ...]
     labels: tuple[str, ...] = ()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = [as_complex_matrix(f) for f in self.elements]
-        if not elems:
+        mats = tuple(self.elements)
+        if not mats:
             raise ValueError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        for i, f in enumerate(elems):
-            if f.shape[0] != d:
-                raise ValueError(f"element {i} has dimension {f.shape[0]}, expected {d}")
-        stack = as_hermitian(np.stack(elems))
-        low = eig_hermitian(stack)[0][:, -1]
+        stack = as_hermitian(_stack(mats, "element"))
+        low = _eigh(stack)[0][:, -1]
         i = int(np.argmin(low))
         if low[i] < -PSD_TOL:
             raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
-        resid = np.max(np.abs(stack.sum(axis=0) - np.eye(d)))
+        resid = np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max()
         if resid > COMPLETENESS_TOL:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elems)))
-        if len(labels) != len(elems):
+        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(mats)))
+        if len(labels) != len(mats):
             raise ValueError("labels must align with elements")
         stack.flags.writeable = False
         object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -107,22 +126,29 @@ class Povm:
 
 @dataclass(frozen=True)
 class PovmImplementation:
-    """Operators {B_y} with B_y† B_y = F_y, aligned with a Povm."""
+    """Operators {B_y} with B_y† B_y = F_y, aligned with a Povm.
+
+    ``stack`` holds the operators as one read-only (outcomes, d, d) array;
+    ``operators`` are its rows.
+    """
 
     povm: Povm
     operators: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(b) for b in self.operators)
+        ops = tuple(self.operators)
         if len(ops) != len(self.povm):
             raise ValueError("one operator per POVM element required")
-        for i, (b, f) in enumerate(zip(ops, self.povm.elements)):
-            resid = np.max(np.abs(b.conj().T @ b - f))
-            if resid > COMPLETENESS_TOL:
-                raise ValueError(f"operator {i}: B†B differs from F by {resid:.3e}")
-        for b in ops:
-            b.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
+        stack = _as_square_stack(_stack(ops, "operator", self.povm.dim))
+        resid = np.abs(stack.conj().swapaxes(-1, -2) @ stack - self.povm.stack).max(axis=(1, 2))
+        bad = np.flatnonzero(resid > COMPLETENESS_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"operator {i}: B†B differs from F by {resid[i]:.3e}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -153,14 +179,13 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
     """
     if povm.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {povm.dim}, ensemble {e.dim}")
-    f = np.stack(povm.elements)
-    p = np.einsum("yij,xji->yx", f, e.state_mats()).real
-    if np.min(p) < -1e-10:
-        raise ValueError(f"negative Born probability {np.min(p):.3e}")
-    colsums = p.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > COMPLETENESS_TOL:
+    p = np.einsum("yij,xji->yx", povm.stack, e.state_mats()).real
+    low = p.min()
+    if low < -1e-10:
+        raise ValueError(f"negative Born probability {low:.3e}")
+    if np.abs(p.sum(axis=0) - 1.0).max() > COMPLETENESS_TOL:
         raise ValueError("Born columns do not sum to 1; POVM incomplete?")
-    return np.clip(p, 0.0, 1.0)
+    return p.clip(0.0, 1.0)
 
 
 def post_measurement_state(
@@ -236,17 +261,17 @@ def collapse(
     """
     probs = born_probabilities(e, impl.povm)
     rho = e.state_mats()
-    b = np.stack(impl.operators)[:, None]
+    b = impl.stack[:, None]
     out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (outcomes, states, d, d)
-    live = probs > ZERO_PROB
-    norm = np.trace(out, axis1=-2, axis2=-1).real[live]
-    if np.any(norm <= ZERO_PROB):
-        y = int(np.nonzero(live)[0][np.argmin(norm)])
+    live = np.nonzero(probs > ZERO_PROB)  # (outcome, state) index arrays of the live pairs
+    norm = out.trace(axis1=-2, axis2=-1).real[live]
+    if (norm <= ZERO_PROB).any():
+        y = int(live[0][norm.argmin()])
         raise ZeroProbabilityOutcome(
             f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
         )
     post = out[live] / norm[:, None, None]
-    w = eig_hermitian(np.stack([post, post - np.broadcast_to(rho, out.shape)[live]]))[0]
+    w = eig_hermitian(np.array([post, post - rho[live[1]]]))[0]
     require_states(post, w[0])
     dist = np.full(probs.shape, -1.0)
     dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
@@ -285,8 +310,8 @@ def certify_gentle(
         worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,
         outcome_labels=impl.povm.labels,
-        outcome_good=tuple(bool(g) for g in good),
-        outcome_disturbance=tuple(float(x) for x in dists),
+        outcome_good=tuple(good.tolist()),
+        outcome_disturbance=tuple(dists.tolist()),
         outcome_probs=tuple(map(tuple, probs.tolist())),
     )
 
@@ -309,12 +334,11 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
     """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares."""
     a = as_hermitian(m)
-    w, _ = eig_hermitian(a)
+    w, _ = _eigh(a)
     if w[-1] < -PROBE_TOL or w[0] > 1.0 + PROBE_TOL:
         raise ValueError(f"probe eigenvalues must lie in [0, 1], got [{w[-1]:.3e}, {w[0]:.3e}]")
-    gap = np.eye(a.shape[0], dtype=complex) - a @ a
-    # clip roundoff so the square root stays defined at the M = I boundary
-    return a, psd_sqrt((gap + gap.conj().T) / 2.0, tol=PROBE_TOL)
+    # psd_sqrt symmetrizes I - M^2; PROBE_TOL keeps the root defined at the M = I boundary
+    return a, psd_sqrt(np.eye(a.shape[0], dtype=complex) - a @ a, tol=PROBE_TOL)
 
 
 def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementation:

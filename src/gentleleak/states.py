@@ -10,9 +10,9 @@ from .linalg import (
     PSD_TOL,
     UNIT_TRACE_TOL,
     SchemaError,
+    _eigh,
     as_complex_matrix,
     as_hermitian,
-    eig_hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -42,7 +42,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_hermitian(self.mat)
-        require_states(m, eig_hermitian(m)[0])
+        require_states(m, _eigh(m)[0])
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -55,14 +55,14 @@ def require_states(mats: np.ndarray, w: np.ndarray) -> None:
     """Raise ValueError unless every matrix of mats (..., d, d) is PSD and unit-trace.
 
     mats must be Hermitian and w their eigenvalues in descending order, as
-    returned by eig_hermitian; callers that diagonalize a larger stack pass
+    returned by eig_hermitian or _eigh; callers that diagonalize a larger stack pass
     their slice of it, so a state costs no decomposition of its own.
     """
-    low = float(np.min(w[..., -1]))
+    low = float(w[..., -1].min())
     if low < -PSD_TOL:
         raise ValueError(f"state is not PSD: min eigenvalue {low:.3e}")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real.ravel()
-    worst = float(tr[np.argmax(np.abs(tr - 1.0))])
+    tr = mats.trace(axis1=-2, axis2=-1).real.ravel()
+    worst = float(tr[np.abs(tr - 1.0).argmax()])
     if abs(worst - 1.0) > UNIT_TRACE_TOL:
         raise ValueError(f"state trace {worst!r} is not 1")
 
@@ -79,6 +79,7 @@ class CqEnsemble:
     probs: np.ndarray
     states: tuple[DensityOperator, ...]
     labels: tuple[str, ...] = field(default=())
+    _mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -95,10 +96,13 @@ class CqEnsemble:
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(states)))
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and aligned with states")
+        mats = np.array([s.mat for s in states])
         probs.flags.writeable = False
+        mats.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_mats", mats)
 
     @property
     def dim(self) -> int:
@@ -108,8 +112,12 @@ class CqEnsemble:
         return len(self.states)
 
     def state_mats(self) -> np.ndarray:
-        """Stack of the encoding states, shape (len, d, d)."""
-        return np.stack([s.mat for s in self.states])
+        """Stack of the encoding states, shape (len, d, d).
+
+        Built once, when the ensemble is; every call returns that same
+        read-only array, so callers share it and must copy it to modify it.
+        """
+        return self._mats
 
 
 def ket(amplitudes) -> np.ndarray:

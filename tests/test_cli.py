@@ -9,7 +9,7 @@ import pytest
 
 from gentleleak import leakage
 from gentleleak.cli import main, tradeoff_csv
-from gentleleak.linalg import random_density
+from gentleleak.linalg import matrix_to_json, random_density
 from gentleleak.measurements import povm_to_json, projective_povm
 from gentleleak.states import (
     CqEnsemble,
@@ -272,6 +272,19 @@ class TestCertifyCommand:
             ["certify", bb84_file, str(path), "--alpha", "0.5", "--delta", "0.1"], capsys
         )
         assert code == 3
+
+    def test_operator_of_another_dimension_is_input_error(self, bb84_file, tmp_path, capsys):
+        doc = povm_to_json(projective_povm(np.eye(2)))
+        doc["implementation"][1] = matrix_to_json(np.eye(3))
+        path = tmp_path / "wrong_dim.json"
+        path.write_text(json.dumps(doc))
+        argv = ["certify", bb84_file, str(path), "--alpha", "0.5", "--delta", "0.1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: implementation: operator 1 has dimension 3, expected 2\n"
+        )
 
 
 class TestDepolarizeCommand:

@@ -186,3 +186,27 @@ class TestMatrixJson:
     def test_schema_violations(self, doc):
         with pytest.raises(SchemaError):
             matrix_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [[True, 0], [0, False], ["1", "0"], [None, 0], [10**400, 0], [1], [1, 2, 3], 5, "ab",
+         {"re": 1, "im": 0}, [[1, 0], [0, 0]]],
+        ids=["bool-re", "bool-im", "strings", "null", "big-int", "short", "long", "number",
+             "string", "object", "nested"],
+    )
+    def test_rejects_cells_that_are_not_number_pairs(self, cell):
+        doc = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], cell]]}
+        with pytest.raises(SchemaError, match="pairs"):
+            matrix_from_json(doc)
+
+    def test_entries_parse_bit_for_bit_as_complex(self):
+        values = [
+            -0.0, 0.0, 1, -7, 2**53 + 1, 2**63, 2**64 + 1, -(2**63) - 1, 10**300, 1e308,
+            -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, 1 / 3,
+        ]
+        n = len(values)
+        rows = [[[values[i], values[(7 * i + j) % n]] for j in range(n)] for i in range(n)]
+        want = np.array([[complex(re, im) for re, im in row] for row in rows])
+        got = matrix_from_json({"dim": n, "entries": rows})
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentleleak import measurements
+from gentleleak import linalg, measurements, states
 from gentleleak.linalg import (
     SchemaError,
     haar_unitary,
@@ -68,6 +68,84 @@ class TestPovmTypes:
             GentlenessSpec(-0.1, 0.5)
         with pytest.raises(ValueError):
             GentlenessSpec(0.1, 1.5)
+
+
+class TestStackedChecks:
+    """Each constructor checks its matrices as one stack and names the first bad index."""
+
+    def test_names_the_non_square_element(self):
+        with pytest.raises(ValueError, match=r"element 1: expected a square matrix, got shape"):
+            Povm((np.eye(2), np.zeros((2, 3))))
+
+    def test_names_the_element_of_another_dimension(self):
+        with pytest.raises(ValueError, match="element 1 has dimension 3, expected 2"):
+            Povm((np.eye(2), np.zeros((3, 3))))
+
+    def test_names_the_non_psd_element(self):
+        elements = (np.diag([0.5, 0.5]), np.diag([0.7, 0.3]), np.diag([-0.2, 0.2]))
+        with pytest.raises(ValueError, match="element 2 is not PSD: min eigenvalue -2.000e-01"):
+            Povm(elements)
+
+    def test_names_the_operator_of_another_dimension(self):
+        povm = projective_povm(np.eye(2)).povm
+        with pytest.raises(ValueError, match="operator 0 has dimension 3, expected 2"):
+            PovmImplementation(povm, (np.eye(3), np.diag([0.0, 1.0])))
+        with pytest.raises(ValueError, match=r"operator 1: expected a square matrix, got shape"):
+            PovmImplementation(povm, (np.diag([1.0, 0.0]), np.ones(2)))
+
+    def test_names_the_first_operator_off_its_element(self):
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        b_plus, b_minus, b_zero = impl.operators
+        with pytest.raises(ValueError, match="operator 1: B†B differs from F by"):
+            PovmImplementation(impl.povm, (b_plus, 2.0 * b_minus, 2.0 * b_zero))
+        with pytest.raises(ValueError, match="operator 2: B†B differs from F by"):
+            PovmImplementation(impl.povm, (b_plus, b_minus, -1j * b_minus))
+
+    def test_stacks_are_read_only_and_back_the_rows(self, bb84):
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        mats = bb84.state_mats()
+        assert mats is bb84.state_mats()
+        for stack, rows in (
+            (mats, [s.mat for s in bb84.states]),
+            (impl.povm.stack, impl.povm.elements),
+            (impl.stack, impl.operators),
+        ):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+            assert np.array_equal(stack, np.array(rows))
+        for stack, rows in ((impl.povm.stack, impl.povm.elements), (impl.stack, impl.operators)):
+            assert all(np.shares_memory(stack, row) for row in rows)
+
+    def test_callers_arrays_stay_writeable(self):
+        ops = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+        impl = PovmImplementation(Povm(ops), ops)
+        assert all(b.flags.writeable for b in ops)
+        assert not any(np.shares_memory(b, impl.stack) for b in ops)
+
+    def test_two_hermiticity_checks_per_tried_strength(self, bb84, monkeypatch):
+        # gentle_povm checks M and I - M^2 once per probe; each tried strength then
+        # checks its element stack and its post-measurement stack, once each
+        probe, spec = bb84_pair_probe(), GentlenessSpec(0.1, 0.05)
+        shapes = []
+        real = linalg.as_hermitian
+
+        def counting(m):
+            shapes.append(np.shape(m))
+            return real(m)
+
+        for mod in (linalg, measurements, states):
+            for name, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, name, counting)
+        cert = certify_gentle(bb84, gentle_povm(probe, 0.05), spec)
+        live = int(np.sum(np.asarray(cert.outcome_probs) > ZERO_PROB))
+        assert shapes == [(2, 2), (2, 2), (3, 2, 2), (2, live, 2, 2)]
+
+        shapes.clear()
+        cal = max_certified_epsilon(probe, spec, bb84)
+        tried = 1 if cal.epsilon == 0.1 else 1 + BISECTION_STEPS
+        assert [len(s) for s in shapes] == [2, 2] + [3, 4] * tried
 
 
 class TestBornProbabilities:

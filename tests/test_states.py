@@ -187,6 +187,27 @@ class TestEnsembleJson:
         with pytest.raises(SchemaError, match="state 2"):
             ensemble_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                [[[0.5, 0.0], [0.7, 0.0]], [[0.7, 0.0], [0.5, 0.0]]],
+                "state 2: state is not PSD: min eigenvalue -2.000e-01",
+            ),
+            (
+                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]],
+                "state 2: state trace 0.75 is not 1",
+            ),
+        ],
+        ids=["not-psd", "bad-trace"],
+    )
+    def test_names_the_failing_state(self, bb84, entries, message):
+        doc = ensemble_to_json(bb84)
+        doc["states"][2]["entries"] = entries
+        with pytest.raises(SchemaError) as info:
+            ensemble_from_json(doc)
+        assert str(info.value) == message
+
     def test_reports_bad_prob_with_index(self, bb84):
         doc = ensemble_to_json(bb84)
         doc["probs"][1] = -0.25
