@@ -12,13 +12,7 @@ import numpy as np
 
 from gentleleak.measurements import gentle_povm, povm_to_json, projective_povm
 from gentleleak.simulate import default_gentle_probe
-from gentleleak.states import (
-    CqEnsemble,
-    DensityOperator,
-    bb84_ensemble,
-    ensemble_to_json,
-    pure_state,
-)
+from gentleleak.states import CqEnsemble, bb84_ensemble, ensemble_to_json, pure_state
 
 
 def main(argv=None) -> int:
@@ -32,10 +26,7 @@ def main(argv=None) -> int:
             CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0])))
         ),
         "commuting.json": ensemble_to_json(
-            CqEnsemble(
-                np.array([0.5, 0.5]),
-                (DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.25, 0.75]))),
-            )
+            CqEnsemble(np.array([0.5, 0.5]), (np.diag([1.0, 0.0]), np.diag([0.25, 0.75])))
         ),
         "z_basis_povm.json": povm_to_json(projective_povm(np.eye(2))),
         "x_basis_povm.json": povm_to_json(

@@ -48,7 +48,6 @@ from .simulate import (
 )
 from .states import (
     CqEnsemble,
-    DensityOperator,
     apply_unitary,
     average_state,
     bb84_ensemble,

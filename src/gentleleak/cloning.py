@@ -246,10 +246,10 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     outside = ~((0.0 <= alphas) & (alphas <= 1.0))
     if outside.any():
         raise ValueError(f"alpha must be in [0, 1], got {float(alphas[outside.argmax()])}")
-    if q_bits < 0.0:
+    if not q_bits >= 0.0:
         raise ValueError("q_bits must be non-negative")
     d = e.dim
-    w, _ = eig_hermitian(np.eye(d) / d - e.state_mats())
+    w, _ = eig_hermitian(np.eye(d) / d - e.states)
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
     cap = np.minimum(alphas / spread, 1.0) if spread > 1e-12 else np.ones_like(alphas)
     p2 = tradeoff_p2(cap, d)

@@ -105,7 +105,7 @@ def sibson_infinity(p) -> float:
     if np.min(mat) < -1e-10:
         raise ValueError(f"negative channel entry {np.min(mat):.3e}")
     colsums = mat.sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > 1e-9:
+    if not np.max(np.abs(colsums - 1.0)) <= 1e-9:
         raise ValueError("channel columns must each sum to 1")
     total = float(mat.max(axis=1).sum())
     return max(float(np.log2(total)), 0.0)
@@ -118,7 +118,7 @@ def leakage_upper_bound(e: CqEnsemble) -> float:
 
 def depolarized_leakage(base_bits: float, p: float) -> float:
     """Leakage after global depolarizing noise: log2(p + (1-p) 2^base_bits)."""
-    if base_bits < 0.0:
+    if not base_bits >= 0.0:
         raise ValueError("base_bits must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
@@ -206,7 +206,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     is within GAP_TOL, or if the gap is still larger after MAX_ITERS
     iterations; an uncertified value is never returned.
     """
-    mats = e.state_mats()
+    mats = e.states
     n, d = len(e), e.dim
     w, v = eig_hermitian(mats.sum(axis=0))
     support = w > SUPPORT_RTOL * w[0]
@@ -291,7 +291,7 @@ def _gentle_probe_search(
     Each probe is (rho^i - rho^j)_+ at the largest strength the calibration
     certifies; its Born table is the one that calibration certified.
     """
-    mats = e.state_mats()
+    mats = e.states
     pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats)) if i != j]
     best = 0.0
     detail: dict = {"probes": 0}

@@ -1,13 +1,19 @@
 """Dense complex linear algebra for small Hermitian problems (d <= ~16).
 
-Everything operates on plain ``numpy`` arrays of ``complex128``. Every
-eigendecomposition goes through :func:`eig_hermitian`, a thin wrapper of
-LAPACK's Hermitian solver (``numpy.linalg.eigh``) that checks Hermiticity,
-returns eigenvalues in descending order, and accepts a stack of matrices so
-that callers validate or diagonalize many operators in one call. Finiteness
-and Hermiticity are checked in :func:`as_hermitian`; a constructor that keeps
-the symmetrized stack it returned decomposes that stack with ``_eigh`` rather
-than checking it a second time.
+Everything operates on plain ``numpy`` arrays of ``complex128``, one matrix or
+a stack (..., d, d), so callers validate or diagonalize many operators in one
+call. Finiteness and Hermiticity are checked in :func:`as_hermitian`.
+Eigendecompositions (LAPACK's ``numpy.linalg.eigh``) are reached three ways:
+
+- :func:`eig_hermitian` checks its input with ``as_hermitian`` and returns
+  eigenvalues in descending order. The helpers of this module, ``collapse``,
+  the cloning cap and the solver's start and dual raise use it.
+- ``_eigh`` is the same decomposition of an array that has already been
+  checked and symmetrized. The ensemble, ``Povm`` and probe constructors keep
+  that array and decompose it once through ``_eigh``.
+- The leakage solver's inner loop (``_povm``, ``_newton_step``, ``_bounds``)
+  calls ``numpy.linalg.eigh``/``eigvalsh`` directly on the matrices it builds
+  and symmetrizes itself.
 """
 
 from __future__ import annotations
@@ -77,6 +83,21 @@ def _as_square_stack(m) -> np.ndarray:
     return a
 
 
+def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
+    """The matrices as one complex (n, d, d) array, naming the first that is not d x d.
+
+    d defaults to the dimension of the first matrix. Entries are not checked.
+    """
+    arrs = [np.asarray(m, dtype=complex) for m in mats]
+    for i, a in enumerate(arrs):
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"{what} {i}: expected a square matrix, got shape {a.shape}")
+        d = d or a.shape[0]
+        if a.shape[0] != d:
+            raise ValueError(f"{what} {i} has dimension {a.shape[0]}, expected {d}")
+    return np.array(arrs)
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
     a = _as_square_stack(m)
@@ -114,7 +135,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eig_hermitian of an array that as_hermitian returned, without checking it again.
+    """eig_hermitian of an already checked, symmetrized array, without checking it again.
 
     For constructors that keep the symmetrized matrix as well as its spectrum.
     """

@@ -9,7 +9,7 @@ every state in the protected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .linalg import (
     SchemaError,
     _as_square_stack,
     _eigh,
+    _stack,
     as_complex_matrix,
     as_hermitian,
     eig_hermitian,
@@ -27,7 +28,7 @@ from .linalg import (
     matrix_to_json,
     psd_sqrt,
 )
-from .states import CqEnsemble, DensityOperator, require_states
+from .states import CqEnsemble, checked_states, require_states
 
 __all__ = [
     "ZERO_PROB",
@@ -69,56 +70,38 @@ class ZeroProbabilityOutcome(ValueError):
     """Requested the post-measurement state of an outcome that cannot occur."""
 
 
-def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
-    """The matrices as one complex (n, d, d) array, naming the first that is not d x d.
-
-    d defaults to the dimension of the first matrix. Entries are not checked.
-    """
-    arrs = [np.asarray(m, dtype=complex) for m in mats]
-    for i, a in enumerate(arrs):
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"{what} {i}: expected a square matrix, got shape {a.shape}")
-        d = d or a.shape[0]
-        if a.shape[0] != d:
-            raise ValueError(f"{what} {i} has dimension {a.shape[0]}, expected {d}")
-    return np.array(arrs)
-
-
 @dataclass(frozen=True)
 class Povm:
     """Positive operators {F_y} summing to the identity.
 
-    ``stack`` holds the checked, symmetrized elements as one read-only
-    (outcomes, d, d) array; ``elements`` are its rows.
+    ``elements`` holds the checked, symmetrized elements as one read-only
+    (outcomes, d, d) array.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     labels: tuple[str, ...] = ()
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = tuple(self.elements)
-        if not mats:
+        if len(self.elements) == 0:
             raise ValueError("POVM needs at least one element")
-        stack = as_hermitian(_stack(mats, "element"))
-        low = _eigh(stack)[0][:, -1]
+        elements = as_hermitian(_stack(self.elements, "element"))
+        low = _eigh(elements)[0][:, -1]
         i = int(np.argmin(low))
         if low[i] < -PSD_TOL:
             raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
-        resid = np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max()
+        resid = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max()
         if resid > COMPLETENESS_TOL:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(mats)))
-        if len(labels) != len(mats):
+        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elements)))
+        if len(labels) != len(elements):
             raise ValueError("labels must align with elements")
-        stack.flags.writeable = False
-        object.__setattr__(self, "elements", tuple(stack))
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -128,27 +111,23 @@ class Povm:
 class PovmImplementation:
     """Operators {B_y} with B_y† B_y = F_y, aligned with a Povm.
 
-    ``stack`` holds the operators as one read-only (outcomes, d, d) array;
-    ``operators`` are its rows.
+    ``operators`` holds them as one read-only (outcomes, d, d) array.
     """
 
     povm: Povm
-    operators: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(self.operators)
-        if len(ops) != len(self.povm):
+        if len(self.operators) != len(self.povm):
             raise ValueError("one operator per POVM element required")
-        stack = _as_square_stack(_stack(ops, "operator", self.povm.dim))
-        resid = np.abs(stack.conj().swapaxes(-1, -2) @ stack - self.povm.stack).max(axis=(1, 2))
+        ops = _as_square_stack(_stack(self.operators, "operator", self.povm.dim))
+        resid = np.abs(ops.conj().swapaxes(-1, -2) @ ops - self.povm.elements).max(axis=(1, 2))
         bad = np.flatnonzero(resid > COMPLETENESS_TOL)
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"operator {i}: B†B differs from F by {resid[i]:.3e}")
-        stack.flags.writeable = False
-        object.__setattr__(self, "operators", tuple(stack))
-        object.__setattr__(self, "stack", stack)
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
@@ -179,7 +158,7 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
     """
     if povm.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {povm.dim}, ensemble {e.dim}")
-    p = np.einsum("yij,xji->yx", povm.stack, e.state_mats()).real
+    p = np.einsum("yij,xji->yx", povm.elements, e.states).real
     low = p.min()
     if low < -1e-10:
         raise ValueError(f"negative Born probability {low:.3e}")
@@ -188,20 +167,19 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
     return p.clip(0.0, 1.0)
 
 
-def post_measurement_state(
-    rho: DensityOperator, impl: PovmImplementation, y: int
-) -> DensityOperator:
-    """Collapsed state B_y rho B_y† / tr(rho F_y) after observing outcome y."""
-    if rho.dim != impl.dim:
+def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
+    """Collapsed state B_y rho B_y† / tr(rho F_y) after outcome y, checked and read-only."""
+    rho = as_complex_matrix(rho)
+    if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
     b = impl.operators[y]
-    out = b @ rho.mat @ b.conj().T
+    out = b @ rho @ b.conj().T
     prob = float(np.trace(out).real)
     if prob <= ZERO_PROB:
         raise ZeroProbabilityOutcome(
             f"outcome {y} has probability {prob:.3e} <= {ZERO_PROB}; post state undefined"
         )
-    return DensityOperator(out / prob)
+    return checked_states([out / prob])[0]
 
 
 @dataclass(frozen=True)
@@ -260,8 +238,8 @@ def collapse(
     distance.
     """
     probs = born_probabilities(e, impl.povm)
-    rho = e.state_mats()
-    b = impl.stack[:, None]
+    rho = e.states
+    b = impl.operators[:, None]
     out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (outcomes, states, d, d)
     live = np.nonzero(probs > ZERO_PROB)  # (outcome, state) index arrays of the live pairs
     norm = out.trace(axis1=-2, axis2=-1).real[live]

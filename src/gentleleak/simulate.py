@@ -46,7 +46,7 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 def default_gentle_probe() -> np.ndarray:
     """Positive part of |0><0| - |+><+|, the natural probe for the BB84 pair."""
-    return positive_part(pure_state([1.0, 0.0]).mat - pure_state([1.0, 1.0]).mat)
+    return positive_part(pure_state([1.0, 0.0]) - pure_state([1.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,9 @@ def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
         # coin toss folded into one 4-outcome measurement: halved projectors
         z = projective_povm(np.eye(2, dtype=complex))
         x = projective_povm(_HADAMARD)
-        elems = tuple(0.5 * f for f in (*z.povm.elements, *x.povm.elements))
-        ops = tuple(b / np.sqrt(2.0) for b in (*z.operators, *x.operators))
-        povm = Povm(elems, labels=("z0", "z1", "x0", "x1"))
-        return PovmImplementation(povm, ops)
+        povm = Povm(0.5 * np.concatenate((z.povm.elements, x.povm.elements)),
+                    labels=("z0", "z1", "x0", "x1"))
+        return PovmImplementation(povm, np.concatenate((z.operators, x.operators)) / np.sqrt(2.0))
     return gentle_povm(default_gentle_probe(), strategy.epsilon)
 
 
@@ -140,7 +139,7 @@ def _round_tables(impl: PovmImplementation | None, e: CqEnsemble | None = None):
     channel, post, dist = collapse(e, impl)  # (outcomes, symbols) tables
     live = dist >= 0.0
     # Bob measures in the symbol's basis and errs on its partner state rho^(x ^ 1)
-    partner = e.state_mats()[np.nonzero(live)[1] ^ 1]
+    partner = e.states[np.nonzero(live)[1] ^ 1]
     err = np.zeros(channel.shape)
     err[live] = np.clip(np.einsum("kij,kji->k", partner, post).real, 0.0, 1.0)
     return channel.T, err.T, np.maximum(dist, 0.0).T, channel

@@ -7,20 +7,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    HERMITICITY_TOL,
     PSD_TOL,
     UNIT_TRACE_TOL,
     SchemaError,
     _eigh,
+    _stack,
     as_complex_matrix,
     as_hermitian,
+    eig_hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
-    trace_distance,
 )
 
 __all__ = [
-    "DensityOperator",
     "CqEnsemble",
     "average_state",
     "apply_unitary",
@@ -34,90 +35,85 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """A quantum state: Hermitian, PSD, unit-trace matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = as_hermitian(self.mat)
-        require_states(m, _eigh(m)[0])
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 def require_states(mats: np.ndarray, w: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of mats (..., d, d) is PSD and unit-trace.
+    """Raise ValueError naming the first matrix of mats (n, d, d) that is not PSD or unit-trace.
 
     mats must be Hermitian and w their eigenvalues in descending order, as
     returned by eig_hermitian or _eigh; callers that diagonalize a larger stack pass
     their slice of it, so a state costs no decomposition of its own.
     """
-    low = float(w[..., -1].min())
-    if low < -PSD_TOL:
-        raise ValueError(f"state is not PSD: min eigenvalue {low:.3e}")
-    tr = mats.trace(axis1=-2, axis2=-1).real.ravel()
-    worst = float(tr[np.abs(tr - 1.0).argmax()])
-    if abs(worst - 1.0) > UNIT_TRACE_TOL:
-        raise ValueError(f"state trace {worst!r} is not 1")
+    low = w[:, -1]
+    tr = mats.trace(axis1=-2, axis2=-1).real
+    bad = np.flatnonzero((low < -PSD_TOL) | (np.abs(tr - 1.0) > UNIT_TRACE_TOL))
+    if bad.size:
+        i = int(bad[0])
+        if low[i] < -PSD_TOL:
+            raise ValueError(f"state {i}: state is not PSD: min eigenvalue {low[i]:.3e}")
+        raise ValueError(f"state {i}: state trace {float(tr[i])!r} is not 1")
+
+
+def checked_states(mats) -> np.ndarray:
+    """The density matrices as one checked, symmetrized, read-only (n, d, d) array.
+
+    The whole stack is checked in one pass with one eigendecomposition: each
+    matrix must be square and of the first one's dimension, finite, Hermitian,
+    PSD and of unit trace. A failure names the first failing matrix, with the
+    text a lone matrix would give, so every earlier matrix passes every check.
+    """
+    a = _stack(mats, "state")
+    adj = a.conj().swapaxes(-1, -2)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf; those matrices fail as non-finite
+        asym = np.abs(a - adj).max(axis=(-2, -1))
+    ok = finite & (asym <= HERMITICITY_TOL)
+    k = len(a) if ok.all() else int(ok.argmin())  # the first failure of these two checks
+    h = (a[:k] + adj[:k]) / 2.0
+    require_states(h, _eigh(h)[0])
+    if k < len(a):
+        raise ValueError(f"state {k}: matrix has non-finite entries" if not finite[k] else
+                         f"state {k}: matrix is not Hermitian: max asymmetry {asym[k]:.3e} > "
+                         f"{HERMITICITY_TOL:.3e}")
+    h.flags.writeable = False
+    return h
 
 
 @dataclass(frozen=True)
 class CqEnsemble:
     """Classical-quantum ensemble: labels x with probabilities and encoding states.
 
-    All probabilities must be strictly positive (zero-probability symbols are
-    rejected rather than trimmed, so user errors surface) and sum to one;
-    all states must share the same dimension.
+    ``states`` holds the density matrices as one read-only (len, d, d) array,
+    checked by checked_states. All probabilities must be strictly positive
+    (zero-probability symbols are rejected rather than trimmed, so user
+    errors surface) and sum to one.
     """
 
     probs: np.ndarray
-    states: tuple[DensityOperator, ...]
+    states: np.ndarray
     labels: tuple[str, ...] = field(default=())
-    _mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        states = tuple(self.states)
-        if probs.ndim != 1 or len(probs) != len(states) or len(states) == 0:
+        if probs.ndim != 1 or len(probs) != len(self.states) or len(probs) == 0:
             raise ValueError("need one probability per state, at least one item")
-        if np.any(probs <= 0.0):
+        states = checked_states(self.states)
+        if not np.all(probs > 0.0):
             raise ValueError("all probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > UNIT_TRACE_TOL:
+        if not abs(float(probs.sum()) - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        d = states[0].dim
-        if any(s.dim != d for s in states):
-            raise ValueError("all states must share the same dimension")
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(states)))
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and aligned with states")
-        mats = np.array([s.mat for s in states])
         probs.flags.writeable = False
-        mats.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_mats", mats)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[-1]
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def state_mats(self) -> np.ndarray:
-        """Stack of the encoding states, shape (len, d, d).
-
-        Built once, when the ensemble is; every call returns that same
-        read-only array, so callers share it and must copy it to modify it.
-        """
-        return self._mats
 
 
 def ket(amplitudes) -> np.ndarray:
@@ -129,24 +125,28 @@ def ket(amplitudes) -> np.ndarray:
     return v / n
 
 
-def pure_state(amplitudes) -> DensityOperator:
+def pure_state(amplitudes) -> np.ndarray:
+    """The density matrix |v><v| of the normalized amplitudes, checked and read-only."""
     v = ket(amplitudes)
-    return DensityOperator(np.outer(v, v.conj()))
+    return checked_states([np.outer(v, v.conj())])[0]
 
 
-def average_state(e: CqEnsemble) -> DensityOperator:
-    """Expected density operator of the ensemble, sum_x p(x) rho^x."""
-    avg = np.einsum("x,xij->ij", e.probs, e.state_mats())
-    return DensityOperator(avg)
+def average_state(e: CqEnsemble) -> np.ndarray:
+    """Expected density operator of the ensemble, sum_x p(x) rho^x, checked and read-only."""
+    return checked_states([np.einsum("x,xij->ij", e.probs, e.states)])[0]
+
+
+def _unitary(u) -> np.ndarray:
+    u = as_complex_matrix(u)
+    if not is_unitary(u):
+        raise ValueError("matrix is not unitary")
+    return u
 
 
 def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:
     """Conjugate every encoding state by the unitary u; probabilities unchanged."""
-    u = as_complex_matrix(u)
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary")
-    states = tuple(DensityOperator(u @ s.mat @ u.conj().T) for s in e.states)
-    return CqEnsemble(e.probs, states, e.labels)
+    u = _unitary(u)
+    return CqEnsemble(e.probs, u @ e.states @ u.conj().T, e.labels)
 
 
 def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
@@ -155,16 +155,14 @@ def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
         raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
     d = e.dim
     eye = np.eye(d, dtype=complex)
-    states = tuple(DensityOperator(p * eye / d + (1.0 - p) * s.mat) for s in e.states)
-    return CqEnsemble(e.probs, states, e.labels)
+    return CqEnsemble(e.probs, p * eye / d + (1.0 - p) * e.states, e.labels)
 
 
 def unitary_disturbance(e: CqEnsemble, u) -> float:
     """Largest trace distance between an encoding state and its image under u."""
-    u = as_complex_matrix(u)
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary")
-    return max(trace_distance(u @ s.mat @ u.conj().T, s.mat) for s in e.states)
+    u = _unitary(u)
+    w, _ = eig_hermitian(as_hermitian(u @ e.states @ u.conj().T) - e.states)
+    return float(0.5 * np.abs(w).sum(axis=-1).max())
 
 
 def bb84_ensemble() -> CqEnsemble:
@@ -173,14 +171,10 @@ def bb84_ensemble() -> CqEnsemble:
     (0,0) -> |0>, (0,1) -> |1>, (1,0) -> |+>, (1,1) -> |->.
     """
     s = 1.0 / np.sqrt(2.0)
-    states = (
-        pure_state([1.0, 0.0]),
-        pure_state([0.0, 1.0]),
-        pure_state([s, s]),
-        pure_state([s, -s]),
-    )
+    v = np.array([ket(a) for a in ([1.0, 0.0], [0.0, 1.0], [s, s], [s, -s])])
     return CqEnsemble(
-        np.full(4, 0.25), states, labels=("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+        np.full(4, 0.25), v[:, :, None] * v.conj()[:, None, :],
+        labels=("(0,0)", "(0,1)", "(1,0)", "(1,1)"),
     )
 
 
@@ -188,7 +182,7 @@ def ensemble_to_json(e: CqEnsemble) -> dict:
     return {
         "labels": list(e.labels),
         "probs": [float(p) for p in e.probs],
-        "states": [matrix_to_json(s.mat) for s in e.states],
+        "states": [matrix_to_json(s) for s in e.states],
     }
 
 
@@ -204,16 +198,16 @@ def ensemble_from_json(doc) -> CqEnsemble:
         raise SchemaError(
             f"lengths disagree: {len(labels)} labels, {len(probs)} probs, {len(states)} states"
         )
-    ops = []
+    mats = []
     for i, raw in enumerate(states):
         try:
-            ops.append(DensityOperator(matrix_from_json(raw)))
+            mats.append(matrix_from_json(raw))
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"state {i}: {exc}") from exc
     for i, p in enumerate(probs):
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
             raise SchemaError(f"prob {i}: must be a number in (0, 1], got {p!r}")
     try:
-        return CqEnsemble(np.array(probs, dtype=float), tuple(ops), tuple(str(x) for x in labels))
+        return CqEnsemble(np.array(probs, dtype=float), mats, tuple(str(x) for x in labels))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

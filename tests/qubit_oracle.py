@@ -53,7 +53,7 @@ def qubit_grid_oracle(e: CqEnsemble, resolution: int = 721) -> OracleResult:
         raise ValueError("the grid oracle is defined for qubit ensembles only")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    bloch = _bloch_vectors(e.state_mats())
+    bloch = _bloch_vectors(e.states)
 
     tt, pp = np.meshgrid(np.linspace(0.0, np.pi, resolution),
                          np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False),

@@ -34,7 +34,6 @@ from gentleleak.measurements import (
 from gentleleak.simulate import EveStrategy, run_simulation
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     apply_unitary,
     bb84_ensemble,
     depolarize,
@@ -165,7 +164,7 @@ def test_criterion_5_gentle_construction_suite():
             worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(f))))
 
         states = tuple(
-            DensityOperator(_random_density(d, rng)) for _ in range(int(rng.integers(2, 4)))
+            _random_density(d, rng) for _ in range(int(rng.integers(2, 4)))
         )
         e = CqEnsemble(np.full(len(states), 1.0 / len(states)), states)
         spec = GentlenessSpec(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.01, 0.5)))
@@ -180,7 +179,7 @@ def test_criterion_5_gentle_construction_suite():
         tiny = gentle_povm(m, 1e-4)
         for s in e.states:
             for branch in (0, 1):  # the +/- branches carry the good event
-                dist = trace_distance(post_measurement_state(s, tiny, branch).mat, s.mat)
+                dist = trace_distance(post_measurement_state(s, tiny, branch), s)
                 worst_small_eps = max(worst_small_eps, dist)
 
     ok = (

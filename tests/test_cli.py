@@ -13,7 +13,6 @@ from gentleleak.linalg import matrix_to_json, random_density
 from gentleleak.measurements import povm_to_json, projective_povm
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     bb84_ensemble,
     ensemble_to_json,
     pure_state,
@@ -53,7 +52,7 @@ class TestLeakageCommand:
     def test_commuting_ensemble(self, tmp_path, capsys):
         e = CqEnsemble(
             np.array([0.5, 0.5]),
-            (DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.25, 0.75]))),
+            (np.diag([1.0, 0.0]), np.diag([0.25, 0.75])),
         )
         path = tmp_path / "commuting.json"
         path.write_text(json.dumps(ensemble_to_json(e)))
@@ -80,7 +79,7 @@ class TestLeakageCommand:
 
     def test_budget_exhaustion_exits_4(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(9)
-        states = tuple(DensityOperator(random_density(3, rng)) for _ in range(4))
+        states = tuple(random_density(3, rng) for _ in range(4))
         path = tmp_path / "qutrit.json"
         path.write_text(json.dumps(ensemble_to_json(CqEnsemble(np.full(4, 0.25), states))))
         monkeypatch.setattr(leakage, "MAX_ITERS", 1)

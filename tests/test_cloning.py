@@ -21,7 +21,6 @@ from gentleleak.leakage import maximal_quantum_leakage
 from gentleleak.linalg import eig_hermitian, random_density
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     bb84_ensemble,
     ensemble_from_json,
     ensemble_to_json,
@@ -46,16 +45,16 @@ def basis_plus(d):
 
 def random_ensemble(d, seed):
     rng = np.random.default_rng(seed)
-    states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+    states = tuple(random_density(d, rng) for _ in range(3))
     return CqEnsemble(rng.dirichlet(np.ones(3)), states)
 
 
 def maximally_mixed_ensemble():
-    return CqEnsemble(np.array([0.5, 0.5]), (DensityOperator(np.eye(2) / 2),) * 2)
+    return CqEnsemble(np.array([0.5, 0.5]), (np.eye(2) / 2,) * 2)
 
 
 def spread(e):
-    w, _ = eig_hermitian(np.eye(e.dim) / e.dim - e.state_mats())
+    w, _ = eig_hermitian(np.eye(e.dim) / e.dim - e.states)
     return 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
 
 
@@ -265,7 +264,7 @@ class TestLowerBound:
     def test_maximally_mixed_state_vacuous_cap(self):
         e = CqEnsemble(
             np.array([0.5, 0.5]),
-            (DensityOperator(np.eye(2) / 2), pure_state([1, 0])),
+            (np.eye(2) / 2, pure_state([1, 0])),
         )
         r = cloning_lower_bound(e, 0.6, 0.5)
         assert r.p1_cap == 1.0  # the mixed state contributes no constraint
@@ -274,7 +273,7 @@ class TestLowerBound:
         rng = np.random.default_rng(1)
         e = CqEnsemble(
             np.array([0.5, 0.5]),
-            (DensityOperator(random_density(3, rng)), DensityOperator(random_density(3, rng))),
+            (random_density(3, rng), random_density(3, rng)),
         )
         r = cloning_lower_bound(e, 0.3, 1.0)
         assert r.lower_bits >= 0.0

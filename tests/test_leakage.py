@@ -35,7 +35,6 @@ from gentleleak.measurements import (
 )
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     apply_unitary,
     bb84_ensemble,
     depolarize,
@@ -53,7 +52,7 @@ def random_qubit_ensemble(rng):
     probs = rng.uniform(0.2, 1.0, n)
     probs /= probs.sum()
     states = tuple(
-        DensityOperator(random_density(2, rng, rank=int(rng.integers(1, 3)))) for _ in range(n)
+        random_density(2, rng, rank=int(rng.integers(1, 3))) for _ in range(n)
     )
     return CqEnsemble(probs, states)
 
@@ -100,7 +99,7 @@ class TestUpperBound:
 
     def test_three_symbols_dim_four(self):
         rng = np.random.default_rng(0)
-        states = tuple(DensityOperator(random_density(4, rng)) for _ in range(3))
+        states = tuple(random_density(4, rng) for _ in range(3))
         e = CqEnsemble(np.full(3, 1 / 3), states)
         assert leakage_upper_bound(e) == pytest.approx(np.log2(3.0))
 
@@ -131,7 +130,7 @@ class TestMaximalLeakage:
     def test_commuting_closed_form(self):
         e = CqEnsemble(
             np.array([0.5, 0.5]),
-            (DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.25, 0.75]))),
+            (np.diag([1.0, 0.0]), np.diag([0.25, 0.75])),
         )
         est = maximal_quantum_leakage(e)
         assert est.upper_bits - est.bits <= 1e-12
@@ -157,7 +156,7 @@ class TestMaximalLeakage:
             e = random_qubit_ensemble(rng)
             est = maximal_quantum_leakage(e)
             max_dist = max(
-                trace_distance(e.states[i].mat, e.states[j].mat)
+                trace_distance(e.states[i], e.states[j])
                 for i in range(len(e))
                 for j in range(i + 1, len(e))
             )
@@ -189,7 +188,7 @@ def trine_ensemble():
 
 
 def random_ensemble(rng, d, n, rank=None):
-    states = tuple(DensityOperator(random_density(d, rng, rank=rank)) for _ in range(n))
+    states = tuple(random_density(d, rng, rank=rank) for _ in range(n))
     return CqEnsemble(np.full(n, 1.0 / n), states)
 
 
@@ -292,7 +291,7 @@ class TestGridOracle:
 
     def test_rejects_non_qubit(self):
         rng = np.random.default_rng(0)
-        states = tuple(DensityOperator(random_density(3, rng)) for _ in range(2))
+        states = tuple(random_density(3, rng) for _ in range(2))
         e = CqEnsemble(np.array([0.5, 0.5]), states)
         with pytest.raises(ValueError):
             qubit_grid_oracle(e)
@@ -440,7 +439,7 @@ class TestGentleProbeSearch:
         }
         # the reported best witness, rebuilt from public calls, certifies at search_bits
         i, j = (bb84.labels.index(label) for label in iv.meta["search"]["best_pair"])
-        mats = bb84.state_mats()
+        mats = bb84.states
         impl = gentle_povm(positive_part(mats[i] - mats[j]), epsilon)
         cert = certify_gentle(bb84, impl, spec)
         assert cert.certified
@@ -454,7 +453,7 @@ def dual_cases():
     trine = tuple(pure_state([np.cos(a), np.sin(a)]) for a in angles)
     yield pytest.param(CqEnsemble(np.full(3, 1.0 / 3), trine), id="trine")
     for d, n in ((3, 4), (8, 6), (4, 2)):  # the last has fewer states than dimensions
-        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(n))
+        states = tuple(random_density(d, rng) for _ in range(n))
         yield pytest.param(CqEnsemble(rng.dirichlet(np.ones(n)), states), id=f"d{d}-n{n}")
     # the cap log2 min(|X|, d) is reached at |X| < d; its dual is sum_x rho^x
     orthogonal = (pure_state([1, 0, 0]), pure_state([0, 1, 0]))
@@ -468,7 +467,7 @@ class TestDualCertificate:
     def test_dual_is_feasible_and_prices_upper_bits(self, e):
         doc = json.loads(json.dumps(maximal_quantum_leakage(e).to_json()))
         y = np.array([[re + 1j * im for re, im in row] for row in doc["dual"]["entries"]])
-        for rho in e.state_mats():
+        for rho in e.states:
             assert np.linalg.eigvalsh(y - rho).min() >= -1e-12
         assert abs(np.log2(np.trace(y).real) - doc["upper_bits"]) <= 1e-12
 

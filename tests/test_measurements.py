@@ -32,7 +32,6 @@ from gentleleak.measurements import (
 )
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     bb84_ensemble,
     pure_state,
 )
@@ -46,7 +45,7 @@ def bb84():
 
 
 def bb84_pair_probe():
-    return positive_part(pure_state([1, 0]).mat - pure_state([1, 1]).mat)
+    return positive_part(pure_state([1, 0]) - pure_state([1, 1]))
 
 
 class TestPovmTypes:
@@ -103,25 +102,19 @@ class TestStackedChecks:
 
     def test_stacks_are_read_only_and_back_the_rows(self, bb84):
         impl = gentle_povm(bb84_pair_probe(), 0.05)
-        mats = bb84.state_mats()
-        assert mats is bb84.state_mats()
-        for stack, rows in (
-            (mats, [s.mat for s in bb84.states]),
-            (impl.povm.stack, impl.povm.elements),
-            (impl.stack, impl.operators),
-        ):
-            assert not stack.flags.writeable
+        mats = bb84.states
+        assert mats is bb84.states
+        for stack in (mats, impl.povm.elements, impl.operators):
+            assert not stack.flags.writeable and stack.shape[1:] == (2, 2)
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0
-            assert np.array_equal(stack, np.array(rows))
-        for stack, rows in ((impl.povm.stack, impl.povm.elements), (impl.stack, impl.operators)):
-            assert all(np.shares_memory(stack, row) for row in rows)
+            assert all(np.shares_memory(stack, row) for row in stack)
 
     def test_callers_arrays_stay_writeable(self):
         ops = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
         impl = PovmImplementation(Povm(ops), ops)
         assert all(b.flags.writeable for b in ops)
-        assert not any(np.shares_memory(b, impl.stack) for b in ops)
+        assert not any(np.shares_memory(b, impl.operators) for b in ops)
 
     def test_two_hermiticity_checks_per_tried_strength(self, bb84, monkeypatch):
         # gentle_povm checks M and I - M^2 once per probe; each tried strength then
@@ -178,19 +171,19 @@ class TestPostMeasurementState:
     def test_projection_fixed_point(self):
         impl = projective_povm(np.eye(2))
         out = post_measurement_state(pure_state([1, 0]), impl, 0)
-        assert np.allclose(out.mat, np.diag([1.0, 0.0]))
+        assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_projection_collapse(self):
         impl = projective_povm(np.eye(2))
         out = post_measurement_state(pure_state([1, 1]), impl, 0)
-        assert np.allclose(out.mat, np.diag([1.0, 0.0]))
+        assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_identity_probe_leaves_state_alone(self):
         impl = gentle_povm(np.eye(2), 0.08)
         rho = pure_state([1, 1j])
         for y in range(2):  # outcome 0 has probability zero for M = I
             out = post_measurement_state(rho, impl, y)
-            assert np.allclose(out.mat, rho.mat, atol=1e-12)
+            assert np.allclose(out, rho, atol=1e-12)
 
     def test_zero_probability_outcome(self):
         impl = projective_povm(np.eye(2))
@@ -201,13 +194,13 @@ class TestPostMeasurementState:
         rng = np.random.default_rng(3)
         impl = projective_povm(haar_unitary(2, rng))
         out = post_measurement_state(pure_state([1, 0.3j]), impl, 0)
-        assert abs(np.trace(out.mat).real - 1.0) <= 1e-10
+        assert abs(np.trace(out).real - 1.0) <= 1e-10
 
     def test_outcome_probabilities_total_one(self, bb84):
         rng = np.random.default_rng(4)
         impl = projective_povm(haar_unitary(2, rng))
         for s in bb84.states:
-            total = sum(np.trace(s.mat @ f).real for f in impl.povm.elements)
+            total = sum(np.trace(s @ f).real for f in impl.povm.elements)
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -288,7 +281,7 @@ def reference_certificate(e, impl, spec, mode):
     good, dists = [], []
     for y in range(len(impl)):
         ds = [
-            trace_distance(post_measurement_state(s, impl, y).mat, s.mat)
+            trace_distance(post_measurement_state(s, impl, y), s)
             for k, s in enumerate(e.states)
             if probs[y, k] > ZERO_PROB
         ]
@@ -311,7 +304,7 @@ class TestStackedCertification:
         live = np.argwhere(dist >= 0.0)
         assert np.array_equal(live, np.argwhere(probs > ZERO_PROB))
         for (y, k), state in zip(live, post):
-            want = post_measurement_state(e.states[k], impl, y).mat
+            want = post_measurement_state(e.states[k], impl, y)
             assert np.max(np.abs(state - want)) <= 1e-12
         for mode in ("per-state", "average-state"):
             cert = certify_gentle(e, impl, spec, mode=mode)
@@ -326,7 +319,7 @@ class TestStackedCertification:
         for _ in range(6):
             n = int(rng.integers(2, 5))
             states = tuple(
-                DensityOperator(random_density(d, rng, rank=int(rng.choice([1, d]))))
+                random_density(d, rng, rank=int(rng.choice([1, d])))
                 for _ in range(n)
             )
             e = CqEnsemble(rng.dirichlet(np.ones(n)), states)
@@ -350,7 +343,7 @@ class TestStackedCertification:
     def test_exactly_gentle_branch_at_alpha_zero(self, d):
         # the identity probe's '+' branch is a multiple of I: it moves no state at all
         rng = np.random.default_rng(d)
-        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+        states = tuple(random_density(d, rng) for _ in range(3))
         e = CqEnsemble(np.full(3, 1.0 / 3), states)
         impl = gentle_povm(np.eye(d), 0.05)
         spec = GentlenessSpec(0.0, 0.0)
@@ -359,7 +352,7 @@ class TestStackedCertification:
         assert cert.outcome_good[0] and cert.certified
 
 
-def first_order_disturbance(m, rho: DensityOperator, epsilon: float) -> float:
+def first_order_disturbance(m, rho: np.ndarray, epsilon: float) -> float:
     """Leading-order post-measurement deviation of the '+' branch of the probe.
 
     eps * sqrt(2/(1-2 eps^2)) * || M rho + rho M - 2 tr(rho M) rho ||_1 / 2.
@@ -368,7 +361,7 @@ def first_order_disturbance(m, rho: DensityOperator, epsilon: float) -> float:
     states); exact disturbances are checked against this form.
     """
     a = np.asarray(m, dtype=complex)
-    lead = a @ rho.mat + rho.mat @ a - 2.0 * np.trace(rho.mat @ a).real * rho.mat
+    lead = a @ rho + rho @ a - 2.0 * np.trace(rho @ a).real * rho
     return float(epsilon * np.sqrt(2.0 / (1.0 - 2.0 * epsilon**2)) * 0.5 * trace_norm(lead))
 
 
@@ -412,7 +405,7 @@ class TestGentlePovm:
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
             impl = gentle_povm(m, eps)
-            dist = trace_distance(post_measurement_state(rho, impl, 0).mat, rho.mat)
+            dist = trace_distance(post_measurement_state(rho, impl, 0), rho)
             ratios.append(dist / eps)
         assert ratios[1] == pytest.approx(ratios[2], rel=2e-2)
 
@@ -422,7 +415,7 @@ class TestGentlePovm:
         for rho in bb84.states:
             for eps in (0.05, 0.01):
                 impl = gentle_povm(probe, eps)
-                exact = trace_distance(post_measurement_state(rho, impl, 0).mat, rho.mat)
+                exact = trace_distance(post_measurement_state(rho, impl, 0), rho)
                 approx = first_order_disturbance(probe, rho, eps)
                 assert abs(exact - approx) <= 5.0 * eps**2
 
@@ -488,7 +481,7 @@ class TestCalibrationMatchesReference:
         for _ in range(4):
             n = int(rng.integers(2, 5))
             states = tuple(
-                DensityOperator(random_density(d, rng, rank=int(rng.integers(1, d + 1))))
+                random_density(d, rng, rank=int(rng.integers(1, d + 1)))
                 for _ in range(n)
             )
             e = CqEnsemble(rng.dirichlet(np.ones(n)), states)
@@ -507,7 +500,7 @@ class TestCalibrationMatchesReference:
     def test_probe_that_never_certifies(self, d, mode):
         # at alpha = 0 every +/- branch of a generic probe moves some state
         rng = np.random.default_rng([43, d])
-        states = tuple(DensityOperator(random_density(d, rng)) for _ in range(3))
+        states = tuple(random_density(d, rng) for _ in range(3))
         e = CqEnsemble(np.full(3, 1.0 / 3), states)
         m = random_contraction(d, rng)
         assert self.assert_same(m, GentlenessSpec(0.0, 0.0), e, mode) == 0.0

@@ -49,9 +49,9 @@ def reference_round_tables(strategy):
         for y, b in enumerate(impl.operators):
             if channel[y, x] <= ZERO_PROB:
                 continue
-            out = b @ rho.mat @ b.conj().T
+            out = b @ rho @ b.conj().T
             post = out / np.trace(out).real
-            dist[x, y] = trace_distance(post, rho.mat)
+            dist[x, y] = trace_distance(post, rho)
             err[x, y] = np.clip(np.trace(wrong @ post).real, 0.0, 1.0)
     return channel.T, err, dist, channel
 

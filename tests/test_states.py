@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentleleak.linalg import SchemaError, haar_unitary, trace_distance
+from gentleleak import states
+from gentleleak.cloning import lower_bound_sweep
+from gentleleak.leakage import depolarized_leakage, sibson_infinity
+from gentleleak.linalg import SchemaError, haar_unitary, random_density, trace_distance
 from gentleleak.states import (
     CqEnsemble,
-    DensityOperator,
     apply_unitary,
     average_state,
     bb84_ensemble,
@@ -30,15 +34,15 @@ def bb84():
 class TestDensityOperator:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="PSD"):
-            DensityOperator(np.diag([1.5, -0.5]))
+            CqEnsemble(np.array([1.0]), (np.diag([1.5, -0.5]),))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(np.diag([0.7, 0.7]))
+            CqEnsemble(np.array([1.0]), (np.diag([0.7, 0.7]),))
 
     def test_accepts_mixed_state(self):
-        rho = DensityOperator(np.diag([0.3, 0.7]))
-        assert rho.dim == 2
+        e = CqEnsemble(np.array([1.0]), (np.diag([0.3, 0.7]),))
+        assert e.dim == 2
 
 
 class TestEnsembleConstruction:
@@ -54,41 +58,66 @@ class TestEnsembleConstruction:
         with pytest.raises(ValueError, match="dimension"):
             CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0, 0])))
 
+    def test_checks_the_whole_stack_with_one_decomposition(self, monkeypatch):
+        calls = []
+        real = states._eigh
+        monkeypatch.setattr(states, "_eigh", lambda h: calls.append(h.shape) or real(h))
+        rng = np.random.default_rng(5)
+        e = CqEnsemble(np.full(3, 1 / 3), tuple(random_density(3, rng) for _ in range(3)))
+        assert calls == [(3, 3, 3)]
+        ensemble_from_json(ensemble_to_json(e))
+        assert calls == [(3, 3, 3)] * 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CqEnsemble(np.array([np.nan, 1.0]), (pure_state([1, 0]), pure_state([0, 1]))),
+        lambda: sibson_infinity([[np.nan, 0.5], [0.5, 0.5]]),
+        lambda: depolarized_leakage(np.nan, 0.3),
+        lambda: lower_bound_sweep(bb84_ensemble(), [0.1], np.nan),
+    ],
+    ids=["ensemble-probs", "sibson-channel", "depolarized-base-bits", "sweep-q-bits"],
+)
+def test_nan_fails_public_range_checks(call):
+    with pytest.raises(ValueError):
+        call()
+
 
 class TestAverageState:
     def test_single_item(self):
         rho = pure_state([1, 1j])
         e = CqEnsemble(np.array([1.0]), (rho,))
-        assert np.allclose(average_state(e).mat, rho.mat)
+        assert np.allclose(average_state(e), rho)
 
     def test_bb84_is_maximally_mixed(self, bb84):
-        assert np.allclose(average_state(bb84).mat, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(average_state(bb84), np.eye(2) / 2, atol=1e-12)
 
     def test_classical_bit(self):
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
-        assert np.allclose(average_state(e).mat, np.diag([0.5, 0.5]))
+        assert np.allclose(average_state(e), np.diag([0.5, 0.5]))
 
 
 class TestApplyUnitary:
     def test_identity(self, bb84):
         out = apply_unitary(bb84, np.eye(2))
         for a, b in zip(out.states, bb84.states):
-            assert np.allclose(a.mat, b.mat)
+            assert np.allclose(a, b)
 
     def test_hadamard_permutes_bb84(self, bb84):
         # H|0> = |+>, H|1> = |->, H|+> = |0>, H|-> = |1>
         out = apply_unitary(bb84, HADAMARD)
         expected = [bb84.states[2], bb84.states[3], bb84.states[0], bb84.states[1]]
         for a, b in zip(out.states, expected):
-            assert np.allclose(a.mat, b.mat, atol=1e-12)
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_preserves_pairwise_distances(self, bb84):
         u = haar_unitary(2, np.random.default_rng(0))
         out = apply_unitary(bb84, u)
         for i in range(4):
             for j in range(i + 1, 4):
-                before = trace_distance(bb84.states[i].mat, bb84.states[j].mat)
-                after = trace_distance(out.states[i].mat, out.states[j].mat)
+                before = trace_distance(bb84.states[i], bb84.states[j])
+                after = trace_distance(out.states[i], out.states[j])
                 assert after == pytest.approx(before, abs=1e-10)
 
     def test_rejects_non_unitary(self, bb84):
@@ -100,17 +129,17 @@ class TestDepolarize:
     def test_p_zero_is_identity(self, bb84):
         out = depolarize(bb84, 0.0)
         for a, b in zip(out.states, bb84.states):
-            assert np.allclose(a.mat, b.mat)
+            assert np.allclose(a, b)
 
     def test_p_one_is_maximally_mixed(self, bb84):
         out = depolarize(bb84, 1.0)
         for s in out.states:
-            assert np.allclose(s.mat, np.eye(2) / 2)
+            assert np.allclose(s, np.eye(2) / 2)
 
     def test_half_on_ground_state(self):
         e = CqEnsemble(np.array([1.0]), (pure_state([1, 0]),))
         out = depolarize(e, 0.5)
-        assert np.allclose(out.states[0].mat, np.diag([0.75, 0.25]))
+        assert np.allclose(out.states[0], np.diag([0.75, 0.25]))
 
     def test_rejects_out_of_range(self, bb84):
         with pytest.raises(ValueError):
@@ -123,7 +152,7 @@ class TestDepolarize:
         once = depolarize(depolarize(e, p), q)
         combined = depolarize(e, p + q - p * q)
         for a, b in zip(once.states, combined.states):
-            assert np.max(np.abs(a.mat - b.mat)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     @given(probs01)
     @settings(max_examples=30, deadline=None)
@@ -132,8 +161,8 @@ class TestDepolarize:
         out = depolarize(e, p)
         for i in range(4):
             for j in range(i + 1, 4):
-                before = trace_distance(e.states[i].mat, e.states[j].mat)
-                after = trace_distance(out.states[i].mat, out.states[j].mat)
+                before = trace_distance(e.states[i], e.states[j])
+                after = trace_distance(out.states[i], out.states[j])
                 assert after == pytest.approx((1.0 - p) * before, abs=1e-10)
 
     @given(probs01)
@@ -142,7 +171,7 @@ class TestDepolarize:
         e = bb84_ensemble()
         left = depolarize(e, p)
         assert np.max(
-            np.abs(average_state(left).mat - (p * np.eye(2) / 2 + (1 - p) * average_state(e).mat))
+            np.abs(average_state(left) - (p * np.eye(2) / 2 + (1 - p) * average_state(e)))
         ) <= 1e-12
 
 
@@ -163,10 +192,10 @@ class TestUnitaryDisturbance:
 class TestBb84:
     def test_encoding_table(self, bb84):
         assert bb84.labels == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-        assert np.allclose(bb84.states[0].mat, np.diag([1.0, 0.0]))
-        assert np.allclose(bb84.states[1].mat, np.diag([0.0, 1.0]))
-        assert np.allclose(bb84.states[2].mat, np.full((2, 2), 0.5))
-        assert np.allclose(bb84.states[3].mat, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        assert np.allclose(bb84.states[0], np.diag([1.0, 0.0]))
+        assert np.allclose(bb84.states[1], np.diag([0.0, 1.0]))
+        assert np.allclose(bb84.states[2], np.full((2, 2), 0.5))
+        assert np.allclose(bb84.states[3], np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
     def test_uniform_probabilities(self, bb84):
         assert np.allclose(bb84.probs, 0.25)
@@ -179,7 +208,7 @@ class TestEnsembleJson:
         assert back.labels == bb84.labels
         assert np.allclose(back.probs, bb84.probs)
         for a, b in zip(back.states, bb84.states):
-            assert np.allclose(a.mat, b.mat)
+            assert np.allclose(a, b)
 
     def test_reports_first_bad_state_with_index(self, bb84):
         doc = ensemble_to_json(bb84)
@@ -188,24 +217,36 @@ class TestEnsembleJson:
             ensemble_from_json(doc)
 
     @pytest.mark.parametrize(
-        "entries, message",
+        "bad, message",
         [
             (
-                [[[0.5, 0.0], [0.7, 0.0]], [[0.7, 0.0], [0.5, 0.0]]],
+                {2: [[0.5, 0.7], [0.7, 0.5]]},
                 "state 2: state is not PSD: min eigenvalue -2.000e-01",
             ),
+            ({2: [[0.5, 0.0], [0.0, 0.25]]}, "state 2: state trace 0.75 is not 1"),
+            ({1: [[np.nan, 0.0], [0.0, 1.0]]}, "state 1: matrix has non-finite entries"),
             (
-                [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]],
-                "state 2: state trace 0.75 is not 1",
+                {1: [[0.5, 0.3], [0.0, 0.5]]},
+                "state 1: matrix is not Hermitian: max asymmetry 3.000e-01 > 1.000e-10",
+            ),
+            ({2: np.diag([1.0, 0.0, 0.0])}, "state 2 has dimension 3, expected 2"),
+            (
+                {1: [[0.7, 0.0], [0.0, 0.7]], 3: [[0.5, 0.3], [0.0, 0.5]]},
+                "state 1: state trace 1.4 is not 1",
             ),
         ],
-        ids=["not-psd", "bad-trace"],
+        ids=["not-psd", "bad-trace", "nan", "not-hermitian", "mixed-dimension", "two-bad"],
     )
-    def test_names_the_failing_state(self, bb84, entries, message):
+    def test_names_the_failing_state(self, bb84, bad, message):
         doc = ensemble_to_json(bb84)
-        doc["states"][2]["entries"] = entries
+        for i, m in bad.items():
+            m = np.asarray(m, dtype=complex)
+            doc["states"][i] = {
+                "dim": len(m),
+                "entries": [[[z.real, z.imag] for z in row] for row in m.tolist()],
+            }
         with pytest.raises(SchemaError) as info:
-            ensemble_from_json(doc)
+            ensemble_from_json(json.loads(json.dumps(doc)))  # NaN as a JSON literal
         assert str(info.value) == message
 
     def test_reports_bad_prob_with_index(self, bb84):
