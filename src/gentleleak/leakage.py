@@ -15,7 +15,11 @@ PSD and completed to a POVM, gives a lower bound: its Sibson value. The
 solver's Y and the candidate Y = sum_x rho^x G_x, each raised by
 sum_x (rho^x - Y)_+ until it is feasible, give a rigorous upper bound. The
 square-root measurement is certified before any step; it is optimal for
-BB84 and the trine. A value is only returned once the two bounds agree to
+BB84 and the trine. If it leaves the gap above GAP_TOL and the support has
+dimension 2 (every qubit ensemble, or e.g. two pure states in d = 8), the
+POVM of the smallest ball around the Bloch vectors (Deconinck-Terhal; Bae)
+is certified too, still as iteration 1: the optimum there is log2(1 + R)
+for the ball's radius R. A value is only returned once the two bounds agree to
 within GAP_TOL bits; a step that can no longer close the gap, or the end of
 the iteration budget, raises ConvergenceError.
 
@@ -56,6 +60,9 @@ BOUNDARY_SHARE = 0.95
 # Eigenvalues of sum_x rho^x below this fraction of the largest span its kernel:
 # directions no encoding state reaches, where every G_x gets an equal share of I.
 SUPPORT_RTOL = 1e-10
+# Slack, in Bloch-vector length, of the smallest-ball test for a point on the sphere.
+BALL_TOL = 1e-12
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,9 @@ class LeakageEstimate:
     bits is the Sibson value of achieving_povm, upper_bits the value
     log2 tr Y of the dual-feasible operator dual (Y >= rho^x for every x),
     and iterations counts the start-point check and the interior-point
-    (Newton) steps after it.
+    (Newton) steps after it: 1 when a start candidate (the uniform POVM, the
+    square-root measurement or, on a two-dimensional support, the Bloch-ball
+    POVM) certifies.
     """
 
     bits: float
@@ -140,6 +149,88 @@ def _povm(h: np.ndarray) -> np.ndarray:
     return _herm(s @ h @ s)
 
 
+def _ball_through(p: np.ndarray) -> tuple[np.ndarray, float]:
+    """Smallest ball with the m <= 4 points p (m, 3) on its sphere: (centre, radius).
+
+    The centre c = p_0 + sum_k alpha_k (p_k - p_0) solves 2 (p_k - p_0).(c - p_0) =
+    |p_k - p_0|^2; least squares keeps a degenerate (collinear or coplanar) set finite.
+    """
+    a = p[1:] - p[0]
+    gram = a @ a.T
+    c = p[0] + np.linalg.lstsq(2.0 * gram, np.diag(gram), rcond=None)[0] @ a
+    return c, float(np.linalg.norm(p - c, axis=1).max())
+
+
+def _nonnegative_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x >= 0 that minimizes |a x - b|, by Lawson and Hanson's active-set method.
+
+    The free set grows by the index of the largest gradient entry; whenever the
+    least-squares solution on it leaves the orthant, x moves toward it as far as
+    x >= 0 allows and the indices that reach 0 are fixed again.
+    """
+    m = a.shape[1]
+    x, free = np.zeros(m), np.zeros(m, dtype=bool)
+    for _ in range(3 * m):
+        grad = np.where(free, -np.inf, a.T @ (b - a @ x))
+        if grad.max() <= BALL_TOL:
+            break
+        free[grad.argmax()] = True
+        while free.any():
+            s = np.zeros(m)
+            s[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            cut = free & (s <= 0.0)
+            if not cut.any():
+                x = s
+                break
+            t = np.min(x[cut] / np.maximum(x[cut] - s[cut], np.finfo(float).tiny))
+            x = x + t * (s - x)
+            free &= x > BALL_TOL
+    return np.clip(x, 0.0, None)
+
+
+def _bloch_ball_povm(rho: np.ndarray) -> np.ndarray | None:
+    """The minimum-error POVM of a two-dimensional ensemble rho (n, 2, 2), from its Bloch ball.
+
+    With rho^x = (I + r_x.sigma)/2 and Y = aI + b.sigma, Y >= rho^x reads
+    a - 1/2 >= |b - r_x/2|, so min tr Y = 1 + R for the smallest ball (c, R)
+    around the Bloch vectors r_x. Welzl's incremental algorithm finds it in
+    four nested loops. Writing c = sum_x lambda_x r_x over the points on the
+    sphere (lambda >= 0, sum lambda = 1) gives G_x = lambda_x (I + n_x.sigma)
+    with n_x = (r_x - c)/R, which sums to I and reaches 1 + R; G = I on the
+    first state when R = 0. None when rounding leaves no such lambda. The
+    caller certifies the POVM, so nothing here is trusted.
+    """
+    r = np.einsum("xij,aji->xa", rho, PAULI).real
+    c, rad = r[0], 0.0
+
+    def outside(p: np.ndarray) -> bool:
+        return float(np.linalg.norm(p - c)) > rad + BALL_TOL
+
+    for i in range(1, len(r)):
+        if outside(r[i]):
+            c, rad = r[i], 0.0
+            for j in range(i):
+                if outside(r[j]):
+                    c, rad = _ball_through(r[[i, j]])
+                    for k in range(j):
+                        if outside(r[k]):
+                            c, rad = _ball_through(r[[i, j, k]])
+                            for m in range(k):
+                                if outside(r[m]):
+                                    c, rad = _ball_through(r[[i, j, k, m]])
+    g = np.zeros_like(rho)
+    if rad <= BALL_TOL:
+        g[0] = np.eye(2)
+        return g
+    on = np.flatnonzero(np.linalg.norm(r - c, axis=1) >= rad - BALL_TOL)
+    a, b = np.vstack([r[on].T, np.ones(len(on))]), np.append(c, 1.0)
+    lam = _nonnegative_solution(a, b)
+    if np.abs(a @ lam - b).max() > BALL_TOL:
+        return None
+    g[on] = lam[:, None, None] * (np.eye(2) + np.einsum("xa,aij->xij", (r[on] - c) / rad, PAULI))
+    return _povm(g)
+
+
 def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(lower, upper, Y): the Sibson value of the POVM {G_x}, a dual-feasible value, its Y.
 
@@ -199,9 +290,12 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     """Supremum over all POVMs of the Born-channel Sibson information, in bits.
 
     Certifies the square-root measurement and the uniform POVM I/|X| (one
-    iteration), then takes interior-point steps from I/|X|, keeping the best
-    lower and upper values seen. Once they are within GAP_TOL bits it goes
-    on while each step at least halves the gap. Raises ConvergenceError if a
+    iteration). If their gap is above GAP_TOL and the support of sum_x rho^x
+    has dimension 2, the same iteration certifies the Bloch-ball POVM of
+    _bloch_ball_povm. Otherwise, or if that fails too, it takes
+    interior-point steps from I/|X|, keeping the best lower and upper values
+    seen. Once they are within GAP_TOL bits it goes on while each step at
+    least halves the gap. Raises ConvergenceError if a
     step fails or cannot lower the solver's duality measure before the gap
     is within GAP_TOL, or if the gap is still larger after MAX_ITERS
     iterations; an uncertified value is never returned.
@@ -220,6 +314,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     square_root = _povm(scale[:, None] * rho * scale[None, :])
     points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
     best_bits, best_g, best_upper, best_y = -np.inf, None, leakage_upper_bound(e), None
+    ball = len(ws) == 2  # the Bloch-ball POVM is still to be priced
     while True:
         for point in points:
             full = vs @ point @ vs.conj().T + kernel
@@ -231,6 +326,11 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
         gap = max(best_upper - best_bits, 0.0)
         if gap <= GAP_TOL and not 0.0 < 2.0 * gap <= prev:
             break
+        if ball:  # a start candidate, still iteration 1
+            ball, candidate = False, _bloch_ball_povm(rho)
+            if candidate is not None:
+                points = (candidate,)
+                continue
         if iterations == MAX_ITERS:
             raise ConvergenceError(
                 f"leakage gap {gap:.3e} bits still above {GAP_TOL:.1e} after {MAX_ITERS} iterations"

@@ -405,6 +405,17 @@ def povm_to_json(impl_or_povm) -> dict:
     return doc
 
 
+def _matrices_from_json(docs: list, what: str) -> list[np.ndarray]:
+    """Parse each matrix document; a failure names its index as '<what> <i>: ...'."""
+    mats = []
+    for i, raw in enumerate(docs):
+        try:
+            mats.append(matrix_from_json(raw))
+        except ValueError as exc:  # SchemaError and the non-finite check alike
+            raise SchemaError(f"{what} {i}: {exc}") from exc
+    return mats
+
+
 def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
     """Parse the POVM schema; the implementation block is optional."""
     if not isinstance(doc, dict) or "elements" not in doc:
@@ -412,12 +423,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
     elements = doc["elements"]
     if not isinstance(elements, list) or not elements:
         raise SchemaError("'elements' must be a non-empty list")
-    mats = []
-    for i, raw in enumerate(elements):
-        try:
-            mats.append(matrix_from_json(raw))
-        except SchemaError as exc:
-            raise SchemaError(f"element {i}: {exc}") from exc
+    mats = _matrices_from_json(elements, "element")
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise SchemaError(f"POVM 'labels' must be a list, got {labels!r}")
@@ -432,7 +438,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
         if not isinstance(ops, list) or len(ops) != len(mats):
             raise SchemaError("'implementation' must list one operator per element")
         try:
-            impl = PovmImplementation(povm, tuple(matrix_from_json(b) for b in ops))
+            impl = PovmImplementation(povm, tuple(_matrices_from_json(ops, "operator")))
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"implementation: {exc}") from exc
     return povm, impl

@@ -99,7 +99,7 @@ class CqEnsemble:
         if not np.all(probs > 0.0):
             raise ValueError("all probabilities must be strictly positive")
         if not abs(float(probs.sum()) - 1.0) <= UNIT_TRACE_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(states)))
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and aligned with states")

@@ -154,6 +154,32 @@ class TestMalformedJson:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "block, where",
+        [("elements", "element 0"), ("implementation", "implementation: operator 0")],
+    )
+    def test_non_finite_povm_cell_names_file_and_matrix(self, block, where, bb84_file, tmp_path,
+                                                        capsys):
+        doc = povm_to_json(projective_povm(np.eye(2)))
+        doc[block][0]["entries"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(doc))  # NaN as a JSON literal
+        argv = ["certify", bb84_file, str(path), "--alpha", "0.1", "--delta", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {where}: matrix has non-finite entries\n"
+        )
+
+    def test_probability_sum_prints_a_plain_number(self, tmp_path, capsys):
+        doc = ensemble_to_json(bb84_ensemble())
+        doc["probs"] = [0.25, 0.25, 0.25, 0.5]
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["leakage", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: probabilities sum to 1.25, expected 1\n"
+        )
+
 
 class TestLowerBoundCommand:
     def test_anchor_row(self, bb84_file, capsys):

@@ -192,6 +192,21 @@ def random_ensemble(rng, d, n, rank=None):
     return CqEnsemble(np.full(n, 1.0 / n), states)
 
 
+def seeded_sweep(seed):
+    """250 ensembles (d, n, rank, ensemble): d in {2, 3, 4, 8}, 2-6 states, pure or full rank."""
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        d, n = int(rng.choice([2, 3, 4, 8])), int(rng.integers(2, 7))
+        rank = 1 if rng.integers(2) else None
+        yield d, n, rank, random_ensemble(rng, d, n, rank)
+
+
+@pytest.fixture
+def no_ball(monkeypatch):
+    """Solve without the Bloch-ball start candidate, so every uncertified start takes Newton steps."""
+    monkeypatch.setattr(leakage, "_bloch_ball_povm", lambda rho: None)
+
+
 def assert_certified(est, e):
     assert 0.0 <= est.bits <= est.upper_bits + 1e-15
     assert est.upper_bits <= leakage_upper_bound(e) + 1e-15
@@ -266,14 +281,102 @@ class TestCertifiedSolver:
         # six-state qubit ensembles on which a Jezek-Rehacek-Fiurasek fixed point
         # stalls at gaps of 5e-6 to 6e-5 bits
         e = random_ensemble(np.random.default_rng(seed), 2, 6, rank)
-        assert_certified(maximal_quantum_leakage(e), e)
+        est = maximal_quantum_leakage(e)
+        assert_certified(est, e)
+        assert est.iterations == 1  # the Bloch-ball start candidate
+
+    @pytest.mark.parametrize("seed, rank", [(304, 1), (330, None), (662, 1)])
+    def test_six_state_qubit_ensembles_newton_path(self, seed, rank, no_ball):
+        e = random_ensemble(np.random.default_rng(seed), 2, 6, rank)
+        est = maximal_quantum_leakage(e)
+        assert_certified(est, e)
+        assert est.iterations > 1
 
     def test_seeded_sweep_certifies(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(250):
-            d, n = int(rng.choice([2, 3, 4, 8])), int(rng.integers(2, 7))
-            e = random_ensemble(rng, d, n, 1 if rng.integers(2) else None)
-            assert_certified(maximal_quantum_leakage(e), e)
+        for d, n, rank, e in seeded_sweep(2024):
+            est = maximal_quantum_leakage(e)
+            assert_certified(est, e)
+            if d == 2 or (n, rank) == (2, 1):  # a two-dimensional support
+                assert est.iterations == 1
+
+    def test_seeded_qubit_sweep_newton_path(self, no_ball):
+        for d, n, rank, e in seeded_sweep(2024):
+            if d == 2:
+                est = maximal_quantum_leakage(e)
+                assert_certified(est, e)
+                # for two pure states the square-root measurement is Helstrom's
+                assert est.iterations > 1 or (n, rank) == (2, 1)
+
+
+def bloch_ensemble(vectors):
+    """Equiprobable qubit states (I + r.sigma)/2, one per Bloch vector."""
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    states = tuple((np.eye(2) + np.einsum("a,aij->ij", r, sigma)) / 2.0 for r in vectors)
+    return CqEnsemble(np.full(len(states), 1.0 / len(states)), states)
+
+
+ARC = [(np.cos(t), np.sin(t), 0.0) for t in np.radians([0.0, 30.0, 60.0, 90.0])]
+
+
+class TestBlochBall:
+    """Support of dimension two: the smallest ball around the Bloch vectors, radius R, gives
+    log2(1 + R) bits, and its POVM certifies before any Newton step."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("rank", [1, None])
+    def test_two_states_match_helstrom(self, d, rank):
+        rng = np.random.default_rng(90 + d)
+        for _ in range(5):
+            e = random_ensemble(rng, d, 2, rank)
+            est = maximal_quantum_leakage(e)
+            helstrom = np.log2(1.0 + trace_distance(e.states[0], e.states[1]))
+            assert_certified(est, e)
+            assert abs(est.bits - helstrom) <= GAP_TOL
+            assert abs(est.upper_bits - helstrom) <= GAP_TOL
+
+    @pytest.mark.parametrize(
+        "vectors, radius",
+        [
+            pytest.param(np.vstack([np.eye(3), -np.eye(3)]), 1.0, id="six-states"),
+            pytest.param(ARC, np.sqrt(0.5), id="four-coplanar"),
+            pytest.param(np.outer([0.9, 0.2, -0.5, -0.1], [0.6, 0.0, 0.8]), 0.7, id="collinear"),
+            pytest.param(
+                [(0.5, 0, 0), (-0.5, 0, 0), (0, 0.3, 0), (0, 0, 0.1), (0.1, 0.1, 0.1)],
+                0.5,
+                id="mixed-inside",
+            ),
+            pytest.param([(0.3, 0.4, 0.0)] * 3, 0.0, id="identical-mixed"),
+        ],
+    )
+    def test_geometry_certifies_at_once(self, vectors, radius):
+        e = apply_unitary(bloch_ensemble(np.asarray(vectors, dtype=float)),
+                          haar_unitary(2, np.random.default_rng(3)))
+        est = maximal_quantum_leakage(e)
+        assert_certified(est, e)
+        assert est.iterations == 1
+        assert abs(est.bits - np.log2(1.0 + radius)) <= GAP_TOL
+
+    @pytest.mark.parametrize(
+        "vectors, radius", [(np.vstack([np.eye(3), -np.eye(3)]), 1.0), (ARC, np.sqrt(0.5))]
+    )
+    def test_candidate_alone_reaches_the_ball(self, vectors, radius):
+        # the square-root measurement is not optimal on the arc; the helper's POVM must be
+        e = bloch_ensemble(np.asarray(vectors, dtype=float))
+        g = leakage._bloch_ball_povm(e.states)
+        assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-13
+        assert np.linalg.eigvalsh(g).min() >= -1e-13
+        bits = sibson_infinity(np.einsum("xij,yji->yx", e.states, g).real)
+        assert bits == pytest.approx(np.log2(1.0 + radius), abs=1e-12)
+
+    def test_two_dimensional_support_in_eight_dimensions(self):
+        rng = np.random.default_rng(12)
+        qubit = random_ensemble(rng, 2, 4)
+        iso = haar_unitary(8, rng)[:, :2]
+        e = CqEnsemble(qubit.probs, tuple(iso @ rho @ iso.conj().T for rho in qubit.states))
+        est = maximal_quantum_leakage(e)
+        assert_certified(est, e)
+        assert est.iterations == 1
+        assert abs(est.bits - maximal_quantum_leakage(qubit).bits) <= GAP_TOL
 
 
 class TestGridOracle:
