@@ -66,13 +66,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_json(path: str):
+    """The parsed document; errors leave the path out, as the callers prefix it."""
     p = Path(path)
     if not p.exists():
-        raise SchemaError(f"input file not found: {path}")
+        raise SchemaError("input file not found")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc.strerror}") from exc
 

@@ -46,6 +46,7 @@ __all__ = [
     "random_density",
     "matrix_to_json",
     "matrix_from_json",
+    "matrices_from_json",
 ]
 
 
@@ -244,9 +245,7 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
 def matrix_to_json(m) -> dict:
     """Serialize a complex matrix as {"dim": d, "entries": [[[re, im], ...], ...]}."""
     a = as_complex_matrix(m)
-    d = a.shape[0]
-    entries = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(d)] for i in range(d)]
-    return {"dim": d, "entries": entries}
+    return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
 
 
 def matrix_from_json(doc) -> np.ndarray:
@@ -277,3 +276,14 @@ def matrix_from_json(doc) -> np.ndarray:
     except OverflowError as exc:
         raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     return as_complex_matrix(pairs.view(complex).reshape(d, d))
+
+
+def matrices_from_json(docs: list, what: str) -> list[np.ndarray]:
+    """Parse each matrix document; a failure names its index as '<what> <i>: ...'."""
+    mats = []
+    for i, raw in enumerate(docs):
+        try:
+            mats.append(matrix_from_json(raw))
+        except ValueError as exc:  # SchemaError and the non-finite check alike
+            raise SchemaError(f"{what} {i}: {exc}") from exc
+    return mats

@@ -24,7 +24,7 @@ from .linalg import (
     as_hermitian,
     eig_hermitian,
     is_unitary,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     psd_sqrt,
 )
@@ -405,17 +405,6 @@ def povm_to_json(impl_or_povm) -> dict:
     return doc
 
 
-def _matrices_from_json(docs: list, what: str) -> list[np.ndarray]:
-    """Parse each matrix document; a failure names its index as '<what> <i>: ...'."""
-    mats = []
-    for i, raw in enumerate(docs):
-        try:
-            mats.append(matrix_from_json(raw))
-        except ValueError as exc:  # SchemaError and the non-finite check alike
-            raise SchemaError(f"{what} {i}: {exc}") from exc
-    return mats
-
-
 def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
     """Parse the POVM schema; the implementation block is optional."""
     if not isinstance(doc, dict) or "elements" not in doc:
@@ -423,7 +412,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
     elements = doc["elements"]
     if not isinstance(elements, list) or not elements:
         raise SchemaError("'elements' must be a non-empty list")
-    mats = _matrices_from_json(elements, "element")
+    mats = matrices_from_json(elements, "element")
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise SchemaError(f"POVM 'labels' must be a list, got {labels!r}")
@@ -438,7 +427,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
         if not isinstance(ops, list) or len(ops) != len(mats):
             raise SchemaError("'implementation' must list one operator per element")
         try:
-            impl = PovmImplementation(povm, tuple(_matrices_from_json(ops, "operator")))
+            impl = PovmImplementation(povm, tuple(matrices_from_json(ops, "operator")))
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"implementation: {exc}") from exc
     return povm, impl

@@ -17,7 +17,7 @@ from .linalg import (
     as_hermitian,
     eig_hermitian,
     is_unitary,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
 )
 
@@ -198,12 +198,7 @@ def ensemble_from_json(doc) -> CqEnsemble:
         raise SchemaError(
             f"lengths disagree: {len(labels)} labels, {len(probs)} probs, {len(states)} states"
         )
-    mats = []
-    for i, raw in enumerate(states):
-        try:
-            mats.append(matrix_from_json(raw))
-        except (SchemaError, ValueError) as exc:
-            raise SchemaError(f"state {i}: {exc}") from exc
+    mats = matrices_from_json(states, "state")
     for i, p in enumerate(probs):
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
             raise SchemaError(f"prob {i}: must be a number in (0, 1], got {p!r}")

@@ -1,83 +1,60 @@
-"""Bloch-sphere scan over qubit projective measurements, a reference for the tests.
+"""Exact qubit leakage on the Bloch ball, a reference for the tests.
 
-It shares no code with the leakage solver. It scans two-outcome projective
-measurements only, so it is a lower bound on the maximal leakage, not the
-maximal leakage itself: for the trine ensemble it finds about 0.900 bits
-where the supremum over all POVMs is 1 bit. On ensembles whose optimum is
-projective (BB84, two states, depolarized BB84) it is stable to ~1e-9.
+A qubit state is (I + r.sigma)/2 for a Bloch vector r. The order-infinity
+Sibson information ignores the priors, so both closed forms below hold for
+any priors:
+
+- projective_bits: the projective measurement along a unit vector n leaks
+  log2(1 + (max_x r_x.n - min_x r_x.n)/2), and the best n gives
+  log2(1 + D/2) for the largest distance D between two Bloch vectors.
+- povm_bits: the optimum over all POVMs is log2(1 + R) for the radius R of
+  the smallest ball around the Bloch vectors (Deconinck and Terhal, "Qubit
+  state discrimination", 2010).
+
+R is found by brute force. The smallest ball has 1 to 4 of the points on its
+sphere and its centre in their affine hull, so it is the smallest among the
+balls that hold every point and are centred at the circumcentre of some set
+of 1 to 4 points. Nothing here is shared with the solver.
 """
 
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from gentleleak.measurements import Povm
 from gentleleak.states import CqEnsemble
 
-PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Slack, in Bloch-vector length, with which a ball holds a point on its sphere.
+HOLD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Best projective leakage found, in bits, and the measurement reaching it."""
-
-    bits: float
-    achieving_povm: Povm
-
-
-def _bloch_vectors(mats: np.ndarray) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a stack of qubit operators."""
-    return np.stack([np.einsum("xij,ji->x", mats, s).real for s in PAULIS], axis=1)
-
-
-def _direction_value(bloch: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Objective 1 + (max_x r.n - min_x r.n)/2 for each direction n."""
-    dots = bloch @ dirs.T  # (states, dirs)
-    return 1.0 + 0.5 * (dots.max(axis=0) - dots.min(axis=0))
-
-
-def _sphere(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st = np.sin(theta).ravel()
-    return np.stack([st * np.cos(phi).ravel(), st * np.sin(phi).ravel(), np.cos(theta).ravel()],
-                    axis=1)
-
-
-def qubit_grid_oracle(e: CqEnsemble, resolution: int = 721) -> OracleResult:
-    """Scan a resolution x 2*resolution (theta, phi) grid of projectors plus the
-    Z/X/Y axes, then zoom deterministically around the best direction."""
+def bloch_vectors(e: CqEnsemble) -> np.ndarray:
+    """The Bloch vectors (n, 3) of a qubit ensemble's states."""
     if e.dim != 2:
-        raise ValueError("the grid oracle is defined for qubit ensembles only")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    bloch = _bloch_vectors(e.states)
+        raise ValueError("the qubit oracle is defined for qubit ensembles only")
+    return np.einsum("xij,aji->xa", e.states, PAULIS).real
 
-    tt, pp = np.meshgrid(np.linspace(0.0, np.pi, resolution),
-                         np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False),
-                         indexing="ij")
-    axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    dirs = np.concatenate([axes, _sphere(tt, pp)])
-    vals = _direction_value(bloch, dirs)
-    best = int(np.argmax(vals))
-    best_dir, best_val = dirs[best], float(vals[best])
 
-    # local zoom: 9x9 patches halving in size, keeps the oracle purely scan-based
-    theta0 = float(np.arccos(np.clip(best_dir[2], -1.0, 1.0)))
-    phi0 = float(np.arctan2(best_dir[1], best_dir[0]))
-    span = np.pi / max(resolution - 1, 1)
-    while span >= 1e-12:
-        dt = np.linspace(-span, span, 9)
-        tg, pg = np.meshgrid(theta0 + dt, phi0 + dt, indexing="ij")
-        lv = _direction_value(bloch, _sphere(tg, pg))
-        k = int(np.argmax(lv))
-        if lv[k] > best_val:
-            best_val, theta0, phi0 = float(lv[k]), float(tg.ravel()[k]), float(pg.ravel()[k])
-        span *= 0.5
+def projective_bits(e: CqEnsemble) -> float:
+    """Best two-outcome projective leakage, log2(1 + D/2), in bits."""
+    r = bloch_vectors(e)
+    diameter = np.linalg.norm(r[:, None] - r[None], axis=-1).max()
+    return float(np.log2(1.0 + diameter / 2.0))
 
-    n = _sphere(np.array(theta0), np.array(phi0))[0]
-    proj = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(n, PAULIS)))
-    povm = Povm((proj, np.eye(2, dtype=complex) - proj), labels=("+n", "-n"))
-    return OracleResult(max(float(np.log2(best_val)), 0.0), povm)
+
+def povm_bits(e: CqEnsemble) -> float:
+    """Maximal leakage over all POVMs, log2(1 + R), in bits."""
+    r = bloch_vectors(e)
+    radius = np.inf
+    for k in range(1, min(len(r), 4) + 1):
+        for subset in combinations(r, k):
+            p = np.array(subset)
+            a = p[1:] - p[0]
+            # circumcentre c = p_0 + a^T t with 2 a (c - p_0) = |a_k|^2; the
+            # least-squares t keeps an affinely dependent set finite
+            t = np.linalg.lstsq(2.0 * a @ a.T, (a * a).sum(axis=1), rcond=None)[0]
+            centre = p[0] + t @ a
+            rad = np.linalg.norm(p - centre, axis=1).max()
+            if np.linalg.norm(r - centre, axis=1).max() <= rad + HOLD_TOL:
+                radius = min(radius, rad)
+    return float(np.log2(1.0 + radius))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qubit_oracle import qubit_grid_oracle
+from qubit_oracle import povm_bits
 
 from gentleleak.cli import main as cli_main
 from gentleleak.cloning import (
@@ -72,19 +72,19 @@ def test_criterion_1_bb84_maximal_leakage(bb84, bb84_file, capsys):
     t0 = time.perf_counter()
     code, out = run_cli(["leakage", bb84_file], capsys)  # default iteration budget
     doc = json.loads(out)
-    oracle = qubit_grid_oracle(bb84, 721)
+    oracle = povm_bits(bb84)
     elapsed = time.perf_counter() - t0
     ok = (
         code == 0
         and abs(doc["bits"] - 1.0) <= 1e-3
-        and oracle.bits >= 1.0 - 1e-6
+        and abs(oracle - 1.0) <= 1e-12
         and elapsed < 30.0
     )
     report(
         1,
-        "BB84 maximal leakage 1.000 +/- 1e-3; grid oracle >= 1 - 1e-6; < 30 s",
+        "BB84 maximal leakage 1.000 +/- 1e-3; exact qubit oracle 1 +/- 1e-12; < 30 s",
         ok,
-        f"cli={doc['bits']:.6f}, oracle={oracle.bits:.9f}, {elapsed:.1f}s",
+        f"cli={doc['bits']:.6f}, oracle={oracle:.15f}, {elapsed:.1f}s",
     )
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_figure2_anchor(bb84_file, capsys):
 
 
 def test_criterion_3_figure2_shape(bb84, capsys):
-    q = qubit_grid_oracle(bb84, 721).bits
+    q = povm_bits(bb84)
     rows = lower_bound_sweep(bb84, np.linspace(0.0, 1.0, 101), q)
     bits = [r.lower_bits for r in rows]
     monotone = all(b2 >= b1 - 1e-12 for b1, b2 in zip(bits, bits[1:]))
@@ -132,15 +132,13 @@ def test_criterion_4_depolarizing_closed_form(bb84):
         expected = depolarized_leakage(1.0, p)
         opt = maximal_quantum_leakage(noisy).bits
         worst_opt = max(worst_opt, abs(opt - expected))
+        worst_oracle = max(worst_oracle, abs(povm_bits(noisy) - expected))
         if p == 1.0:
             exact_zero_at_full_noise = opt == 0.0
-        else:
-            oracle = qubit_grid_oracle(noisy, 361).bits
-            worst_oracle = max(worst_oracle, abs(oracle - expected))
-    ok = worst_opt <= 1e-9 and worst_oracle <= 1e-6 and exact_zero_at_full_noise
+    ok = worst_opt <= 1e-9 and worst_oracle <= 1e-12 and exact_zero_at_full_noise
     report(
         4,
-        "depolarized leakage matches log2(p + (1-p)2): solver 1e-9, oracle 1e-6, p=1 exact",
+        "depolarized leakage matches log2(p + (1-p)2): solver 1e-9, oracle 1e-12, p=1 exact",
         ok,
         f"solver worst={worst_opt:.2e}, oracle worst={worst_oracle:.2e}",
     )
@@ -205,14 +203,14 @@ def _random_density(d, rng):
 
 def test_criterion_6_invariance_and_positivity(bb84):
     rng = np.random.default_rng(606)
-    base_oracle = qubit_grid_oracle(bb84, 721).bits
+    base_oracle = povm_bits(bb84)
     base_opt = maximal_quantum_leakage(bb84).bits
     worst_oracle = worst_opt = 0.0
     cap_ok = True
     for _ in range(20):
         u = haar_unitary(2, rng)
         rotated = apply_unitary(bb84, u)
-        ob = qubit_grid_oracle(rotated, 721).bits
+        ob = povm_bits(rotated)
         op = maximal_quantum_leakage(rotated).bits
         worst_oracle = max(worst_oracle, abs(ob - base_oracle))
         worst_opt = max(worst_opt, abs(op - base_opt))
@@ -223,10 +221,10 @@ def test_criterion_6_invariance_and_positivity(bb84):
     )
     ident_bits = maximal_quantum_leakage(ident).bits
 
-    ok = worst_oracle <= 1e-6 and worst_opt <= 1e-9 and ident_bits == 0.0 and cap_ok
+    ok = worst_oracle <= 1e-12 and worst_opt <= 1e-9 and ident_bits == 0.0 and cap_ok
     report(
         6,
-        "20 rotations: oracle shift <= 1e-6, solver shift <= 1e-9; identical -> 0; cap held",
+        "20 rotations: oracle shift <= 1e-12, solver shift <= 1e-9; identical -> 0; cap held",
         ok,
         f"oracle worst={worst_oracle:.2e}, solver worst={worst_opt:.2e}",
     )
@@ -235,14 +233,14 @@ def test_criterion_6_invariance_and_positivity(bb84):
 def test_criterion_7_weak_dpi_bound_level(bb84):
     rng = np.random.default_rng(707)
     alpha = 0.12
-    q_base = qubit_grid_oracle(bb84, 361).bits
+    q_base = povm_bits(bb84)
     ok = True
     worst_violation = -np.inf
     for _ in range(20):
         u = haar_unitary(2, rng)
         rotated = apply_unitary(bb84, u)
         beta = unitary_disturbance(bb84, u)
-        q_rot = qubit_grid_oracle(rotated, 361).bits
+        q_rot = povm_bits(rotated)
         lhs = cloning_lower_bound(rotated, alpha, q_rot).lower_bits
         rhs = cloning_lower_bound(bb84, min(alpha + beta, 1.0), q_base).lower_bits
         worst_violation = max(worst_violation, lhs - rhs)

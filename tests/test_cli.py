@@ -170,6 +170,62 @@ class TestMalformedJson:
             f"error: {path}: {where}: matrix has non-finite entries\n"
         )
 
+    @pytest.mark.parametrize("command", ["leakage", "certify"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('{"labels": ', "invalid JSON at line 1: Expecting value", id="truncated"),
+            pytest.param(None, "input file not found", id="missing"),
+        ],
+    )
+    def test_unreadable_file_is_named_once(self, command, text, message, bb84_file, tmp_path,
+                                           capsys):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["leakage", str(path)]
+        if command == "certify":
+            argv = ["certify", bb84_file, str(path), "--alpha", "0.1", "--delta", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            pytest.param(
+                "leakage", {"labels": ["a"], "states": [ONE_BY_ONE]},
+                "ensemble document needs a 'probs' list", id="no-probs",
+            ),
+            pytest.param(
+                "certify", {"elements": []}, "'elements' must be a non-empty list",
+                id="no-elements",
+            ),
+            pytest.param(
+                "certify",
+                {"elements": [matrix_to_json(np.diag([1.5, 1.0])),
+                              matrix_to_json(np.diag([-0.5, 0.0]))]},
+                "element 1 is not PSD: min eigenvalue -5.000e-01",
+                id="element-not-psd",
+            ),
+            pytest.param(
+                "certify",
+                {**povm_to_json(projective_povm(np.eye(2)).povm),
+                 "implementation": [matrix_to_json(np.eye(2))]},
+                "'implementation' must list one operator per element",
+                id="implementation-length",
+            ),
+        ],
+    )
+    def test_schema_violation_names_it(self, command, doc, message, bb84_file, tmp_path,
+                                       capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["leakage", str(path)]
+        if command == "certify":
+            argv = ["certify", bb84_file, str(path), "--alpha", "0.1", "--delta", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_probability_sum_prints_a_plain_number(self, tmp_path, capsys):
         doc = ensemble_to_json(bb84_ensemble())
         doc["probs"] = [0.25, 0.25, 0.25, 0.5]
@@ -242,6 +298,10 @@ class TestFigure2Command:
             p2 = (1.0 - np.sqrt(p1)) ** 2
             expected.append(f"{alpha:.6f},{p1:.6f},{p2:.6f},{np.log2(2.0 - p2):.6f}")
         assert out.strip().splitlines()[1:] == expected
+
+    def test_grid_of_one_point_is_input_error(self, bb84_file, capsys):
+        assert main(["figure2", bb84_file, "--grid", "1"]) == 2
+        assert capsys.readouterr().err == "error: --grid needs at least 2 points\n"
 
     def test_byte_identical_reruns(self, bb84_file, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -503,6 +563,12 @@ class TestSubprocessEntryPoint:
         proc = run_module("lower-bound", bb84_file, "--alpha", "0.1", timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "alpha,p1,p2,lower_bits"
+
+    def test_leakage_matches_main(self, bb84_file, capsys):
+        proc = run_module("leakage", bb84_file, timeout=120)
+        assert proc.returncode == 0
+        assert main(["leakage", bb84_file]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_exit_code_for_bad_input(self):
         proc = run_module("leakage", "/no/file.json", timeout=60)

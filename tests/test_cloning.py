@@ -101,7 +101,7 @@ class TestQuadraticForm:
         assert ok and q == pytest.approx(-9.0)
 
     @given(unit)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_symmetric_line_reduces_to_quarter(self, p):
         # q(p, p) = -12 p + 3 for d=2, so feasibility means p >= 1/4
         ok, q = region_quadratic_form(p, p, 2)
@@ -124,7 +124,7 @@ class TestQuadraticForm:
             region_quadratic_form(np.array([0.3, 1.2, -1.0]), 0.5, 2)
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_convexity_of_qubit_region(self, seed):
         # midpoints of feasible pairs stay feasible for d=2
         rng = np.random.default_rng(seed)
@@ -147,7 +147,7 @@ class TestSqrtForm:
         assert defined and ok and diff == pytest.approx(0.0, abs=1e-12)
 
     @given(st.floats(0.0, 0.999))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_symmetric_line_is_undefined(self, p):
         defined, _, _ = region_sqrt_form(p, p, 2)
         assert not defined

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubit_oracle import qubit_grid_oracle
+from qubit_oracle import povm_bits, projective_bits
 
 from gentleleak import leakage
 from gentleleak.leakage import (
@@ -79,7 +80,7 @@ class TestSibson:
             sibson_infinity(np.array([1.0, 0.0]))
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_bounded_by_outcome_count(self, seed):
         rng = np.random.default_rng(seed)
         ny, nx = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -113,7 +114,7 @@ class TestDepolarizedLeakage:
         assert depolarized_leakage(1.0, 0.5) == pytest.approx(np.log2(1.5))
 
     @given(st.floats(0.001, 2.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_strictly_decreasing_when_positive(self, bits, p_lo, p_hi):
         lo, hi = sorted((p_lo, p_hi))
         if hi > lo:
@@ -135,8 +136,9 @@ class TestMaximalLeakage:
         est = maximal_quantum_leakage(e)
         assert est.upper_bits - est.bits <= 1e-12
         assert est.bits == pytest.approx(np.log2(1.75), abs=1e-12)
-        # independent check: the exhaustive qubit scan reaches the same value
-        assert qubit_grid_oracle(e, 361).bits == pytest.approx(est.bits, abs=1e-9)
+        # independent check: both Bloch-ball closed forms give the same value
+        assert povm_bits(e) == pytest.approx(est.bits, abs=1e-12)
+        assert projective_bits(e) == pytest.approx(est.bits, abs=1e-12)
 
     def test_bb84_one_bit(self, bb84):
         est = maximal_quantum_leakage(bb84)
@@ -232,7 +234,8 @@ class TestCertifiedSolver:
         assert_certified(est, e)
         assert est.bits == pytest.approx(1.0, abs=1e-12)
         # projective measurements fall short: the trine optimum needs three outcomes
-        assert qubit_grid_oracle(e, 181).bits < 0.95
+        assert projective_bits(e) == pytest.approx(np.log2(1.0 + np.sqrt(3.0) / 2.0), abs=1e-12)
+        assert povm_bits(e) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_support(self):
         # three pure states span 3 of 4 dimensions, so R is singular
@@ -316,6 +319,16 @@ def bloch_ensemble(vectors):
 
 
 ARC = [(np.cos(t), np.sin(t), 0.0) for t in np.radians([0.0, 30.0, 60.0, 90.0])]
+# Five pure states (unit Bloch vectors after rounding) on which the Bloch-ball weights
+# need the orthant step of the active-set method: a least-squares solution on the free
+# set leaves lambda >= 0 once, and the fifth weight is fixed at 0.
+ORTHANT = [
+    (-0.57956, -0.572316, -0.580143),
+    (-0.420862, 0.903154, -0.084783),
+    (0.794427, 0.453921, 0.403535),
+    (0.678167, -0.541433, 0.49693),
+    (-0.379468, -0.731454, 0.56655),
+]
 
 
 class TestBlochBall:
@@ -368,6 +381,24 @@ class TestBlochBall:
         bits = sibson_infinity(np.einsum("xij,yji->yx", e.states, g).real)
         assert bits == pytest.approx(np.log2(1.0 + radius), abs=1e-12)
 
+    def test_orthant_step(self, monkeypatch):
+        vectors = np.array(ORTHANT)
+        e = bloch_ensemble(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+        calls = []
+        solve = leakage._nonnegative_solution
+        monkeypatch.setattr(
+            leakage, "_nonnegative_solution", lambda a, b: calls.append((a, b)) or solve(a, b)
+        )
+        est = maximal_quantum_leakage(e)
+        assert_certified(est, e)
+        assert est.iterations == 1
+        assert abs(est.bits - povm_bits(e)) <= GAP_TOL
+        assert abs(est.upper_bits - povm_bits(e)) <= GAP_TOL
+        [(a, b)] = calls
+        lam = solve(a, b)
+        assert lam.min() >= 0.0 and lam[4] == 0.0
+        assert np.abs(a @ lam - b).max() <= leakage.BALL_TOL
+
     def test_two_dimensional_support_in_eight_dimensions(self):
         rng = np.random.default_rng(12)
         qubit = random_ensemble(rng, 2, 4)
@@ -380,31 +411,37 @@ class TestBlochBall:
 
 
 class TestGridOracle:
+    """The exact qubit oracle of tests/qubit_oracle.py; the class keeps its old name."""
+
     def test_bb84_hits_one_bit(self, bb84):
-        est = qubit_grid_oracle(bb84, 721)
-        assert est.bits >= 1.0 - 1e-6
+        assert projective_bits(bb84) == pytest.approx(1.0, abs=1e-12)
+        assert povm_bits(bb84) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states(self):
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([1, 0])))
-        assert qubit_grid_oracle(e, 91).bits == pytest.approx(0.0, abs=1e-12)
+        assert projective_bits(e) == pytest.approx(0.0, abs=1e-12)
+        assert povm_bits(e) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair_perfectly_distinguishable(self):
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
-        assert qubit_grid_oracle(e, 91).bits == pytest.approx(1.0, abs=1e-12)
+        assert projective_bits(e) == pytest.approx(1.0, abs=1e-12)
+        assert povm_bits(e) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_qubit(self):
         rng = np.random.default_rng(0)
         states = tuple(random_density(3, rng) for _ in range(2))
         e = CqEnsemble(np.array([0.5, 0.5]), states)
         with pytest.raises(ValueError):
-            qubit_grid_oracle(e)
+            projective_bits(e)
+        with pytest.raises(ValueError):
+            povm_bits(e)
 
     def test_rotation_stability(self, bb84):
-        base = qubit_grid_oracle(bb84, 361).bits
         rng = np.random.default_rng(11)
         for _ in range(5):
             rotated = apply_unitary(bb84, haar_unitary(2, rng))
-            assert qubit_grid_oracle(rotated, 361).bits == pytest.approx(base, abs=1e-6)
+            assert projective_bits(rotated) == pytest.approx(projective_bits(bb84), abs=1e-12)
+            assert povm_bits(rotated) == pytest.approx(povm_bits(bb84), abs=1e-12)
 
 
 class TestOptimizerVsOracle:
@@ -413,33 +450,32 @@ class TestOptimizerVsOracle:
         for _ in range(50):
             e = random_qubit_ensemble(rng)
             opt = maximal_quantum_leakage(e)
-            orc = qubit_grid_oracle(e, 181)
-            assert opt.upper_bits >= orc.bits - 1e-12
-            assert opt.bits >= orc.bits - GAP_TOL
+            exact = povm_bits(e)
+            assert abs(opt.bits - exact) <= GAP_TOL
+            assert abs(opt.upper_bits - exact) <= GAP_TOL
+            assert projective_bits(e) <= exact + 1e-12
 
 
 class TestDepolarizingConsistency:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_oracle_matches_closed_form(self, p, bb84):
-        base = qubit_grid_oracle(bb84, 361).bits
-        noisy = qubit_grid_oracle(depolarize(bb84, p), 361).bits if p < 1.0 else None
-        expected = depolarized_leakage(base, p)
+        # depolarizing shrinks every Bloch vector by 1 - p, so both forms follow the closed form
+        noisy = depolarize(bb84, p)
+        for oracle in (projective_bits, povm_bits):
+            expected = depolarized_leakage(oracle(bb84), p)
+            assert oracle(noisy) == pytest.approx(expected, abs=1e-12)
         if p == 1.0:
-            e = depolarize(bb84, 1.0)
-            est = maximal_quantum_leakage(e)
-            assert est.bits == 0.0
-        else:
-            assert noisy == pytest.approx(expected, abs=1e-6)
+            assert maximal_quantum_leakage(noisy).bits == 0.0
 
 
 class TestUnitaryInvariance:
     def test_oracle_and_optimizer(self, bb84):
         rng = np.random.default_rng(31)
-        base_oracle = qubit_grid_oracle(bb84, 361).bits
+        base_oracle = povm_bits(bb84)
         base_opt = maximal_quantum_leakage(bb84).bits
         for _ in range(5):
             rotated = apply_unitary(bb84, haar_unitary(2, rng))
-            assert qubit_grid_oracle(rotated, 361).bits == pytest.approx(base_oracle, abs=1e-6)
+            assert povm_bits(rotated) == pytest.approx(base_oracle, abs=1e-12)
             assert maximal_quantum_leakage(rotated).bits == pytest.approx(base_opt, abs=2e-12)
 
 
@@ -510,7 +546,7 @@ class TestIntervalProperties:
         delta=st.floats(0.0, 0.6),
         p=st.floats(0.05, 1.0),
     )
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20, derandomize=True)
     def test_invariance_noise_and_cap(self, seed, d, n, pure, alpha, delta, p):
         rng = np.random.default_rng(seed)
         e = random_ensemble(rng, d, n, 1 if pure else None)
@@ -575,6 +611,55 @@ class TestDualCertificate:
         assert abs(np.log2(np.trace(y).real) - doc["upper_bits"]) <= 1e-12
 
 
+# factors of the law tests: d in {2, 3}, 2-3 states, pure or full rank
+ensembles = st.builds(
+    lambda seed, d, n, rank: random_ensemble(np.random.default_rng(seed), d, n, rank),
+    st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(2, 3),
+    st.sampled_from([1, None]),
+)
+
+
+class TestLeakageLaws:
+    """Laws of the maximal leakage, each checked on certified brackets [bits, upper_bits]."""
+
+    @given(ensembles, ensembles)
+    @settings(max_examples=20, derandomize=True)
+    def test_additive_on_products(self, a, b):
+        # G (x) G' is primal feasible and Y (x) Y' dual feasible for {rho^x (x) sigma^y}
+        states = np.einsum("xij,ykl->xyikjl", a.states, b.states)
+        d = a.dim * b.dim
+        prod = CqEnsemble(np.outer(a.probs, b.probs).ravel(), states.reshape(-1, d, d))
+        ea, eb, ep = (maximal_quantum_leakage(e) for e in (a, b, prod))
+        assert ep.bits <= ea.upper_bits + eb.upper_bits + 1e-12
+        assert ea.bits + eb.bits <= ep.upper_bits + 1e-12
+
+    @given(ensembles, st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    @settings(max_examples=20, derandomize=True)
+    def test_data_processing(self, e, seed, d_out):
+        # a Stinespring isometry into output (x) a qubit environment, then the trace over it
+        v = haar_unitary(2 * d_out, np.random.default_rng(seed))[:, : e.dim]
+        joint = (v @ e.states @ v.conj().T).reshape(-1, d_out, 2, d_out, 2)
+        out = CqEnsemble(e.probs, np.einsum("xiaja->xij", joint))
+        assert maximal_quantum_leakage(out).bits <= maximal_quantum_leakage(e).upper_bits + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_binary_functions_within_leakage(self, d, n):
+        # Issa-Wagner-Kamath: no function of X gains more than the leakage. For a binary f,
+        # Helstrom's (1 + ||sigma_0 - sigma_1||_1)/2 is the optimal guess, sigma_u the
+        # unnormalized state of f = u under uniform priors.
+        e = random_ensemble(np.random.default_rng(10 * d + n), d, n)
+        est = maximal_quantum_leakage(e)
+        for f in itertools.product((0, 1), repeat=n):
+            f = np.array(f)
+            diff = (e.states[f == 0].sum(axis=0) - e.states[f == 1].sum(axis=0)) / n
+            guess = (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum()) / 2.0
+            gain = np.log2(guess / (max(f.sum(), n - f.sum()) / n))
+            assert gain <= est.upper_bits + 1e-12
+            if n == 2 and f[0] != f[1]:  # f = X: Helstrom is the maximal leakage
+                assert abs(gain - est.bits) <= GAP_TOL
+
+
 class TestWeakDpiAtBoundLevel:
     def test_rotations_never_beat_shifted_alpha(self, bb84):
         from gentleleak.cloning import cloning_lower_bound
@@ -585,8 +670,8 @@ class TestWeakDpiAtBoundLevel:
             u = haar_unitary(2, rng)
             rotated = apply_unitary(bb84, u)
             beta = unitary_disturbance(bb84, u)
-            q_rot = qubit_grid_oracle(rotated, 361).bits
-            q_base = qubit_grid_oracle(bb84, 361).bits
+            q_rot = povm_bits(rotated)
+            q_base = povm_bits(bb84)
             lhs = cloning_lower_bound(rotated, alpha, q_rot).lower_bits
             rhs = cloning_lower_bound(bb84, min(alpha + beta, 1.0), q_base).lower_bits
             assert lhs <= rhs + 1e-9

@@ -92,7 +92,7 @@ class TestTraceDistance:
             trace_distance(np.eye(2), np.eye(3))
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_metric_on_state_triples(self, seed):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 5))

@@ -255,7 +255,7 @@ class TestCertifyGentle:
     @given(
         st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_monotone_in_alpha_delta(self, a1, a2, d1, d2):
         alpha_lo, alpha_hi = sorted((a1, a2))
         delta_lo, delta_hi = sorted((d1, d2))

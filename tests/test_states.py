@@ -146,7 +146,7 @@ class TestDepolarize:
             depolarize(bb84, 1.5)
 
     @given(probs01, probs01)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_semigroup(self, p, q):
         e = bb84_ensemble()
         once = depolarize(depolarize(e, p), q)
@@ -155,7 +155,7 @@ class TestDepolarize:
             assert np.max(np.abs(a - b)) <= 1e-12
 
     @given(probs01)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_contracts_distances_linearly(self, p):
         e = bb84_ensemble()
         out = depolarize(e, p)
@@ -166,7 +166,7 @@ class TestDepolarize:
                 assert after == pytest.approx((1.0 - p) * before, abs=1e-10)
 
     @given(probs01)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_commutes_with_average(self, p):
         e = bb84_ensemble()
         left = depolarize(e, p)
