@@ -16,8 +16,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -40,14 +38,28 @@ class PreconditionFailure(RuntimeError):
     """Inputs are well-formed but semantically unusable for the command."""
 
 
+def _create_beside(path: str) -> tuple[int, str]:
+    """Create and open a new file <path>.<pid>.<k>.tmp, with the first free k.
+
+    The file gets mode 0o666 less the umask, as a plain write of path would.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    k = 0
+    while True:
+        tmp = f"{path}.{os.getpid()}.{k}.tmp"
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            k += 1
+
+
 def _write_atomic(path: str, text: str) -> None:
-    target = Path(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+        fd, tmp = _create_beside(path)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, target)
+            os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -67,15 +79,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_json(path: str):
     """The parsed document; errors leave the path out, as the callers prefix it."""
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError("input file not found")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        raise SchemaError("input file not found") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc.strerror}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def _load_ensemble(path: str) -> CqEnsemble:

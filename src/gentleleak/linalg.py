@@ -3,17 +3,25 @@
 Everything operates on plain ``numpy`` arrays of ``complex128``, one matrix or
 a stack (..., d, d), so callers validate or diagonalize many operators in one
 call. Finiteness and Hermiticity are checked in :func:`as_hermitian`.
-Eigendecompositions (LAPACK's ``numpy.linalg.eigh``) are reached three ways:
+Hermitian spectra (LAPACK through numpy) are taken by two routes:
 
 - :func:`eig_hermitian` checks its input with ``as_hermitian`` and returns
-  eigenvalues in descending order. The helpers of this module, ``collapse``,
-  the cloning cap and the solver's start and dual raise use it.
-- ``_eigh`` is the same decomposition of an array that has already been
-  checked and symmetrized. The ensemble, ``Povm`` and probe constructors keep
-  that array and decompose it once through ``_eigh``.
-- The leakage solver's inner loop (``_povm``, ``_newton_step``, ``_bounds``)
-  calls ``numpy.linalg.eigh``/``eigvalsh`` directly on the matrices it builds
-  and symmetrizes itself.
+  eigenvalues in descending order with their eigenvectors
+  (``numpy.linalg.eigh``). The helpers of this module, the cloning cap and
+  the solver's start and dual raise use it.
+- ``_spectrum`` returns the eigenvalues alone, in the same order
+  (``numpy.linalg.eigvalsh``), of an array that has already been checked and
+  symmetrized. The ensemble, ``Povm``, probe and ``collapse`` checks read no
+  eigenvector, so they keep the array they checked and take its spectrum once.
+
+The leakage solver's inner loop (``_povm``, ``_newton_step``, ``_bounds``)
+calls ``numpy.linalg.eigh``/``eigvalsh`` directly on the matrices it builds
+and symmetrizes itself.
+
+:func:`matrices_from_json` parses a JSON list of matrices in one pass: a
+schema and cell-type scan over the whole list, then one array conversion and
+one finiteness check. Only a failure goes back over the list, matrix by
+matrix, to name the first bad one.
 """
 
 from __future__ import annotations
@@ -87,8 +95,15 @@ def _as_square_stack(m) -> np.ndarray:
 def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
     """The matrices as one complex (n, d, d) array, naming the first that is not d x d.
 
-    d defaults to the dimension of the first matrix. Entries are not checked.
+    An (n, d, d) array is taken as it is; d defaults to the dimension of the
+    first matrix. Entries are not checked.
     """
+    try:
+        a = np.asarray(mats, dtype=complex)
+    except ValueError:  # matrices of different shapes
+        a = None
+    if a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] == (d or a.shape[1]) >= 1:
+        return a
     arrs = [np.asarray(m, dtype=complex) for m in mats]
     for i, a in enumerate(arrs):
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -132,16 +147,16 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors, so that ``m @ v == v @ diag(w)``. The input must pass
     :func:`as_hermitian`; LAPACK (``numpy.linalg.eigh``) does the work.
     """
-    return _eigh(as_hermitian(m))
-
-
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eig_hermitian of an already checked, symmetrized array, without checking it again.
-
-    For constructors that keep the symmetrized matrix as well as its spectrum.
-    """
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(as_hermitian(m))
     return w[..., ::-1], v[..., ::-1]
+
+
+def _spectrum(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending along the last axis, of an already checked, symmetrized array.
+
+    For checks that keep the symmetrized matrix and read no eigenvector.
+    """
+    return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 def trace_norm(m) -> float:
@@ -166,42 +181,46 @@ def trace_distance(rho, sigma) -> float:
 
 def _eig_psd(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     w, v = eig_hermitian(m)
-    if w[-1] < -tol:
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{tol:.3e}")
+    low = w[..., -1].min()
+    if low < -tol:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{tol:.3e}")
     return np.clip(w, 0.0, None), v
 
 
+def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix, or stack, v diag(w) v† with eigenvalues w, symmetrized."""
+    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
 def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix."""
+    """Principal square root of a PSD Hermitian matrix, or of each in a stack."""
     w, v = _eig_psd(m, tol)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    return _from_eig(np.sqrt(w), v)
 
 
 def psd_inv_sqrt(m) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix.
+    """Inverse square root of a positive definite Hermitian matrix, or of each in a stack.
 
     Eigenvalues are floored at 1e-300, so a singular PSD matrix gives huge
     finite entries rather than infinities.
     """
     w, v = _eig_psd(m, PSD_TOL)
-    if w[0] <= 0.0:
+    if (w[..., 0] <= 0.0).any():
         raise NotPsdError("matrix is zero; no inverse square root")
-    inv = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ v.conj().T
-    return (inv + inv.conj().T) / 2.0
+    return _from_eig(1.0 / np.sqrt(np.maximum(w, 1e-300)), v)
 
 
 def positive_part(m) -> np.ndarray:
     """Positive part of a Hermitian matrix, or of each in a stack: eigenvalues clipped at zero."""
     w, v = eig_hermitian(m)
-    pos = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (pos + pos.conj().swapaxes(-1, -2)) / 2.0
+    return _from_eig(np.clip(w, 0.0, None), v)
 
 
 def is_psd(m) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix is >= -PSD_TOL."""
+    """True iff the Hermitian matrix (each matrix of a stack) has no eigenvalue below -PSD_TOL."""
     w, _ = eig_hermitian(m)
-    return bool(w[-1] >= -PSD_TOL)
+    return bool((w[..., -1] >= -PSD_TOL).all())
 
 
 def is_unitary(u) -> bool:
@@ -248,8 +267,8 @@ def matrix_to_json(m) -> dict:
     return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
 
 
-def matrix_from_json(doc) -> np.ndarray:
-    """Parse the matrix schema produced by :func:`matrix_to_json`."""
+def _rows(doc) -> list:
+    """The 'entries' rows of a matrix document, checked to be 'dim' lists of 'dim' cells."""
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise SchemaError("matrix document must have 'dim' and 'entries'")
     d = doc["dim"]
@@ -262,8 +281,13 @@ def matrix_from_json(doc) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == d for row in rows)
     ):
         raise SchemaError(f"matrix 'entries' must be {d}x{d}")
+    return rows
+
+
+def _cells_to_array(rows, shape: tuple[int, ...]) -> np.ndarray:
+    """The [re, im] cells of the rows, in order, as one complex array of the given shape."""
     cells = list(chain.from_iterable(rows))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+    if not set(map(type, cells)) <= {list} or not set(map(len, cells)) <= {2}:
         raise SchemaError("matrix entries must be [re, im] pairs")
     # type scans in C: numpy would read True as 1, "1" as 1.0 and None as nan
     flat = list(chain.from_iterable(cells))
@@ -275,15 +299,40 @@ def matrix_from_json(doc) -> np.ndarray:
         pairs = np.array(flat, dtype=float)
     except OverflowError as exc:
         raise SchemaError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    return as_complex_matrix(pairs.view(complex).reshape(d, d))
+    return pairs.view(complex).reshape(shape)
 
 
-def matrices_from_json(docs: list, what: str) -> list[np.ndarray]:
-    """Parse each matrix document; a failure names its index as '<what> <i>: ...'."""
-    mats = []
+def matrix_from_json(doc) -> np.ndarray:
+    """Parse the matrix schema produced by :func:`matrix_to_json`."""
+    rows = _rows(doc)
+    return as_complex_matrix(_cells_to_array(rows, (len(rows), len(rows))))
+
+
+def matrices_from_json(docs: list, what: str, d: int | None = None) -> np.ndarray:
+    """Parse a list of matrix documents as one complex (n, d, d) array.
+
+    d defaults to the dimension of the first matrix. The whole list is scanned,
+    converted and checked for finiteness at once. A failure names the first
+    bad matrix as '<what> <i>: ...', with the text :func:`matrix_from_json`
+    gives for it alone, or as '<what> <i> has dimension d_i, expected d' once
+    every matrix parses.
+    """
+    try:
+        rows = [_rows(raw) for raw in docs]
+        dim = d or (len(rows[0]) if rows else 0)
+        if all(len(r) == dim for r in rows):
+            a = _cells_to_array(chain.from_iterable(rows), (len(rows), dim, dim))
+            if np.isfinite(a).all():
+                return a
+    except SchemaError:
+        pass
+    mats = []  # the list fails somewhere: go matrix by matrix to name the first failure
     for i, raw in enumerate(docs):
         try:
             mats.append(matrix_from_json(raw))
         except ValueError as exc:  # SchemaError and the non-finite check alike
             raise SchemaError(f"{what} {i}: {exc}") from exc
-    return mats
+    try:
+        return _stack(mats, what, d)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc

@@ -18,11 +18,10 @@ from .linalg import (
     PSD_TOL,
     SchemaError,
     _as_square_stack,
-    _eigh,
+    _spectrum,
     _stack,
     as_complex_matrix,
     as_hermitian,
-    eig_hermitian,
     is_unitary,
     matrices_from_json,
     matrix_to_json,
@@ -85,7 +84,7 @@ class Povm:
         if len(self.elements) == 0:
             raise ValueError("POVM needs at least one element")
         elements = as_hermitian(_stack(self.elements, "element"))
-        low = _eigh(elements)[0][:, -1]
+        low = _spectrum(elements)[:, -1]
         i = int(np.argmin(low))
         if low[i] < -PSD_TOL:
             raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
@@ -121,6 +120,8 @@ class PovmImplementation:
         if len(self.operators) != len(self.povm):
             raise ValueError("one operator per POVM element required")
         ops = _as_square_stack(_stack(self.operators, "operator", self.povm.dim))
+        if ops is self.operators:  # never freeze the caller's own array
+            ops = ops.copy()
         resid = np.abs(ops.conj().swapaxes(-1, -2) @ ops - self.povm.elements).max(axis=(1, 2))
         bad = np.flatnonzero(resid > COMPLETENESS_TOL)
         if bad.size:
@@ -234,8 +235,8 @@ def collapse(
     (P[y | x] > ZERO_PROB), stacked in the order of ``np.nonzero(dist >= 0)``
     and each checked to be a density operator; and the trace distance of each
     live post-measurement state from its input, -1 on the pairs that are not
-    live. One stacked eigendecomposition validates every state and gives every
-    distance.
+    live. The live states are symmetrized once, and one stacked spectrum call
+    validates every state and gives every distance.
     """
     probs = born_probabilities(e, impl.povm)
     rho = e.states
@@ -249,7 +250,8 @@ def collapse(
             f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
         )
     post = out[live] / norm[:, None, None]
-    w = eig_hermitian(np.array([post, post - rho[live[1]]]))[0]
+    h = as_hermitian(post)
+    w = _spectrum(np.array([h, h - rho[live[1]]]))
     require_states(post, w[0])
     dist = np.full(probs.shape, -1.0)
     dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
@@ -312,7 +314,9 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
     """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares."""
     a = as_hermitian(m)
-    w, _ = _eigh(a)
+    if a.ndim != 2:
+        raise ValueError(f"probe must be one square matrix, got shape {a.shape}")
+    w = _spectrum(a)
     if w[-1] < -PROBE_TOL or w[0] > 1.0 + PROBE_TOL:
         raise ValueError(f"probe eigenvalues must lie in [0, 1], got [{w[-1]:.3e}, {w[0]:.3e}]")
     # psd_sqrt symmetrizes I - M^2; PROBE_TOL keeps the root defined at the M = I boundary
@@ -323,13 +327,8 @@ def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementa
     """{B+, B-, B0} of the probe of M = a at strength epsilon, given root = (I - M^2)^(1/2)."""
     eye = np.eye(a.shape[0], dtype=complex)
     c = np.sqrt((1.0 - 2.0 * epsilon**2) / 2.0)
-    b_plus = c * eye + epsilon * a
-    b_minus = c * eye - epsilon * a
-    b_zero = np.sqrt(2.0) * epsilon * root
-    povm = Povm(
-        (b_plus @ b_plus, b_minus @ b_minus, b_zero @ b_zero), labels=("+", "-", "0")
-    )
-    return PovmImplementation(povm, (b_plus, b_minus, b_zero))
+    b = np.array([c * eye + epsilon * a, c * eye - epsilon * a, np.sqrt(2.0) * epsilon * root])
+    return PovmImplementation(Povm(b @ b, labels=("+", "-", "0")), b)
 
 
 @dataclass(frozen=True)
@@ -418,7 +417,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
         raise SchemaError(f"POVM 'labels' must be a list, got {labels!r}")
     labels = tuple(str(x) for x in labels or ())
     try:
-        povm = Povm(tuple(mats), labels)
+        povm = Povm(mats, labels)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     impl = None
@@ -427,7 +426,7 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
         if not isinstance(ops, list) or len(ops) != len(mats):
             raise SchemaError("'implementation' must list one operator per element")
         try:
-            impl = PovmImplementation(povm, tuple(matrices_from_json(ops, "operator")))
+            impl = PovmImplementation(povm, matrices_from_json(ops, "operator", povm.dim))
         except (SchemaError, ValueError) as exc:
             raise SchemaError(f"implementation: {exc}") from exc
     return povm, impl

@@ -11,7 +11,7 @@ from .linalg import (
     PSD_TOL,
     UNIT_TRACE_TOL,
     SchemaError,
-    _eigh,
+    _spectrum,
     _stack,
     as_complex_matrix,
     as_hermitian,
@@ -39,7 +39,7 @@ def require_states(mats: np.ndarray, w: np.ndarray) -> None:
     """Raise ValueError naming the first matrix of mats (n, d, d) that is not PSD or unit-trace.
 
     mats must be Hermitian and w their eigenvalues in descending order, as
-    returned by eig_hermitian or _eigh; callers that diagonalize a larger stack pass
+    returned by eig_hermitian or _spectrum; callers that diagonalize a larger stack pass
     their slice of it, so a state costs no decomposition of its own.
     """
     low = w[:, -1]
@@ -55,7 +55,7 @@ def require_states(mats: np.ndarray, w: np.ndarray) -> None:
 def checked_states(mats) -> np.ndarray:
     """The density matrices as one checked, symmetrized, read-only (n, d, d) array.
 
-    The whole stack is checked in one pass with one eigendecomposition: each
+    The whole stack is checked in one pass with one spectrum call: each
     matrix must be square and of the first one's dimension, finite, Hermitian,
     PSD and of unit trace. A failure names the first failing matrix, with the
     text a lone matrix would give, so every earlier matrix passes every check.
@@ -68,7 +68,7 @@ def checked_states(mats) -> np.ndarray:
     ok = finite & (asym <= HERMITICITY_TOL)
     k = len(a) if ok.all() else int(ok.argmin())  # the first failure of these two checks
     h = (a[:k] + adj[:k]) / 2.0
-    require_states(h, _eigh(h)[0])
+    require_states(h, _spectrum(h))
     if k < len(a):
         raise ValueError(f"state {k}: matrix has non-finite entries" if not finite[k] else
                          f"state {k}: matrix is not Hermitian: max asymmetry {asym[k]:.3e} > "

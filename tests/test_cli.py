@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,19 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_out_file_mode_follows_the_umask(self, umask, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        old = os.umask(umask)
+        try:
+            code, _ = run_cli(["simulate", "--strategy", "none", "--rounds", "1000",
+                               "--out", str(out)], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
     def test_out_on_a_directory_leaves_no_temp_file(self, tmp_path, capsys):
         code, _ = run_cli(["simulate", "--strategy", "w1", "--out", str(tmp_path)], capsys)

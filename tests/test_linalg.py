@@ -13,6 +13,7 @@ from gentleleak.linalg import (
     matrix_from_json,
     matrix_to_json,
     positive_part,
+    psd_inv_sqrt,
     psd_sqrt,
     random_density,
     random_hermitian,
@@ -153,6 +154,21 @@ class TestPsd:
     def test_positive_part(self):
         m = np.diag([2.0, -3.0])
         assert np.allclose(positive_part(m), np.diag([2.0, 0.0]))
+
+    def test_stack_with_one_non_psd_matrix(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.diag([4.0, 1.0])])
+        assert not is_psd(stack)
+        for f in (psd_sqrt, psd_inv_sqrt):
+            with pytest.raises(NotPsdError, match="min eigenvalue -5.000e-01"):
+                f(stack)
+
+    def test_stack_of_psd_matrices(self):
+        stack = np.array([np.diag([4.0, 9.0]), np.diag([1.0, 0.25])])
+        assert is_psd(stack)
+        assert np.allclose(psd_sqrt(stack), [np.diag([2.0, 3.0]), np.diag([1.0, 0.5])])
+        assert np.allclose(psd_inv_sqrt(stack), [np.diag([0.5, 1 / 3]), np.diag([1.0, 2.0])])
+        with pytest.raises(NotPsdError, match="zero"):
+            psd_inv_sqrt(np.array([np.eye(2), np.zeros((2, 2))]))
 
 
 class TestHermitize:

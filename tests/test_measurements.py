@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from gentleleak import linalg, measurements, states
 from gentleleak.linalg import (
     SchemaError,
     haar_unitary,
+    matrix_to_json,
     positive_part,
     random_contraction,
     random_density,
@@ -33,6 +36,8 @@ from gentleleak.measurements import (
 from gentleleak.states import (
     CqEnsemble,
     bb84_ensemble,
+    ensemble_from_json,
+    ensemble_to_json,
     pure_state,
 )
 
@@ -133,12 +138,12 @@ class TestStackedChecks:
                     monkeypatch.setattr(mod, name, counting)
         cert = certify_gentle(bb84, gentle_povm(probe, 0.05), spec)
         live = int(np.sum(np.asarray(cert.outcome_probs) > ZERO_PROB))
-        assert shapes == [(2, 2), (2, 2), (3, 2, 2), (2, live, 2, 2)]
+        assert shapes == [(2, 2), (2, 2), (3, 2, 2), (live, 2, 2)]
 
         shapes.clear()
         cal = max_certified_epsilon(probe, spec, bb84)
         tried = 1 if cal.epsilon == 0.1 else 1 + BISECTION_STEPS
-        assert [len(s) for s in shapes] == [2, 2] + [3, 4] * tried
+        assert [len(s) for s in shapes] == [2, 2] + [3, 3] * tried
 
 
 class TestBornProbabilities:
@@ -387,6 +392,14 @@ class TestGentlePovm:
         with pytest.raises(ValueError, match="epsilon"):
             gentle_povm(np.eye(2), 0.2)
 
+    def test_rejects_a_stacked_probe(self, bb84):
+        stacked = np.array([np.eye(2), np.eye(2)]) / 2
+        message = r"probe must be one square matrix, got shape \(2, 2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            gentle_povm(stacked, 0.05)
+        with pytest.raises(ValueError, match=message):
+            max_certified_epsilon(stacked, GentlenessSpec(0.1, 0.05), bb84)
+
     def test_completeness_and_psd_random(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
@@ -575,3 +588,54 @@ class TestPovmJson:
             povm_from_json({"labels": []})
         with pytest.raises(SchemaError, match="element 0"):
             povm_from_json({"elements": [{"dim": 2}]})
+
+
+class TestOnePassParse:
+    """A bad last matrix of a three-matrix list is named as a lone matrix would be."""
+
+    @pytest.fixture
+    def docs(self):
+        e = CqEnsemble(np.full(3, 1 / 3), bb84_ensemble().states[:3])
+        return ensemble_to_json(e), povm_to_json(gentle_povm(bb84_pair_probe(), 0.05))
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [
+            ([True, 0.0], ": matrix entries must be [re, im] pairs of numbers, got bool"),
+            (["0", 0.0], ": matrix entries must be [re, im] pairs of numbers, got str"),
+            ([None, 0.0], ": matrix entries must be [re, im] pairs of numbers, got NoneType"),
+            ([0.0], ": matrix entries must be [re, im] pairs"),
+            ([float("nan"), 0.0], ": matrix has non-finite entries"),
+            (None, " has dimension 3, expected 2"),
+        ],
+        ids=["bool", "string", "null", "one-number", "nan", "mixed-dimension"],
+    )
+    @pytest.mark.parametrize(
+        "where, name",
+        [("states", "state 2"), ("elements", "element 2"),
+         ("implementation", "implementation: operator 2")],
+    )
+    def test_names_the_last_matrix(self, docs, cell, text, where, name):
+        ensemble, povm = docs
+        doc = ensemble if where == "states" else povm
+        if cell is None:
+            doc[where][2] = matrix_to_json(np.diag([1.0, 0.0, 0.0]))
+        else:
+            doc[where][2]["entries"][1][1] = cell
+        parse = ensemble_from_json if where == "states" else povm_from_json
+        with pytest.raises(SchemaError) as info:
+            parse(json.loads(json.dumps(doc)))  # NaN as a JSON literal
+        assert str(info.value) == name + text
+
+    def test_certification_never_calls_eigh(self, monkeypatch):
+        e = bb84_ensemble()
+        impl = gentle_povm(bb84_pair_probe(), 0.05)  # the probe's square root needs eigh
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        e = CqEnsemble(e.probs, e.states, e.labels)
+        impl = PovmImplementation(Povm(impl.povm.elements), impl.operators)
+        cert = certify_gentle(e, impl, GentlenessSpec(0.1, 0.05))
+        assert cert.worst_disturbance > 0.0

@@ -60,8 +60,8 @@ class TestEnsembleConstruction:
 
     def test_checks_the_whole_stack_with_one_decomposition(self, monkeypatch):
         calls = []
-        real = states._eigh
-        monkeypatch.setattr(states, "_eigh", lambda h: calls.append(h.shape) or real(h))
+        real = states._spectrum
+        monkeypatch.setattr(states, "_spectrum", lambda h: calls.append(h.shape) or real(h))
         rng = np.random.default_rng(5)
         e = CqEnsemble(np.full(3, 1 / 3), tuple(random_density(3, rng) for _ in range(3)))
         assert calls == [(3, 3, 3)]
