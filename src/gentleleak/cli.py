@@ -24,7 +24,7 @@ from .leakage import depolarized_leakage, gentle_leakage_interval, maximal_quant
 from .linalg import ConvergenceError, SchemaError
 from .measurements import MODES, GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import STRATEGY_KINDS, EveStrategy, run_simulation, tradeoff_sweep
-from .states import CqEnsemble, depolarize, ensemble_from_json
+from .states import depolarize, ensemble_from_json
 
 __all__ = ["main", "sweep_csv", "tradeoff_csv"]
 
@@ -78,7 +78,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_json(path: str):
-    """The parsed document; errors leave the path out, as the callers prefix it."""
+    """The parsed document; errors leave the path out, as _load prefixes it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -86,15 +86,18 @@ def _load_json(path: str):
         raise SchemaError("input file not found") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("input file is not UTF-8 text") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _load_ensemble(path: str) -> CqEnsemble:
+def _load(path: str, parse):
+    """parse() of the JSON document at path; a SchemaError names the path."""
     try:
-        return ensemble_from_json(_load_json(path))
+        return parse(_load_json(path))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -121,14 +124,14 @@ def tradeoff_csv(rows) -> str:
 
 
 def cmd_leakage(args) -> int:
-    e = _load_ensemble(args.ensemble)
+    e = _load(args.ensemble, ensemble_from_json)
     est = maximal_quantum_leakage(e)
     _emit(json.dumps(est.to_json(), indent=2), args.out)
     return EXIT_OK
 
 
 def cmd_lower_bound(args) -> int:
-    e = _load_ensemble(args.ensemble)
+    e = _load(args.ensemble, ensemble_from_json)
     q = maximal_quantum_leakage(e)
     rows = lower_bound_sweep(e, args.alpha, q.bits)
     _emit(sweep_csv(rows), args.out)
@@ -136,7 +139,7 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    e = _load_ensemble(args.ensemble)
+    e = _load(args.ensemble, ensemble_from_json)
     if args.grid_points < 2:
         raise SchemaError("--grid needs at least 2 points")
     q = maximal_quantum_leakage(e)
@@ -147,11 +150,8 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    e = _load_ensemble(args.ensemble)
-    try:
-        povm, impl = povm_from_json(_load_json(args.povm))
-    except SchemaError as exc:
-        raise SchemaError(f"{args.povm}: {exc}") from exc
+    e = _load(args.ensemble, ensemble_from_json)
+    _, impl = _load(args.povm, povm_from_json)
     if impl is None:
         raise PreconditionFailure(
             f"{args.povm}: certification needs an 'implementation' block (gentleness"
@@ -165,7 +165,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_depolarize(args) -> int:
-    e = _load_ensemble(args.ensemble)
+    e = _load(args.ensemble, ensemble_from_json)
     rows = []
     for p in args.p:
         est = maximal_quantum_leakage(depolarize(e, p))
@@ -181,7 +181,7 @@ def cmd_depolarize(args) -> int:
 
 
 def cmd_interval(args) -> int:
-    e = _load_ensemble(args.ensemble)
+    e = _load(args.ensemble, ensemble_from_json)
     spec = GentlenessSpec(args.alpha, args.delta)
     iv = gentle_leakage_interval(e, spec)
     _emit(json.dumps(iv.to_json(), indent=2), args.out)

@@ -2,7 +2,9 @@
 
 Everything operates on plain ``numpy`` arrays of ``complex128``, one matrix or
 a stack (..., d, d), so callers validate or diagonalize many operators in one
-call. Finiteness and Hermiticity are checked in :func:`as_hermitian`.
+call. The exceptions take one matrix only: :func:`as_complex_matrix`,
+:func:`as_unitary`, :func:`trace_norm` and :func:`matrix_to_json`. Finiteness
+and Hermiticity are checked in :func:`as_hermitian`.
 Hermitian spectra (LAPACK through numpy) are taken by two routes:
 
 - :func:`eig_hermitian` checks its input with ``as_hermitian`` and returns
@@ -11,8 +13,9 @@ Hermitian spectra (LAPACK through numpy) are taken by two routes:
   the solver's start and dual raise use it.
 - ``_spectrum`` returns the eigenvalues alone, in the same order
   (``numpy.linalg.eigvalsh``), of an array that has already been checked and
-  symmetrized. The ensemble, ``Povm``, probe and ``collapse`` checks read no
-  eigenvector, so they keep the array they checked and take its spectrum once.
+  symmetrized. The ensemble, ``Povm`` and probe checks and ``collapse``'s
+  trace distances read no eigenvector, so they take the spectrum of the
+  symmetrized array once.
 
 The leakage solver's inner loop (``_povm``, ``_newton_step``, ``_bounds``)
 calls ``numpy.linalg.eigh``/``eigvalsh`` directly on the matrices it builds
@@ -40,6 +43,7 @@ __all__ = [
     "SchemaError",
     "as_complex_matrix",
     "as_hermitian",
+    "as_unitary",
     "eig_hermitian",
     "trace_norm",
     "trace_distance",
@@ -47,7 +51,6 @@ __all__ = [
     "psd_inv_sqrt",
     "positive_part",
     "is_psd",
-    "is_unitary",
     "haar_unitary",
     "random_hermitian",
     "random_contraction",
@@ -169,14 +172,19 @@ def trace_norm(m) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def trace_distance(rho, sigma) -> float:
-    """Normalized trace distance (1/2)||rho - sigma||_1 between Hermitian operators."""
+def trace_distance(rho, sigma):
+    """Normalized trace distance (1/2)||rho - sigma||_1 between Hermitian operators.
+
+    A float for two matrices; one distance per pair for two stacks of equal
+    length, or for one matrix against each matrix of a stack.
+    """
     a = as_hermitian(rho)
     b = as_hermitian(sigma)
-    if a.shape != b.shape:
+    if a.shape[-1] != b.shape[-1] or (a.ndim == b.ndim and a.shape != b.shape):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     w, _ = eig_hermitian(a - b)
-    return 0.5 * float(np.sum(np.abs(w)))
+    dist = 0.5 * np.abs(w).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _eig_psd(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -223,10 +231,12 @@ def is_psd(m) -> bool:
     return bool((w[..., -1] >= -PSD_TOL).all())
 
 
-def is_unitary(u) -> bool:
-    """True iff every entry of U†U - I is within 1e-9."""
+def as_unitary(u) -> np.ndarray:
+    """Validate and return a finite square matrix U with every entry of U†U - I within 1e-9."""
     a = as_complex_matrix(u)
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= 1e-9)
+    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > 1e-9:
+        raise ValueError("matrix is not unitary")
+    return a
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

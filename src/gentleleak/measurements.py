@@ -20,14 +20,13 @@ from .linalg import (
     _as_square_stack,
     _spectrum,
     _stack,
-    as_complex_matrix,
     as_hermitian,
-    is_unitary,
+    as_unitary,
     matrices_from_json,
     matrix_to_json,
     psd_sqrt,
 )
-from .states import CqEnsemble, checked_states, require_states
+from .states import CqEnsemble, checked_states
 
 __all__ = [
     "ZERO_PROB",
@@ -153,24 +152,24 @@ class GentlenessSpec:
 
 
 def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
-    """Outcome distribution P[y | x] = tr(rho^x F_y), shape (outcomes, labels).
+    """Outcome distribution P[y | x] = tr(rho^x F_y), shape (outcomes, labels), clipped to [0, 1].
 
-    Columns sum to one; entries are clipped to [0, 1] after a -1e-10 check.
+    Only the dimensions are checked: ``Povm`` and ``CqEnsemble`` have checked
+    positivity and completeness, so each column sums to one within their
+    tolerances.
     """
     if povm.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {povm.dim}, ensemble {e.dim}")
-    p = np.einsum("yij,xji->yx", povm.elements, e.states).real
-    low = p.min()
-    if low < -1e-10:
-        raise ValueError(f"negative Born probability {low:.3e}")
-    if np.abs(p.sum(axis=0) - 1.0).max() > COMPLETENESS_TOL:
-        raise ValueError("Born columns do not sum to 1; POVM incomplete?")
-    return p.clip(0.0, 1.0)
+    return np.einsum("yij,xji->yx", povm.elements, e.states).real.clip(0.0, 1.0)
 
 
 def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
-    """Collapsed state B_y rho B_y† / tr(rho F_y) after outcome y, checked and read-only."""
-    rho = as_complex_matrix(rho)
+    """Collapsed state B_y rho B_y† / tr(rho F_y) after outcome y, symmetrized and read-only.
+
+    The input rho is checked to be a density operator; the output is derived
+    from checked values and is not checked again, as in :func:`collapse`.
+    """
+    rho = checked_states([rho])[0]
     if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
     b = impl.operators[y]
@@ -180,7 +179,10 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
         raise ZeroProbabilityOutcome(
             f"outcome {y} has probability {prob:.3e} <= {ZERO_PROB}; post state undefined"
         )
-    return checked_states([out / prob])[0]
+    post = out / prob
+    post = (post + post.conj().T) / 2.0
+    post.flags.writeable = False
+    return post
 
 
 @dataclass(frozen=True)
@@ -232,11 +234,14 @@ def collapse(
 
     Returns ``(probs, post, dist)``: the Born table P[y | x] of shape
     (outcomes, states); the post-measurement states of the live pairs
-    (P[y | x] > ZERO_PROB), stacked in the order of ``np.nonzero(dist >= 0)``
-    and each checked to be a density operator; and the trace distance of each
-    live post-measurement state from its input, -1 on the pairs that are not
-    live. The live states are symmetrized once, and one stacked spectrum call
-    validates every state and gives every distance.
+    (P[y | x] > ZERO_PROB), stacked in the order of ``np.nonzero(dist >= 0)``;
+    and the trace distance of each live post-measurement state from its
+    input, -1 on the pairs that are not live. The post states are derived
+    from a checked ensemble and implementation, so they are not checked
+    again: their rounding error grows as 1/P[y | x], which the absolute input
+    tolerances would reject. They are symmetrized once for one stacked
+    spectrum call that gives every distance; ``post`` itself is returned as
+    computed.
     """
     probs = born_probabilities(e, impl.povm)
     rho = e.states
@@ -250,11 +255,9 @@ def collapse(
             f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
         )
     post = out[live] / norm[:, None, None]
-    h = as_hermitian(post)
-    w = _spectrum(np.array([h, h - rho[live[1]]]))
-    require_states(post, w[0])
+    h = (post + post.conj().swapaxes(-1, -2)) / 2.0
     dist = np.full(probs.shape, -1.0)
-    dist[live] = 0.5 * np.abs(w[1]).sum(axis=-1)
+    dist[live] = 0.5 * np.abs(_spectrum(h - rho[live[1]])).sum(axis=-1)
     return probs, post, dist
 
 
@@ -381,9 +384,7 @@ def max_certified_epsilon(
 
 def projective_povm(basis) -> PovmImplementation:
     """Rank-one projective measurement onto the columns of a unitary basis; B_y = F_y."""
-    u = as_complex_matrix(basis)
-    if not is_unitary(u):
-        raise ValueError("basis matrix is not unitary")
+    u = as_unitary(basis)
     d = u.shape[0]
     projs = tuple(np.outer(u[:, j], u[:, j].conj()) for j in range(d))
     povm = Povm(projs)

@@ -13,12 +13,10 @@ from .linalg import (
     SchemaError,
     _spectrum,
     _stack,
-    as_complex_matrix,
-    as_hermitian,
-    eig_hermitian,
-    is_unitary,
+    as_unitary,
     matrices_from_json,
     matrix_to_json,
+    trace_distance,
 )
 
 __all__ = [
@@ -33,23 +31,6 @@ __all__ = [
     "ensemble_to_json",
     "ensemble_from_json",
 ]
-
-
-def require_states(mats: np.ndarray, w: np.ndarray) -> None:
-    """Raise ValueError naming the first matrix of mats (n, d, d) that is not PSD or unit-trace.
-
-    mats must be Hermitian and w their eigenvalues in descending order, as
-    returned by eig_hermitian or _spectrum; callers that diagonalize a larger stack pass
-    their slice of it, so a state costs no decomposition of its own.
-    """
-    low = w[:, -1]
-    tr = mats.trace(axis1=-2, axis2=-1).real
-    bad = np.flatnonzero((low < -PSD_TOL) | (np.abs(tr - 1.0) > UNIT_TRACE_TOL))
-    if bad.size:
-        i = int(bad[0])
-        if low[i] < -PSD_TOL:
-            raise ValueError(f"state {i}: state is not PSD: min eigenvalue {low[i]:.3e}")
-        raise ValueError(f"state {i}: state trace {float(tr[i])!r} is not 1")
 
 
 def checked_states(mats) -> np.ndarray:
@@ -68,7 +49,14 @@ def checked_states(mats) -> np.ndarray:
     ok = finite & (asym <= HERMITICITY_TOL)
     k = len(a) if ok.all() else int(ok.argmin())  # the first failure of these two checks
     h = (a[:k] + adj[:k]) / 2.0
-    require_states(h, _spectrum(h))
+    low = _spectrum(h)[:, -1]
+    tr = h.trace(axis1=-2, axis2=-1).real
+    bad = np.flatnonzero((low < -PSD_TOL) | (np.abs(tr - 1.0) > UNIT_TRACE_TOL))
+    if bad.size:
+        i = int(bad[0])
+        if low[i] < -PSD_TOL:
+            raise ValueError(f"state {i}: state is not PSD: min eigenvalue {low[i]:.3e}")
+        raise ValueError(f"state {i}: state trace {float(tr[i])!r} is not 1")
     if k < len(a):
         raise ValueError(f"state {k}: matrix has non-finite entries" if not finite[k] else
                          f"state {k}: matrix is not Hermitian: max asymmetry {asym[k]:.3e} > "
@@ -136,16 +124,9 @@ def average_state(e: CqEnsemble) -> np.ndarray:
     return checked_states([np.einsum("x,xij->ij", e.probs, e.states)])[0]
 
 
-def _unitary(u) -> np.ndarray:
-    u = as_complex_matrix(u)
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary")
-    return u
-
-
 def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:
     """Conjugate every encoding state by the unitary u; probabilities unchanged."""
-    u = _unitary(u)
+    u = as_unitary(u)
     return CqEnsemble(e.probs, u @ e.states @ u.conj().T, e.labels)
 
 
@@ -160,9 +141,8 @@ def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
 
 def unitary_disturbance(e: CqEnsemble, u) -> float:
     """Largest trace distance between an encoding state and its image under u."""
-    u = _unitary(u)
-    w, _ = eig_hermitian(as_hermitian(u @ e.states @ u.conj().T) - e.states)
-    return float(0.5 * np.abs(w).sum(axis=-1).max())
+    u = as_unitary(u)
+    return float(trace_distance(u @ e.states @ u.conj().T, e.states).max())
 
 
 def bb84_ensemble() -> CqEnsemble:

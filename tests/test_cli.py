@@ -177,12 +177,15 @@ class TestMalformedJson:
         [
             pytest.param('{"labels": ', "invalid JSON at line 1: Expecting value", id="truncated"),
             pytest.param(None, "input file not found", id="missing"),
+            pytest.param(b"\xff\xfe{}", "input file is not UTF-8 text", id="not-utf8"),
         ],
     )
     def test_unreadable_file_is_named_once(self, command, text, message, bb84_file, tmp_path,
                                            capsys):
         path = tmp_path / "input.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         argv = ["leakage", str(path)]
         if command == "certify":

@@ -7,6 +7,7 @@ from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
     as_hermitian,
+    as_unitary,
     eig_hermitian,
     haar_unitary,
     is_psd,
@@ -91,6 +92,20 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             trace_distance(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="mismatch"):
+            trace_distance(np.array([KET0, KET1]), np.array([KET0, KET1, PLUS]))
+
+    def test_one_distance_per_pair_of_stacks(self):
+        dist = trace_distance(np.array([KET0, KET0]), np.array([KET1, KET0]))
+        assert dist.shape == (2,)
+        assert np.array_equal(dist, [1.0, 0.0])
+        assert type(trace_distance(KET0, KET1)) is float
+
+    def test_one_matrix_against_a_stack(self):
+        stack = np.array([KET0, KET1, PLUS])
+        want = [trace_distance(KET0, s) for s in stack]
+        assert np.array_equal(trace_distance(KET0, stack), want)
+        assert np.array_equal(trace_distance(stack, KET0), want)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -180,6 +195,16 @@ class TestHermitize:
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ValueError):
             as_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestUnitary:
+    def test_returns_a_unitary(self):
+        u = haar_unitary(3, np.random.default_rng(2))
+        assert np.array_equal(as_unitary(u), u)
+
+    def test_rejects_a_non_unitary(self):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            as_unitary(np.diag([1.0, 0.5]))
 
 
 class TestMatrixJson:

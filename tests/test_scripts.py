@@ -1,16 +1,26 @@
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gentleleak.cli import sweep_csv, tradeoff_csv
+from gentleleak.cli import main, sweep_csv, tradeoff_csv
 from gentleleak.cloning import lower_bound_sweep
 from gentleleak.leakage import maximal_quantum_leakage
 from gentleleak.simulate import tradeoff_sweep
 from gentleleak.states import bb84_ensemble
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def readme_cli_examples() -> list[str]:
+    """The `gentleleak ...` lines of the bash block under README's '## CLI' heading."""
+    cli = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", cli, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("gentleleak ")]
 
 
 def load_script(name):
@@ -40,6 +50,17 @@ class TestMakeInputs:
         monkeypatch.chdir(tmp_path)
         assert load_script("make_inputs").main([]) == 0
         assert (tmp_path / "data" / "bb84.json").is_file()
+
+
+class TestReadmeCliExamples:
+    """Every CLI example in README runs on the make_inputs files and exits 0."""
+
+    @pytest.mark.parametrize("line", readme_cli_examples())
+    def test_example_exits_0(self, line, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert load_script("make_inputs").main([]) == 0
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, capsys.readouterr().err
 
 
 class TestReproduceFigure2:
