@@ -187,11 +187,11 @@ def trace_distance(rho, sigma):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _eig_psd(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eig_psd(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = eig_hermitian(m)
     low = w[..., -1].min()
-    if low < -tol:
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{tol:.3e}")
+    if low < -PSD_TOL:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{PSD_TOL:.3e}")
     return np.clip(w, 0.0, None), v
 
 
@@ -201,9 +201,9 @@ def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack."""
-    w, v = _eig_psd(m, tol)
+    w, v = _eig_psd(m)
     return _from_eig(np.sqrt(w), v)
 
 
@@ -213,7 +213,7 @@ def psd_inv_sqrt(m) -> np.ndarray:
     Eigenvalues are floored at 1e-300, so a singular PSD matrix gives huge
     finite entries rather than infinities.
     """
-    w, v = _eig_psd(m, PSD_TOL)
+    w, v = _eig_psd(m)
     if (w[..., 0] <= 0.0).any():
         raise NotPsdError("matrix is zero; no inverse square root")
     return _from_eig(1.0 / np.sqrt(np.maximum(w, 1e-300)), v)

@@ -18,13 +18,14 @@ from .linalg import (
     PSD_TOL,
     SchemaError,
     _as_square_stack,
+    _from_eig,
     _spectrum,
     _stack,
     as_hermitian,
     as_unitary,
+    eig_hermitian,
     matrices_from_json,
     matrix_to_json,
-    psd_sqrt,
 )
 from .states import CqEnsemble, checked_states
 
@@ -233,28 +234,24 @@ def collapse(
     """Every branch B_y rho^x B_y† / tr(rho^x F_y) of the implementation on the ensemble.
 
     Returns ``(probs, post, dist)``: the Born table P[y | x] of shape
-    (outcomes, states); the post-measurement states of the live pairs
-    (P[y | x] > ZERO_PROB), stacked in the order of ``np.nonzero(dist >= 0)``;
-    and the trace distance of each live post-measurement state from its
-    input, -1 on the pairs that are not live. The post states are derived
-    from a checked ensemble and implementation, so they are not checked
-    again: their rounding error grows as 1/P[y | x], which the absolute input
-    tolerances would reject. They are symmetrized once for one stacked
-    spectrum call that gives every distance; ``post`` itself is returned as
-    computed.
+    (outcomes, states); the post-measurement states of the live pairs,
+    stacked in the order of ``np.nonzero(dist >= 0)``; and the trace distance
+    of each live post-measurement state from its input, -1 on the pairs that
+    are not live. A pair is live when both roundings of its probability,
+    tr(rho^x F_y) and the divisor tr(B_y rho^x B_y†), exceed ZERO_PROB. The
+    post states are derived from a checked ensemble and implementation, so
+    they are not checked again: their rounding error grows as 1/P[y | x],
+    which the absolute input tolerances would reject. They are symmetrized
+    once for one stacked spectrum call that gives every distance; ``post``
+    itself is returned as computed.
     """
     probs = born_probabilities(e, impl.povm)
     rho = e.states
     b = impl.operators[:, None]
     out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (outcomes, states, d, d)
-    live = np.nonzero(probs > ZERO_PROB)  # (outcome, state) index arrays of the live pairs
-    norm = out.trace(axis1=-2, axis2=-1).real[live]
-    if (norm <= ZERO_PROB).any():
-        y = int(live[0][norm.argmin()])
-        raise ZeroProbabilityOutcome(
-            f"outcome {y} has probability {norm.min():.3e} <= {ZERO_PROB}; post state undefined"
-        )
-    post = out[live] / norm[:, None, None]
+    norm = out.trace(axis1=-2, axis2=-1).real
+    live = np.nonzero((probs > ZERO_PROB) & (norm > ZERO_PROB))  # (outcome, state) indices
+    post = out[live] / norm[live][:, None, None]
     h = (post + post.conj().swapaxes(-1, -2)) / 2.0
     dist = np.full(probs.shape, -1.0)
     dist[live] = 0.5 * np.abs(_spectrum(h - rho[live[1]])).sum(axis=-1)
@@ -315,15 +312,18 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
 
 
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
-    """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares."""
+    """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares.
+
+    M is checked once, here: I - M^2 may dip to -2 PROBE_TOL, so the root clips it at 0.
+    """
     a = as_hermitian(m)
     if a.ndim != 2:
         raise ValueError(f"probe must be one square matrix, got shape {a.shape}")
     w = _spectrum(a)
     if w[-1] < -PROBE_TOL or w[0] > 1.0 + PROBE_TOL:
         raise ValueError(f"probe eigenvalues must lie in [0, 1], got [{w[-1]:.3e}, {w[0]:.3e}]")
-    # psd_sqrt symmetrizes I - M^2; PROBE_TOL keeps the root defined at the M = I boundary
-    return a, psd_sqrt(np.eye(a.shape[0], dtype=complex) - a @ a, tol=PROBE_TOL)
+    w, v = eig_hermitian(np.eye(a.shape[0], dtype=complex) - a @ a)
+    return a, _from_eig(np.sqrt(np.clip(w, 0.0, None)), v)
 
 
 def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementation:

@@ -18,16 +18,16 @@ reported analytically, never sampled.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .leakage import sibson_infinity
 from .linalg import positive_part
 from .measurements import (
-    MAX_EPSILON, Povm, PovmImplementation, _probe, _probe_at, collapse, gentle_povm,
-    projective_povm,
+    MAX_EPSILON, Povm, PovmImplementation, _probe, _probe_at, collapse, projective_povm,
 )
-from .states import CqEnsemble, bb84_ensemble, pure_state
+from .states import bb84_ensemble, pure_state
 
 __all__ = [
     "EveStrategy",
@@ -83,22 +83,29 @@ class EveStrategy:
         return out
 
 
+@cache
+def _constants():
+    """BB84 ensemble, default probe parts and fixed implementations, built once on first use."""
+    z = projective_povm(np.eye(2, dtype=complex))
+    x = projective_povm(_HADAMARD)
+    # w1's coin toss folded into one 4-outcome measurement: halved projectors
+    povm = Povm(0.5 * np.concatenate((z.povm.elements, x.povm.elements)),
+                labels=("z0", "z1", "x0", "x1"))
+    w1 = PovmImplementation(povm, np.concatenate((z.operators, x.operators)) / np.sqrt(2.0))
+    fixed = {"none": None, "intercept-z": z, "w2": x, "w1": w1}
+    return bb84_ensemble(), _probe(default_gentle_probe()), fixed
+
+
 def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
-    """Eve's measurement implementation, or None when she stays passive."""
-    if strategy.kind == "none":
-        return None
-    if strategy.kind == "intercept-z":
-        return projective_povm(np.eye(2, dtype=complex))
-    if strategy.kind == "w2":
-        return projective_povm(_HADAMARD)
-    if strategy.kind == "w1":
-        # coin toss folded into one 4-outcome measurement: halved projectors
-        z = projective_povm(np.eye(2, dtype=complex))
-        x = projective_povm(_HADAMARD)
-        povm = Povm(0.5 * np.concatenate((z.povm.elements, x.povm.elements)),
-                    labels=("z0", "z1", "x0", "x1"))
-        return PovmImplementation(povm, np.concatenate((z.operators, x.operators)) / np.sqrt(2.0))
-    return gentle_povm(default_gentle_probe(), strategy.epsilon)
+    """Eve's measurement implementation, or None when she stays passive.
+
+    Each fixed kind has one implementation per process; 'gentle' builds the
+    cached probe at the strength that ``EveStrategy`` has checked.
+    """
+    _, probe, fixed = _constants()
+    if strategy.kind == "gentle":
+        return _probe_at(*probe, strategy.epsilon)
+    return fixed[strategy.kind]
 
 
 @dataclass(frozen=True)
@@ -123,19 +130,18 @@ class SimReport:
         return asdict(self)
 
 
-def _round_tables(impl: PovmImplementation | None, e: CqEnsemble | None = None):
+def _round_tables(impl: PovmImplementation | None):
     """Conditional tables of one round under Eve's implementation on the BB84 ensemble.
 
     Returns P[y|x], Bob error and disturbance per (x, y), and Eve's channel
     P[y|x] as (outcomes, symbols). A passive Eve (impl None) has one outcome.
-    ``e`` is the BB84 ensemble when the caller already holds it.
     Outcomes with probability <= ZERO_PROB for a given symbol keep placeholder
     zeros; they can never be drawn for that symbol.
     """
     if impl is None:
         return np.ones((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), np.ones((1, 4))
 
-    e = bb84_ensemble() if e is None else e
+    e = _constants()[0]
     channel, post, dist = collapse(e, impl)  # (outcomes, symbols) tables
     live = dist >= 0.0
     # Bob measures in the symbol's basis and errs on its partner state rho^(x ^ 1)
@@ -151,8 +157,7 @@ def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
     weights = probs_xy / 4.0  # uniform symbol draw
     qber = float(np.sum(weights * err))
     mean_dist = float(np.sum(weights * dist))
-    bits = sibson_infinity(channel)
-    return qber, bits, mean_dist
+    return qber, sibson_infinity(channel), mean_dist
 
 
 def _wilson_ci95(errors: int, rounds: int) -> float:
@@ -167,11 +172,18 @@ def _wilson_ci95(errors: int, rounds: int) -> float:
     return float(abs(centre - q) + half)
 
 
-def _sample(strategy: EveStrategy, tables, rounds: int, seed: int) -> SimReport:
-    """Draw ``rounds`` rounds from the round tables of ``strategy``; see run_simulation."""
+def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
+    """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
+
+    One multinomial draw gives the cell counts, one binomial per cell Bob's
+    errors, and the disturbance sum is the count-weighted table. All draws come
+    from one ``np.random.default_rng(seed)``, so a given (strategy, rounds,
+    seed) always reproduces the same report bit for bit. The values a seed
+    gives differ from versions that sampled round by round; the law does not.
+    """
     if not 1 <= rounds <= np.iinfo(np.int64).max:
         raise ValueError(f"rounds must lie in [1, 2**63 - 1], got {rounds}")
-    probs_xy, err, dist, channel = tables
+    probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)
     cells = rng.multinomial(rounds, weights)
@@ -188,41 +200,18 @@ def _sample(strategy: EveStrategy, tables, rounds: int, seed: int) -> SimReport:
     )
 
 
-def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
-    """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
-
-    One multinomial draw gives the cell counts, one binomial per cell Bob's
-    errors, and the disturbance sum is the count-weighted table. All draws come
-    from one ``np.random.default_rng(seed)``, so a given (strategy, rounds,
-    seed) always reproduces the same report bit for bit. The values a seed
-    gives differ from versions that sampled round by round; the law does not.
-    """
-    tables = _round_tables(strategy_implementation(strategy))
-    return _sample(strategy, tables, rounds, seed)
-
-
 def tradeoff_sweep(epsilons, rounds: int, seed: int) -> list[dict]:
     """Leakage/disturbance trade-off of the gentle strategy over a strength grid.
 
     Rows carry Monte Carlo qber and mean disturbance next to the analytic
     leakage, ordered as the input grid; a strength outside [0, MAX_EPSILON]
-    raises ValueError. The BB84 ensemble and the probe's (I - M^2)^(1/2) are
-    built once per sweep; each strength then takes its implementation from
-    them and draws with the seed as run_simulation does, so every row holds
-    the fields of run_simulation(EveStrategy.gentle(eps), rounds, seed).
+    raises ValueError. Each row comes from one
+    run_simulation(EveStrategy.gentle(eps), rounds, seed) call, so it holds
+    that report's fields.
     """
-    e = bb84_ensemble()
-    a, root = _probe(default_gentle_probe())
-    rows = []
-    for eps in epsilons:
-        strat = EveStrategy.gentle(float(eps))
-        rep = _sample(strat, _round_tables(_probe_at(a, root, strat.epsilon), e), rounds, seed)
-        rows.append(
-            {
-                "epsilon": strat.epsilon,
-                "qber": rep.qber,
-                "leakage_bits": rep.eve_leakage_bits,
-                "mean_disturbance": rep.mean_disturbance,
-            }
-        )
-    return rows
+    reports = [run_simulation(EveStrategy.gentle(float(eps)), rounds, seed) for eps in epsilons]
+    return [
+        {"epsilon": rep.strategy["epsilon"], "qber": rep.qber,
+         "leakage_bits": rep.eve_leakage_bits, "mean_disturbance": rep.mean_disturbance}
+        for rep in reports
+    ]

@@ -120,8 +120,15 @@ def pure_state(amplitudes) -> np.ndarray:
 
 
 def average_state(e: CqEnsemble) -> np.ndarray:
-    """Expected density operator of the ensemble, sum_x p(x) rho^x, checked and read-only."""
-    return checked_states([np.einsum("x,xij->ij", e.probs, e.states)])[0]
+    """Expected density operator of the ensemble, sum_x p(x) rho^x, symmetrized and read-only.
+
+    The sum is derived from a checked ensemble and is not checked again: its
+    trace may miss 1 by the probability and state tolerances together.
+    """
+    avg = np.einsum("x,xij->ij", e.probs, e.states)
+    avg = (avg + avg.conj().T) / 2.0
+    avg.flags.writeable = False
+    return avg
 
 
 def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:

@@ -19,6 +19,7 @@ from gentleleak.linalg import (
 )
 from gentleleak.measurements import (
     BISECTION_STEPS,
+    MAX_EPSILON,
     ZERO_PROB,
     GentlenessSpec,
     Povm,
@@ -344,6 +345,45 @@ class TestDerivedStatesAreNotRechecked:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
 
+    @staticmethod
+    def roundings(e, impl):
+        """Both roundings of every P[y | x]: tr(rho^x F_y) as clipped, and tr(B_y rho^x B_y†)."""
+        b = impl.operators[:, None]
+        norm = (b @ e.states @ b.conj().swapaxes(-1, -2)).trace(axis1=-2, axis2=-1).real
+        return born_probabilities(e, impl.povm), norm
+
+    def test_both_roundings_of_a_probability_decide_liveness(self):
+        # at eta = ZERO_PROB, the two roundings can fall on opposite sides of it
+        straddled = 0
+        for seed in range(200):
+            e, impl = eigenbasis_case(2, ZERO_PROB, seed)
+            probs, norm = self.roundings(e, impl)
+            live = (probs > ZERO_PROB) & (norm > ZERO_PROB)
+            straddled += int(((probs > ZERO_PROB) != (norm > ZERO_PROB)).any())
+            _, post, dist = collapse(e, impl)
+            assert np.array_equal(dist >= 0.0, live)
+            assert (dist[~live] == -1.0).all() and len(post) == live.sum()
+            cert = certify_gentle(e, impl, GentlenessSpec(0.1, 0.05))
+            assert cert.certified
+            assert cert.worst_prob == pytest.approx(1.0, abs=1e-11)
+        assert straddled > 0
+
+    def test_cli_certifies_where_the_roundings_straddle(self, tmp_path, capsys):
+        ens, povm = tmp_path / "ensemble.json", tmp_path / "povm.json"
+        argv = ["certify", str(ens), str(povm), "--alpha", "0.1", "--delta", "0.05"]
+        checked = 0
+        for seed in range(200):
+            e, impl = eigenbasis_case(2, ZERO_PROB, seed)
+            probs, norm = self.roundings(e, impl)
+            if not ((probs > ZERO_PROB) & (norm <= ZERO_PROB)).any():
+                continue
+            ens.write_text(json.dumps(ensemble_to_json(e)))
+            povm.write_text(json.dumps(povm_to_json(impl)))
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["certified"] is True
+            checked += 1
+        assert checked > 0
+
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([2, 3, 8]),
@@ -484,6 +524,16 @@ class TestGentlePovm:
     def test_rejects_large_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             gentle_povm(np.eye(2), 0.2)
+
+    def test_probe_at_the_upper_tolerance_edge(self, bb84):
+        # eigenvalue 1 + 0.9e-9 passes the probe check; I - M^2 then dips to -1.8e-9
+        m = np.diag([1.0 + 0.9e-9, 0.0])
+        impl = gentle_povm(m, 0.05)
+        again = PovmImplementation(Povm(impl.povm.elements), impl.operators)
+        assert np.array_equal(again.operators, impl.operators)
+        assert np.allclose(impl.operators[2], np.sqrt(2.0) * 0.05 * np.diag([0.0, 1.0]), atol=1e-15)
+        cal = max_certified_epsilon(m, GentlenessSpec(0.1, 0.05), bb84)
+        assert cal.epsilon == MAX_EPSILON and cal.certificate.certified
 
     def test_rejects_a_stacked_probe(self, bb84):
         stacked = np.array([np.eye(2), np.eye(2)]) / 2

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gentleleak import simulate
 from gentleleak.linalg import trace_distance
 from gentleleak.measurements import (
     ZERO_PROB,
@@ -250,6 +255,32 @@ class TestTradeoffSweep:
                 "leakage_bits": rep.eve_leakage_bits,
                 "mean_disturbance": rep.mean_disturbance,
             }
+
+
+class TestConstantsBuiltOnce:
+    def test_runs_build_the_bb84_ensemble_once(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return bb84_ensemble()
+
+        simulate._constants.cache_clear()
+        monkeypatch.setattr(simulate, "bb84_ensemble", counted)
+        a = run_simulation(EveStrategy("w1"), 1000, seed=0)
+        b = run_simulation(EveStrategy.gentle(0.05), 1000, seed=0)
+        tradeoff_sweep([0.0, 0.1], rounds=1000, seed=0)
+        assert len(calls) == 1
+        simulate._constants.cache_clear()
+        assert run_simulation(EveStrategy("w1"), 1000, seed=0) == a
+        assert run_simulation(EveStrategy.gentle(0.05), 1000, seed=0) == b
+        assert len(calls) == 2
+
+    def test_nothing_is_built_at_import(self):
+        code = "import gentleleak.simulate as s; print(s._constants.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "0", out.stderr
 
 
 class TestStrategyPlumbing:

@@ -97,6 +97,17 @@ class TestAverageState:
         e = CqEnsemble(np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
         assert np.allclose(average_state(e), np.diag([0.5, 0.5]))
 
+    def test_is_not_checked_again_at_the_tolerance_edge(self):
+        # each input passes its 1e-10 check, but their sum's trace misses 1 by 1.8e-10
+        e = CqEnsemble(
+            np.array([0.5, 0.5 + 0.9e-10]),
+            (np.diag([0.5 + 0.9e-10, 0.5]), np.diag([0.3, 0.7 + 0.9e-10])),
+        )
+        avg = average_state(e)
+        assert not avg.flags.writeable
+        assert np.array_equal(avg, avg.conj().T)
+        assert np.allclose(avg, np.diag([0.4, 0.6]), atol=1e-9)
+
 
 class TestApplyUnitary:
     def test_identity(self, bb84):
