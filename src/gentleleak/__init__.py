@@ -22,8 +22,6 @@ from .linalg import (
     NotPsdError,
     SchemaError,
     eig_hermitian,
-    is_psd,
-    psd_sqrt,
     trace_distance,
     trace_norm,
 )

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-12
+# A largest distance to I/d below this is a maximally mixed ensemble: alpha caps nothing.
+SPREAD_FLOOR = 1e-12
 
 
 def quadratic_coefficients(d: int) -> tuple[float, float, float]:
@@ -251,7 +253,7 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     d = e.dim
     w, _ = eig_hermitian(np.eye(d) / d - e.states)
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
-    cap = np.minimum(alphas / spread, 1.0) if spread > 1e-12 else np.ones_like(alphas)
+    cap = np.minimum(alphas / spread, 1.0) if spread > SPREAD_FLOOR else np.ones_like(alphas)
     p2 = tradeoff_p2(cap, d)
     _, slack = region_quadratic_form(cap, p2, d)
     bits = np.where(p2 == 0.0, q_bits, np.log2(p2 + (1.0 - p2) * 2.0**q_bits))

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
-from .linalg import ConvergenceError, eig_hermitian, matrix_to_json, positive_part
+from .linalg import (
+    CHANNEL_TOL, PSD_TOL, ConvergenceError, _fill, eig_hermitian, matrix_to_json, positive_part,
+)
 from .measurements import GentlenessSpec, Povm, max_certified_epsilon, povm_to_json
 from .states import CqEnsemble
 
@@ -62,6 +64,13 @@ BOUNDARY_SHARE = 0.95
 SUPPORT_RTOL = 1e-10
 # Slack, in Bloch-vector length, of the smallest-ball test for a point on the sphere.
 BALL_TOL = 1e-12
+# Rounding slacks of the results: how far a lower value may fall below 0, and
+# how far it may exceed the upper value, in an estimate and in an interval.
+NEGATIVE_BITS_SLACK = 1e-9
+CROSSING_SLACK = 1e-12
+INTERVAL_SLACK = 1e-12
+# A probe whose largest entry is below this tells no states apart; the search skips it.
+PROBE_FLOOR = 1e-12
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -85,12 +94,11 @@ class LeakageEstimate:
 
     def __post_init__(self):
         bits, upper = float(self.bits), float(self.upper_bits)
-        if bits < -1e-9:
+        if bits < -NEGATIVE_BITS_SLACK:
             raise ValueError(f"leakage cannot be negative, got {bits}")
-        if bits > upper + 1e-12:
+        if bits > upper + CROSSING_SLACK:
             raise ValueError(f"lower value {bits} exceeds the certified upper value {upper}")
-        object.__setattr__(self, "bits", max(bits, 0.0))
-        object.__setattr__(self, "upper_bits", max(upper, 0.0))
+        _fill(self, bits=max(bits, 0.0), upper_bits=max(upper, 0.0))
 
     def to_json(self) -> dict:
         return {
@@ -105,19 +113,24 @@ class LeakageEstimate:
 def sibson_infinity(p) -> float:
     """Order-infinity Sibson mutual information of a channel matrix P[y | x] in bits.
 
-    Columns (one per input symbol) must sum to one within 1e-9. Zero exactly
-    when all columns are identical; at most log2(#outcomes).
+    Entries must be at least -PSD_TOL and columns (one per input symbol) must
+    sum to one within CHANNEL_TOL. Zero exactly when all columns are
+    identical; at most log2(#outcomes).
     """
     mat = np.asarray(p, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a 2-d channel matrix, got shape {mat.shape}")
-    if np.min(mat) < -1e-10:
+    if np.min(mat) < -PSD_TOL:
         raise ValueError(f"negative channel entry {np.min(mat):.3e}")
     colsums = mat.sum(axis=0)
-    if not np.max(np.abs(colsums - 1.0)) <= 1e-9:
+    if not np.max(np.abs(colsums - 1.0)) <= CHANNEL_TOL:
         raise ValueError("channel columns must each sum to 1")
-    total = float(mat.max(axis=1).sum())
-    return max(float(np.log2(total)), 0.0)
+    return _sibson(mat)
+
+
+def _sibson(mat: np.ndarray) -> float:
+    """sibson_infinity of a channel table the program built from checked values; not checked."""
+    return max(float(np.log2(float(mat.max(axis=1).sum()))), 0.0)
 
 
 def leakage_upper_bound(e: CqEnsemble) -> float:
@@ -239,7 +252,7 @@ def _bounds(mats: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[float, floa
     tr Y + sum_x tr (rho^x - Y)_+ bounds the optimum from above. Both the solver's y
     and herm(sum_x rho^x G_x) are priced so; the cheaper Y is returned before its raise.
     """
-    lower = sibson_infinity(np.einsum("xij,yji->yx", mats, g).real)
+    lower = _sibson(np.einsum("xij,yji->yx", mats, g).real)
     ys = np.stack([_herm(np.einsum("xij,xjk->ik", mats, g)), y])
     w = np.linalg.eigvalsh(mats[None] - ys[:, None])
     values = np.trace(ys, axis1=1, axis2=2).real + np.clip(w, 0.0, None).sum(axis=(1, 2))
@@ -366,10 +379,8 @@ class GentleLeakageInterval:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.lower_bits <= self.upper_bits + 1e-12:
-            raise ValueError(
-                f"invalid interval [{self.lower_bits}, {self.upper_bits}]"
-            )
+        if not 0.0 <= self.lower_bits <= self.upper_bits + INTERVAL_SLACK:
+            raise ValueError(f"invalid interval [{self.lower_bits}, {self.upper_bits}]")
 
     def to_json(self) -> dict:
         return {
@@ -383,9 +394,7 @@ class GentleLeakageInterval:
         }
 
 
-def _gentle_probe_search(
-    e: CqEnsemble, spec: GentlenessSpec
-) -> tuple[float, dict]:
+def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, dict]:
     """Best Sibson value over certified gentle probes built from pairwise differences.
 
     Each probe is (rho^i - rho^j)_+ at the largest strength the calibration
@@ -399,12 +408,12 @@ def _gentle_probe_search(
         return best, detail
     probes = positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
     for (i, j), probe in zip(pairs, probes):
-        if float(np.max(np.abs(probe))) < 1e-12:
+        if float(np.max(np.abs(probe))) < PROBE_FLOOR:
             continue
         cal = max_certified_epsilon(probe, spec, e)
         if cal.certificate is None:
             continue
-        bits = sibson_infinity(cal.certificate.outcome_probs)
+        bits = _sibson(np.array(cal.certificate.outcome_probs))
         detail["probes"] += 1
         if bits > best:
             best = bits

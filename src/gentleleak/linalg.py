@@ -1,30 +1,21 @@
 """Dense complex linear algebra for small Hermitian problems (d <= ~16).
 
-Everything operates on plain ``numpy`` arrays of ``complex128``, one matrix or
-a stack (..., d, d), so callers validate or diagonalize many operators in one
-call. The exceptions take one matrix only: :func:`as_complex_matrix`,
-:func:`as_unitary`, :func:`trace_norm` and :func:`matrix_to_json`. Finiteness
-and Hermiticity are checked in :func:`as_hermitian`.
-Hermitian spectra (LAPACK through numpy) are taken by two routes:
+Functions take one complex matrix or a stack (..., d, d), except
+:func:`as_complex_matrix`, :func:`as_unitary`, :func:`trace_norm` and
+:func:`matrix_to_json`, which take one. :func:`as_hermitian` checks finiteness
+and Hermiticity. :func:`eig_hermitian` checks its input and returns descending
+eigenvalues with their eigenvectors (``numpy.linalg.eigh``); ``_spectrum``
+returns the eigenvalues alone of an array already checked and symmetrized, for
+checks that read no eigenvector. :func:`matrices_from_json` parses a JSON list
+of matrices in one pass, and goes back over it only to name a bad matrix.
 
-- :func:`eig_hermitian` checks its input with ``as_hermitian`` and returns
-  eigenvalues in descending order with their eigenvectors
-  (``numpy.linalg.eigh``). The helpers of this module, the cloning cap and
-  the solver's start and dual raise use it.
-- ``_spectrum`` returns the eigenvalues alone, in the same order
-  (``numpy.linalg.eigvalsh``), of an array that has already been checked and
-  symmetrized. The ensemble, ``Povm`` and probe checks and ``collapse``'s
-  trace distances read no eigenvector, so they take the spectrum of the
-  symmetrized array once.
-
-The leakage solver's inner loop (``_povm``, ``_newton_step``, ``_bounds``)
-calls ``numpy.linalg.eigh``/``eigvalsh`` directly on the matrices it builds
-and symmetrizes itself.
-
-:func:`matrices_from_json` parses a JSON list of matrices in one pass: a
-schema and cell-type scan over the whole list, then one array conversion and
-one finiteness check. Only a failure goes back over the list, matrix by
-matrix, to name the first bad one.
+A value is checked once, where it enters a public constructor or function,
+against a tolerance of the block below; a value derived from checked values is
+never checked again. ``_frozen_hermitian`` gives a derived matrix the form the
+checks give (symmetrized, read-only), and ``_fill`` sets the fields of a frozen
+dataclass, so ``_fill(object.__new__(cls), ...)`` builds one from such fields
+without its checks. A derived value may thus miss an entry tolerance, by at
+most the drift stated beside it.
 """
 
 from __future__ import annotations
@@ -38,6 +29,9 @@ __all__ = [
     "PSD_TOL",
     "COMPLETENESS_TOL",
     "UNIT_TRACE_TOL",
+    "UNITARY_TOL",
+    "PROBE_TOL",
+    "CHANNEL_TOL",
     "ConvergenceError",
     "NotPsdError",
     "SchemaError",
@@ -47,14 +41,8 @@ __all__ = [
     "eig_hermitian",
     "trace_norm",
     "trace_distance",
-    "psd_sqrt",
     "psd_inv_sqrt",
     "positive_part",
-    "is_psd",
-    "haar_unitary",
-    "random_hermitian",
-    "random_contraction",
-    "random_density",
     "matrix_to_json",
     "matrix_from_json",
     "matrices_from_json",
@@ -73,14 +61,33 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""
 
 
-# Max-entry asymmetry M - M† allowed before symmetrization is refused.
+# Entry tolerances: every tolerance that accepts or rejects outside input, with
+# what it guards and how far a value derived from checked ones may drift from it.
+
+# Max-entry asymmetry of M - M† in a state, POVM element or probe, before it is
+# symmetrized to (M + M†)/2; derived matrices are symmetrized alike.
 HERMITICITY_TOL = 1e-10
-# Slack on the smallest eigenvalue in PSD checks.
+# Slack below 0 of the least eigenvalue of a state or POVM element, and of the
+# least entry of a channel matrix; conjugation scales it by up to 1 + d UNITARY_TOL.
 PSD_TOL = 1e-10
-# Max-entry residual allowed in sum_y F_y - I (and in B_y† B_y - F_y).
+# Max-entry residual of sum_y F_y - I and of B_y† B_y - F_y. The Born columns of
+# checked inputs then sum to 1 within about d COMPLETENESS_TOL + UNIT_TRACE_TOL.
 COMPLETENESS_TOL = 1e-9
-# |tr rho - 1| allowed for density operators, and |sum_x p_x - 1| for priors.
+# |tr rho - 1| of a state and |sum_x p_x - 1| of priors; average_state may miss by both.
 UNIT_TRACE_TOL = 1e-10
+# Max-entry residual of U†U - I. Conjugated states then have traces within about
+# d UNITARY_TOL + UNIT_TRACE_TOL of 1; U's column projectors sum to within d UNITARY_TOL of I.
+UNITARY_TOL = 1e-9
+# How far a probe's eigenvalues may leave [0, 1]; its operators at strength eps
+# then have sum_y B_y† B_y within 4 eps^2 PROBE_TOL of I.
+PROBE_TOL = 1e-9
+# |column sum - 1| of a channel matrix given to sibson_infinity. It accepts the Born
+# table of any checked inputs (within 2.6e-7 of 1 at d = 16, projectors included)
+# and still rejects a transposed or unnormalized table.
+CHANNEL_TOL = 1e-6
+
+# Floor on the eigenvalues psd_inv_sqrt inverts: a singular matrix gives huge finite entries.
+INV_SQRT_FLOOR = 1e-300
 
 # The cell types a JSON parser produces for numbers.
 _JSON_NUMBERS = frozenset((int, float))
@@ -115,6 +122,22 @@ def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
         if a.shape[0] != d:
             raise ValueError(f"{what} {i} has dimension {a.shape[0]}, expected {d}")
     return np.array(arrs)
+
+
+def _frozen_hermitian(a: np.ndarray) -> np.ndarray:
+    """(a + a†)/2, read-only, of a matrix or stack derived from checked values; not checked."""
+    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    h.flags.writeable = False
+    return h
+
+
+def _fill(obj, **fields):
+    """Set the given fields of obj, a frozen dataclass instance; array fields become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -201,22 +224,15 @@ def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix, or of each in a stack."""
-    w, v = _eig_psd(m)
-    return _from_eig(np.sqrt(w), v)
-
-
 def psd_inv_sqrt(m) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix, or of each in a stack.
 
-    Eigenvalues are floored at 1e-300, so a singular PSD matrix gives huge
-    finite entries rather than infinities.
+    Eigenvalues are floored at INV_SQRT_FLOOR.
     """
     w, v = _eig_psd(m)
     if (w[..., 0] <= 0.0).any():
         raise NotPsdError("matrix is zero; no inverse square root")
-    return _from_eig(1.0 / np.sqrt(np.maximum(w, 1e-300)), v)
+    return _from_eig(1.0 / np.sqrt(np.maximum(w, INV_SQRT_FLOOR)), v)
 
 
 def positive_part(m) -> np.ndarray:
@@ -225,50 +241,12 @@ def positive_part(m) -> np.ndarray:
     return _from_eig(np.clip(w, 0.0, None), v)
 
 
-def is_psd(m) -> bool:
-    """True iff the Hermitian matrix (each matrix of a stack) has no eigenvalue below -PSD_TOL."""
-    w, _ = eig_hermitian(m)
-    return bool((w[..., -1] >= -PSD_TOL).all())
-
-
 def as_unitary(u) -> np.ndarray:
-    """Validate and return a finite square matrix U with every entry of U†U - I within 1e-9."""
+    """Validate and return a finite square U with every entry of U†U - I within UNITARY_TOL."""
     a = as_complex_matrix(u)
-    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > 1e-9:
+    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) > UNITARY_TOL:
         raise ValueError("matrix is not unitary")
     return a
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: orthonormalize a matrix of standard complex Gaussians."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    # fix the phase ambiguity of QR so the distribution is Haar
-    ph = np.diag(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph
-
-
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (z + z.conj().T) / 2.0
-
-
-def random_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian M with 0 <= M <= I (uniform eigenvalues, Haar basis)."""
-    u = haar_unitary(d, rng)
-    w = rng.uniform(0.0, 1.0, size=d)
-    m = (u * w) @ u.conj().T
-    return (m + m.conj().T) / 2.0
-
-
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from a normalized Wishart draw."""
-    k = rank or d
-    z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    m = z @ z.conj().T
-    m = (m + m.conj().T) / 2.0
-    return m / np.trace(m).real
 
 
 def matrix_to_json(m) -> dict:

@@ -5,6 +5,10 @@ implementation {B_y} with B_y† B_y = F_y. Gentleness of a measurement is a
 property of one implementation: with probability at least 1 - delta over
 outcomes, the post-measurement state stays within trace distance alpha of
 every state in the protected set.
+
+``Povm`` and ``PovmImplementation`` are checked when built from input. What is
+derived from checked parts (the probe at each strength, the projectors of a
+unitary, Born tables, post-measurement states) is not checked again.
 """
 
 from __future__ import annotations
@@ -14,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    COMPLETENESS_TOL,
-    PSD_TOL,
-    SchemaError,
-    _as_square_stack,
-    _from_eig,
-    _spectrum,
-    _stack,
-    as_hermitian,
-    as_unitary,
-    eig_hermitian,
-    matrices_from_json,
-    matrix_to_json,
+    COMPLETENESS_TOL, PROBE_TOL, PSD_TOL, SchemaError, _as_square_stack, _fill, _from_eig,
+    _frozen_hermitian, _spectrum, _stack, as_hermitian, as_unitary, eig_hermitian,
+    matrices_from_json, matrix_to_json,
 )
 from .states import CqEnsemble, checked_states
 
@@ -52,8 +47,10 @@ __all__ = [
 # their post-measurement state is a 0/0 expression.
 ZERO_PROB = 1e-12
 
-# A probe's eigenvalues may leave [0, 1] by this much (roundoff in a user's M).
-PROBE_TOL = 1e-9
+# certify_gentle's rounding slacks on alpha and on 1 - delta, so an exactly gentle
+# branch at alpha = 0 and a good-event probability of exactly 1 - delta pass.
+ALPHA_SLACK = 1e-12
+DELTA_SLACK = 1e-12
 
 # Largest gentle-probe strength that gentle_povm, the calibration and the simulator accept.
 MAX_EPSILON = 0.1
@@ -94,9 +91,7 @@ class Povm:
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elements)))
         if len(labels) != len(elements):
             raise ValueError("labels must align with elements")
-        elements.flags.writeable = False
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "labels", labels)
+        _fill(self, elements=elements, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -127,8 +122,7 @@ class PovmImplementation:
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"operator {i}: B†B differs from F by {resid[i]:.3e}")
-        ops.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
+        _fill(self, operators=ops)
 
     @property
     def dim(self) -> int:
@@ -167,12 +161,15 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
 def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
     """Collapsed state B_y rho B_y† / tr(rho F_y) after outcome y, symmetrized and read-only.
 
-    The input rho is checked to be a density operator; the output is derived
-    from checked values and is not checked again, as in :func:`collapse`.
+    The input rho is checked to be a density operator and y to index an
+    outcome; the output is derived from checked values and is not checked
+    again, as in :func:`collapse`.
     """
     rho = checked_states([rho])[0]
     if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
+    if not 0 <= y < len(impl):
+        raise ValueError(f"outcome {y} out of range for {len(impl)} outcomes")
     b = impl.operators[y]
     out = b @ rho @ b.conj().T
     prob = float(np.trace(out).real)
@@ -180,10 +177,7 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
         raise ZeroProbabilityOutcome(
             f"outcome {y} has probability {prob:.3e} <= {ZERO_PROB}; post state undefined"
         )
-    post = out / prob
-    post = (post + post.conj().T) / 2.0
-    post.flags.writeable = False
-    return post
+    return _frozen_hermitian(out / prob)
 
 
 @dataclass(frozen=True)
@@ -274,8 +268,7 @@ def certify_gentle(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     probs, _, dist = collapse(e, impl)
-    # 1e-12 slack so exactly-gentle branches survive roundoff at alpha = 0
-    good = (dist <= spec.alpha + 1e-12).all(axis=1)
+    good = (dist <= spec.alpha + ALPHA_SLACK).all(axis=1)
     dists = dist.max(axis=1)
 
     if mode == "per-state":
@@ -285,7 +278,7 @@ def certify_gentle(
         worst_prob = float(weights[good].sum())
 
     return GentlenessCertificate(
-        certified=bool(worst_prob >= 1.0 - spec.delta - 1e-12),
+        certified=bool(worst_prob >= 1.0 - spec.delta - DELTA_SLACK),
         worst_prob=worst_prob,
         worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,
@@ -327,11 +320,15 @@ def _probe(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementation:
-    """{B+, B-, B0} of the probe of M = a at strength epsilon, given root = (I - M^2)^(1/2)."""
+    """{B+, B-, B0} of the probe of M = a at strength epsilon, given root = (I - M^2)^(1/2).
+
+    Not checked: the B_y are Hermitian and their squares sum to I within 4 eps^2 PROBE_TOL.
+    """
     eye = np.eye(a.shape[0], dtype=complex)
     c = np.sqrt((1.0 - 2.0 * epsilon**2) / 2.0)
     b = np.array([c * eye + epsilon * a, c * eye - epsilon * a, np.sqrt(2.0) * epsilon * root])
-    return PovmImplementation(Povm(b @ b, labels=("+", "-", "0")), b)
+    povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(b @ b), labels=("+", "-", "0"))
+    return _fill(object.__new__(PovmImplementation), povm=povm, operators=b)
 
 
 @dataclass(frozen=True)
@@ -383,12 +380,15 @@ def max_certified_epsilon(
 
 
 def projective_povm(basis) -> PovmImplementation:
-    """Rank-one projective measurement onto the columns of a unitary basis; B_y = F_y."""
-    u = as_unitary(basis)
-    d = u.shape[0]
-    projs = tuple(np.outer(u[:, j], u[:, j].conj()) for j in range(d))
-    povm = Povm(projs)
-    return PovmImplementation(povm, projs)
+    """Rank-one projective measurement onto the columns of a unitary basis; B_y = F_y.
+
+    The projectors are not checked: they sum to U U†, within d UNITARY_TOL of I.
+    """
+    cols = as_unitary(basis).T
+    projs = cols[:, :, None] * cols.conj()[:, None, :]
+    labels = tuple(str(y) for y in range(len(projs)))
+    povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(projs), labels=labels)
+    return _fill(object.__new__(PovmImplementation), povm=povm, operators=projs)
 
 
 def povm_to_json(impl_or_povm) -> dict:

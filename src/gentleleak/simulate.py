@@ -22,8 +22,8 @@ from functools import cache
 
 import numpy as np
 
-from .leakage import sibson_infinity
-from .linalg import positive_part
+from .leakage import _sibson
+from .linalg import _fill, _frozen_hermitian, positive_part
 from .measurements import (
     MAX_EPSILON, Povm, PovmImplementation, _probe, _probe_at, collapse, projective_povm,
 )
@@ -89,9 +89,11 @@ def _constants():
     z = projective_povm(np.eye(2, dtype=complex))
     x = projective_povm(_HADAMARD)
     # w1's coin toss folded into one 4-outcome measurement: halved projectors
-    povm = Povm(0.5 * np.concatenate((z.povm.elements, x.povm.elements)),
-                labels=("z0", "z1", "x0", "x1"))
-    w1 = PovmImplementation(povm, np.concatenate((z.operators, x.operators)) / np.sqrt(2.0))
+    halved = 0.5 * np.concatenate((z.povm.elements, x.povm.elements))
+    labels = ("z0", "z1", "x0", "x1")
+    povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(halved), labels=labels)
+    ops = np.concatenate((z.operators, x.operators)) / np.sqrt(2.0)
+    w1 = _fill(object.__new__(PovmImplementation), povm=povm, operators=ops)
     fixed = {"none": None, "intercept-z": z, "w2": x, "w1": w1}
     return bb84_ensemble(), _probe(default_gentle_probe()), fixed
 
@@ -157,7 +159,7 @@ def exact_round_statistics(strategy: EveStrategy) -> tuple[float, float, float]:
     weights = probs_xy / 4.0  # uniform symbol draw
     qber = float(np.sum(weights * err))
     mean_dist = float(np.sum(weights * dist))
-    return qber, sibson_infinity(channel), mean_dist
+    return qber, _sibson(channel), mean_dist
 
 
 def _wilson_ci95(errors: int, rounds: int) -> float:
@@ -192,7 +194,7 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     return SimReport(
         rounds=rounds,
         qber=errors / rounds,
-        eve_leakage_bits=sibson_infinity(channel),
+        eve_leakage_bits=_sibson(channel),
         mean_disturbance=float(cells @ dist.ravel()) / rounds,
         ci95=_wilson_ci95(errors, rounds),
         strategy=strategy.describe(),

@@ -1,4 +1,8 @@
-"""Density operators, classical-quantum ensembles, and the channels acting on them."""
+"""Density operators, classical-quantum ensembles, and the channels acting on them.
+
+A ``CqEnsemble`` is checked when built from input. The channels check only
+their own argument; the image ensemble is symmetrized, read-only and not checked.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    UNIT_TRACE_TOL,
-    SchemaError,
-    _spectrum,
-    _stack,
-    as_unitary,
-    matrices_from_json,
-    matrix_to_json,
-    trace_distance,
+    HERMITICITY_TOL, PSD_TOL, UNIT_TRACE_TOL, SchemaError, _fill, _frozen_hermitian, _spectrum,
+    _stack, as_unitary, matrices_from_json, matrix_to_json, trace_distance,
 )
 
 __all__ = [
@@ -48,7 +44,7 @@ def checked_states(mats) -> np.ndarray:
         asym = np.abs(a - adj).max(axis=(-2, -1))
     ok = finite & (asym <= HERMITICITY_TOL)
     k = len(a) if ok.all() else int(ok.argmin())  # the first failure of these two checks
-    h = (a[:k] + adj[:k]) / 2.0
+    h = _frozen_hermitian(a[:k])
     low = _spectrum(h)[:, -1]
     tr = h.trace(axis1=-2, axis2=-1).real
     bad = np.flatnonzero((low < -PSD_TOL) | (np.abs(tr - 1.0) > UNIT_TRACE_TOL))
@@ -61,7 +57,6 @@ def checked_states(mats) -> np.ndarray:
         raise ValueError(f"state {k}: matrix has non-finite entries" if not finite[k] else
                          f"state {k}: matrix is not Hermitian: max asymmetry {asym[k]:.3e} > "
                          f"{HERMITICITY_TOL:.3e}")
-    h.flags.writeable = False
     return h
 
 
@@ -91,10 +86,7 @@ class CqEnsemble:
         labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(states)))
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and aligned with states")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", labels)
+        _fill(self, probs=probs, states=states, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -125,16 +117,29 @@ def average_state(e: CqEnsemble) -> np.ndarray:
     The sum is derived from a checked ensemble and is not checked again: its
     trace may miss 1 by the probability and state tolerances together.
     """
-    avg = np.einsum("x,xij->ij", e.probs, e.states)
-    avg = (avg + avg.conj().T) / 2.0
-    avg.flags.writeable = False
-    return avg
+    return _frozen_hermitian(np.einsum("x,xij->ij", e.probs, e.states))
+
+
+def _with_states(e: CqEnsemble, states: np.ndarray) -> CqEnsemble:
+    """e with its states replaced by an image derived from them, symmetrized and not checked."""
+    states = _frozen_hermitian(states)
+    return _fill(object.__new__(CqEnsemble), probs=e.probs, states=states, labels=e.labels)
+
+
+def _conjugated(e: CqEnsemble, u) -> np.ndarray:
+    """u rho^x u† for every state, once u is checked to be a unitary of the ensemble's dimension."""
+    u = as_unitary(u)
+    if u.shape[0] != e.dim:
+        raise ValueError(f"dimension mismatch: unitary {u.shape[0]}, ensemble {e.dim}")
+    return u @ e.states @ u.conj().T
 
 
 def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:
-    """Conjugate every encoding state by the unitary u; probabilities unchanged."""
-    u = as_unitary(u)
-    return CqEnsemble(e.probs, u @ e.states @ u.conj().T, e.labels)
+    """Conjugate every encoding state by the unitary u; probabilities unchanged.
+
+    The traces of the new states may miss 1 by about d UNITARY_TOL + UNIT_TRACE_TOL.
+    """
+    return _with_states(e, _conjugated(e, u))
 
 
 def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
@@ -143,13 +148,12 @@ def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
         raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
     d = e.dim
     eye = np.eye(d, dtype=complex)
-    return CqEnsemble(e.probs, p * eye / d + (1.0 - p) * e.states, e.labels)
+    return _with_states(e, p * eye / d + (1.0 - p) * e.states)
 
 
 def unitary_disturbance(e: CqEnsemble, u) -> float:
     """Largest trace distance between an encoding state and its image under u."""
-    u = as_unitary(u)
-    return float(trace_distance(u @ e.states @ u.conj().T, e.states).max())
+    return float(trace_distance(_conjugated(e, u), e.states).max())
 
 
 def bb84_ensemble() -> CqEnsemble:

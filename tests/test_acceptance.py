@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qubit_oracle import povm_bits
+from random_matrices import haar_unitary, random_contraction
 
 from gentleleak.cli import main as cli_main
 from gentleleak.cloning import (
@@ -23,7 +24,7 @@ from gentleleak.leakage import (
     leakage_upper_bound,
     maximal_quantum_leakage,
 )
-from gentleleak.linalg import haar_unitary, random_contraction, trace_distance
+from gentleleak.linalg import trace_distance
 from gentleleak.measurements import (
     GentlenessSpec,
     certify_gentle,

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from random_matrices import random_density
+
 from gentleleak import leakage
 from gentleleak.cli import main, tradeoff_csv
-from gentleleak.linalg import matrix_to_json, random_density
+from gentleleak.linalg import matrix_to_json
 from gentleleak.measurements import povm_to_json, projective_povm
 from gentleleak.states import (
     CqEnsemble,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_matrices import random_density
+
 from gentleleak.cli import main
 from gentleleak.cloning import (
     CloningBoundResult,
@@ -18,7 +20,7 @@ from gentleleak.cloning import (
     tradeoff_p2,
 )
 from gentleleak.leakage import maximal_quantum_leakage
-from gentleleak.linalg import eig_hermitian, random_density
+from gentleleak.linalg import eig_hermitian
 from gentleleak.states import (
     CqEnsemble,
     bb84_ensemble,

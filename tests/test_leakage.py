@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubit_oracle import povm_bits, projective_bits
+from random_matrices import haar_unitary, random_density
 
 from gentleleak import leakage
 from gentleleak.leakage import (
@@ -20,13 +21,7 @@ from gentleleak.leakage import (
     maximal_quantum_leakage,
     sibson_infinity,
 )
-from gentleleak.linalg import (
-    ConvergenceError,
-    haar_unitary,
-    positive_part,
-    random_density,
-    trace_distance,
-)
+from gentleleak.linalg import ConvergenceError, positive_part, trace_distance
 from gentleleak.measurements import (
     GentlenessSpec,
     born_probabilities,

@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_matrices import haar_unitary, random_density, random_hermitian
+
 from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
     as_hermitian,
     as_unitary,
     eig_hermitian,
-    haar_unitary,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
     positive_part,
     psd_inv_sqrt,
-    psd_sqrt,
-    random_density,
-    random_hermitian,
     trace_distance,
     trace_norm,
 )
@@ -136,51 +133,17 @@ class TestTraceDistance:
 
 
 class TestPsd:
-    def test_sqrt_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_sqrt_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_sqrt_zero(self):
-        assert np.allclose(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_sqrt_roundtrip_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            d = int(rng.integers(2, 6))
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            m = z @ z.conj().T
-            r = psd_sqrt(m)
-            assert np.max(np.abs(r @ r - m)) <= 1e-8 * max(1.0, np.max(np.abs(m)))
-            assert is_psd(r)
-
-    def test_sqrt_rejects_negative(self):
-        with pytest.raises(NotPsdError):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_is_psd(self):
-        assert is_psd(np.eye(2))
-        assert not is_psd(np.diag([1.0, -1.0]))
-
-    def test_distinct_bb84_difference_not_psd(self):
-        assert not is_psd(KET0 - PLUS)
-
     def test_positive_part(self):
         m = np.diag([2.0, -3.0])
         assert np.allclose(positive_part(m), np.diag([2.0, 0.0]))
 
     def test_stack_with_one_non_psd_matrix(self):
         stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.diag([4.0, 1.0])])
-        assert not is_psd(stack)
-        for f in (psd_sqrt, psd_inv_sqrt):
-            with pytest.raises(NotPsdError, match="min eigenvalue -5.000e-01"):
-                f(stack)
+        with pytest.raises(NotPsdError, match="min eigenvalue -5.000e-01"):
+            psd_inv_sqrt(stack)
 
     def test_stack_of_psd_matrices(self):
         stack = np.array([np.diag([4.0, 9.0]), np.diag([1.0, 0.25])])
-        assert is_psd(stack)
-        assert np.allclose(psd_sqrt(stack), [np.diag([2.0, 3.0]), np.diag([1.0, 0.5])])
         assert np.allclose(psd_inv_sqrt(stack), [np.diag([0.5, 1 / 3]), np.diag([1.0, 2.0])])
         with pytest.raises(NotPsdError, match="zero"):
             psd_inv_sqrt(np.array([np.eye(2), np.zeros((2, 2))]))

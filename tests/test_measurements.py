@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_matrices import haar_unitary, random_contraction, random_density
+
 from gentleleak import linalg, measurements, states
 from gentleleak.cli import main
 from gentleleak.linalg import (
     SchemaError,
-    haar_unitary,
     matrix_to_json,
     positive_part,
-    random_contraction,
-    random_density,
     trace_distance,
     trace_norm,
 )
@@ -123,9 +122,9 @@ class TestStackedChecks:
         assert all(b.flags.writeable for b in ops)
         assert not any(np.shares_memory(b, impl.operators) for b in ops)
 
-    def test_one_hermiticity_check_per_tried_strength(self, bb84, monkeypatch):
+    def test_no_hermiticity_check_per_tried_strength(self, bb84, monkeypatch):
         # gentle_povm checks M and I - M^2 once per probe; each tried strength then
-        # checks its element stack once, and its post-measurement states not at all
+        # builds its implementation and post-measurement states without a check
         probe, spec = bb84_pair_probe(), GentlenessSpec(0.1, 0.05)
         shapes = []
         real = linalg.as_hermitian
@@ -139,12 +138,11 @@ class TestStackedChecks:
                 if value is real:
                     monkeypatch.setattr(mod, name, counting)
         certify_gentle(bb84, gentle_povm(probe, 0.05), spec)
-        assert shapes == [(2, 2), (2, 2), (3, 2, 2)]
+        assert shapes == [(2, 2), (2, 2)]
 
         shapes.clear()
-        cal = max_certified_epsilon(probe, spec, bb84)
-        tried = 1 if cal.epsilon == 0.1 else 1 + BISECTION_STEPS
-        assert [len(s) for s in shapes] == [2, 2] + [3] * tried
+        max_certified_epsilon(probe, spec, bb84)
+        assert shapes == [(2, 2), (2, 2)]
 
 
 class TestBornProbabilities:
@@ -215,6 +213,12 @@ class TestPostMeasurementState:
     def test_rejects_an_input_that_is_not_a_state(self, rho, message):
         with pytest.raises(ValueError, match=message):
             post_measurement_state(rho, projective_povm(np.eye(2)), 0)
+
+    @pytest.mark.parametrize("y", [-1, 3])
+    def test_rejects_an_outcome_out_of_range(self, y):
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        with pytest.raises(ValueError, match=f"outcome {y} out of range for 3 outcomes"):
+            post_measurement_state(pure_state([1, 0]), impl, y)
 
     def test_output_is_symmetrized_and_read_only(self):
         impl = gentle_povm(random_contraction(3, np.random.default_rng(5)), 0.07)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_matrices import haar_unitary, random_density
+
 from gentleleak import states
 from gentleleak.cloning import lower_bound_sweep
 from gentleleak.leakage import depolarized_leakage, sibson_infinity
-from gentleleak.linalg import SchemaError, haar_unitary, random_density, trace_distance
+from gentleleak.linalg import SchemaError, trace_distance
 from gentleleak.states import (
     CqEnsemble,
     apply_unitary,
@@ -134,6 +136,17 @@ class TestApplyUnitary:
     def test_rejects_non_unitary(self, bb84):
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(bb84, np.diag([1.0, 0.5]))
+
+    @pytest.mark.parametrize("call", [apply_unitary, unitary_disturbance])
+    def test_names_a_dimension_mismatch(self, bb84, call):
+        with pytest.raises(ValueError, match="dimension mismatch: unitary 3, ensemble 2"):
+            call(bb84, np.eye(3))
+
+    def test_output_is_symmetrized_read_only_and_keeps_the_rest(self, bb84):
+        out = apply_unitary(bb84, haar_unitary(2, np.random.default_rng(1)))
+        assert np.array_equal(out.states, out.states.conj().swapaxes(-1, -2))
+        assert not out.states.flags.writeable
+        assert out.probs is bb84.probs and out.labels == bb84.labels
 
 
 class TestDepolarize:
