@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian
+from .linalg import _eigh
 from .states import CqEnsemble
 
 __all__ = [
@@ -251,7 +251,7 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     if not q_bits >= 0.0:
         raise ValueError("q_bits must be non-negative")
     d = e.dim
-    w, _ = eig_hermitian(np.eye(d) / d - e.states)
+    w, _ = _eigh(np.eye(d) / d - e.states)
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
     cap = np.minimum(alphas / spread, 1.0) if spread > SPREAD_FLOOR else np.ones_like(alphas)
     p2 = tradeoff_p2(cap, d)

@@ -37,9 +37,9 @@ import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
 from .linalg import (
-    CHANNEL_TOL, PSD_TOL, ConvergenceError, _fill, eig_hermitian, matrix_to_json, positive_part,
+    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, matrix_to_json,
 )
-from .measurements import GentlenessSpec, Povm, max_certified_epsilon, povm_to_json
+from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, povm_to_json
 from .states import CqEnsemble
 
 __all__ = [
@@ -140,17 +140,13 @@ def leakage_upper_bound(e: CqEnsemble) -> float:
 
 def depolarized_leakage(base_bits: float, p: float) -> float:
     """Leakage after global depolarizing noise: log2(p + (1-p) 2^base_bits)."""
-    if not base_bits >= 0.0:
-        raise ValueError("base_bits must be non-negative")
+    if not 0.0 <= base_bits < np.inf:
+        raise ValueError(f"base_bits must be non-negative and finite, got {base_bits}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
     if p == 0.0:
         return float(base_bits)
     return float(np.log2(p + (1.0 - p) * 2.0**base_bits))
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _povm(h: np.ndarray) -> np.ndarray:
@@ -315,7 +311,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     """
     mats = e.states
     n, d = len(e), e.dim
-    w, v = eig_hermitian(mats.sum(axis=0))
+    w, v = _eigh(mats.sum(axis=0))
     support = w > SUPPORT_RTOL * w[0]
     vs, ws = v[:, support], w[support]
     rho = _herm(vs.conj().T @ mats @ vs)
@@ -363,7 +359,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     if best_y is None:  # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x
         dual = np.eye(d, dtype=complex) if d <= n else mats.sum(axis=0)
     else:
-        dual = best_y + positive_part(mats - best_y).sum(axis=0)
+        dual = best_y + _positive_part(_herm(mats - best_y)).sum(axis=0)
     return LeakageEstimate(min(best_bits, best_upper), best_upper, iterations, povm, dual)
 
 
@@ -406,11 +402,11 @@ def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, di
     detail: dict = {"probes": 0}
     if not pairs:
         return best, detail
-    probes = positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
-    for (i, j), probe in zip(pairs, probes):
+    probes = _positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
+    for (i, j), probe, root in zip(pairs, probes, _probe_root(probes)):
         if float(np.max(np.abs(probe))) < PROBE_FLOOR:
             continue
-        cal = max_certified_epsilon(probe, spec, e)
+        cal = _calibrate(probe, root, spec, e, "per-state")
         if cal.certificate is None:
             continue
         bits = _sibson(np.array(cal.certificate.outcome_probs))

@@ -2,20 +2,18 @@
 
 Functions take one complex matrix or a stack (..., d, d), except
 :func:`as_complex_matrix`, :func:`as_unitary`, :func:`trace_norm` and
-:func:`matrix_to_json`, which take one. :func:`as_hermitian` checks finiteness
-and Hermiticity. :func:`eig_hermitian` checks its input and returns descending
-eigenvalues with their eigenvectors (``numpy.linalg.eigh``); ``_spectrum``
-returns the eigenvalues alone of an array already checked and symmetrized, for
-checks that read no eigenvector. :func:`matrices_from_json` parses a JSON list
-of matrices in one pass, and goes back over it only to name a bad matrix.
+:func:`matrix_to_json`, which take one. :func:`matrices_from_json` parses a JSON
+list of matrices in one pass, and goes back over it only to name a bad matrix.
 
-A value is checked once, where it enters a public constructor or function,
-against a tolerance of the block below; a value derived from checked values is
-never checked again. ``_frozen_hermitian`` gives a derived matrix the form the
-checks give (symmetrized, read-only), and ``_fill`` sets the fields of a frozen
-dataclass, so ``_fill(object.__new__(cls), ...)`` builds one from such fields
-without its checks. A derived value may thus miss an entry tolerance, by at
-most the drift stated beside it.
+A public function is its check plus a private kernel that checks nothing, and
+inside the package a value derived from checked values goes to the kernel: it
+is checked once, where it enters, against a tolerance of the block below.
+:func:`as_hermitian` checks and then symmetrizes with ``_herm``;
+:func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
+output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
+``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
+...)`` fills a frozen dataclass without its checks. A derived value may thus
+miss an entry tolerance, by at most the drift stated beside it.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "trace_norm",
     "trace_distance",
     "psd_inv_sqrt",
-    "positive_part",
     "matrix_to_json",
     "matrix_from_json",
     "matrices_from_json",
@@ -124,9 +121,14 @@ def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
     return np.array(arrs)
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    """(a + a†)/2 of a matrix or stack: the one symmetrization; not checked."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _frozen_hermitian(a: np.ndarray) -> np.ndarray:
     """(a + a†)/2, read-only, of a matrix or stack derived from checked values; not checked."""
-    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    h = _herm(a)
     h.flags.writeable = False
     return h
 
@@ -156,13 +158,12 @@ def as_hermitian(m) -> np.ndarray:
     magnitude; the symmetrization absorbs roundoff from channel applications.
     """
     a = _as_square_stack(m)
-    adj = a.conj().swapaxes(-1, -2)
-    asym = np.abs(a - adj).max() if a.size else 0.0
+    asym = np.abs(a - a.conj().swapaxes(-1, -2)).max() if a.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITICITY_TOL:.3e}"
         )
-    return (a + adj) / 2.0
+    return _herm(a)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +174,12 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors, so that ``m @ v == v @ diag(w)``. The input must pass
     :func:`as_hermitian`; LAPACK (``numpy.linalg.eigh``) does the work.
     """
-    w, v = np.linalg.eigh(as_hermitian(m))
+    return _eigh(as_hermitian(m))
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_hermitian of an already symmetrized matrix or stack; not checked."""
+    w, v = np.linalg.eigh(h)
     return w[..., ::-1], v[..., ::-1]
 
 
@@ -186,13 +192,8 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Trace norm ||M||_1 = tr sqrt(M†M); sum of |eigenvalues| when Hermitian."""
-    a = as_complex_matrix(m)
-    if np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL:
-        w, _ = eig_hermitian(a)
-        return float(np.sum(np.abs(w)))
-    w, _ = eig_hermitian(a.conj().T @ a)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    """Trace norm ||M||_1 = tr sqrt(M†M): the sum of the singular values of M."""
+    return float(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum())
 
 
 def trace_distance(rho, sigma):
@@ -205,23 +206,14 @@ def trace_distance(rho, sigma):
     b = as_hermitian(sigma)
     if a.shape[-1] != b.shape[-1] or (a.ndim == b.ndim and a.shape != b.shape):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, _ = eig_hermitian(a - b)
+    w, _ = _eigh(a - b)
     dist = 0.5 * np.abs(w).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _eig_psd(m) -> tuple[np.ndarray, np.ndarray]:
-    w, v = eig_hermitian(m)
-    low = w[..., -1].min()
-    if low < -PSD_TOL:
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{PSD_TOL:.3e}")
-    return np.clip(w, 0.0, None), v
-
-
 def _from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The Hermitian matrix, or stack, v diag(w) v† with eigenvalues w, symmetrized."""
-    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return _herm((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def psd_inv_sqrt(m) -> np.ndarray:
@@ -229,15 +221,18 @@ def psd_inv_sqrt(m) -> np.ndarray:
 
     Eigenvalues are floored at INV_SQRT_FLOOR.
     """
-    w, v = _eig_psd(m)
+    w, v = eig_hermitian(m)
+    low = w[..., -1].min()
+    if low < -PSD_TOL:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{PSD_TOL:.3e}")
     if (w[..., 0] <= 0.0).any():
         raise NotPsdError("matrix is zero; no inverse square root")
     return _from_eig(1.0 / np.sqrt(np.maximum(w, INV_SQRT_FLOOR)), v)
 
 
-def positive_part(m) -> np.ndarray:
-    """Positive part of a Hermitian matrix, or of each in a stack: eigenvalues clipped at zero."""
-    w, v = eig_hermitian(m)
+def _positive_part(h: np.ndarray) -> np.ndarray:
+    """Positive part of a symmetrized matrix, or of each in a stack: eigenvalues clipped at 0."""
+    w, v = _eigh(h)
     return _from_eig(np.clip(w, 0.0, None), v)
 
 

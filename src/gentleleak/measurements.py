@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    COMPLETENESS_TOL, PROBE_TOL, PSD_TOL, SchemaError, _as_square_stack, _fill, _from_eig,
-    _frozen_hermitian, _spectrum, _stack, as_hermitian, as_unitary, eig_hermitian,
-    matrices_from_json, matrix_to_json,
+    COMPLETENESS_TOL, PROBE_TOL, PSD_TOL, SchemaError, _as_square_stack, _eigh, _fill, _from_eig,
+    _frozen_hermitian, _herm, _spectrum, _stack, as_hermitian, as_unitary, matrices_from_json,
+    matrix_to_json,
 )
 from .states import CqEnsemble, checked_states
 
@@ -168,6 +168,8 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
     rho = checked_states([rho])[0]
     if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+        raise ValueError(f"outcome y must be an integer, got {y!r}")
     if not 0 <= y < len(impl):
         raise ValueError(f"outcome {y} out of range for {len(impl)} outcomes")
     b = impl.operators[y]
@@ -246,9 +248,8 @@ def collapse(
     norm = out.trace(axis1=-2, axis2=-1).real
     live = np.nonzero((probs > ZERO_PROB) & (norm > ZERO_PROB))  # (outcome, state) indices
     post = out[live] / norm[live][:, None, None]
-    h = (post + post.conj().swapaxes(-1, -2)) / 2.0
     dist = np.full(probs.shape, -1.0)
-    dist[live] = 0.5 * np.abs(_spectrum(h - rho[live[1]])).sum(axis=-1)
+    dist[live] = 0.5 * np.abs(_spectrum(_herm(post) - rho[live[1]])).sum(axis=-1)
     return probs, post, dist
 
 
@@ -305,18 +306,23 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
 
 
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:
-    """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares.
-
-    M is checked once, here: I - M^2 may dip to -2 PROBE_TOL, so the root clips it at 0.
-    """
+    """Check 0 <= M <= I; return M and (I - M^2)^(1/2), the parts every probe strength shares."""
     a = as_hermitian(m)
     if a.ndim != 2:
         raise ValueError(f"probe must be one square matrix, got shape {a.shape}")
     w = _spectrum(a)
     if w[-1] < -PROBE_TOL or w[0] > 1.0 + PROBE_TOL:
         raise ValueError(f"probe eigenvalues must lie in [0, 1], got [{w[-1]:.3e}, {w[0]:.3e}]")
-    w, v = eig_hermitian(np.eye(a.shape[0], dtype=complex) - a @ a)
-    return a, _from_eig(np.sqrt(np.clip(w, 0.0, None)), v)
+    return a, _probe_root(a)
+
+
+def _probe_root(a: np.ndarray) -> np.ndarray:
+    """(I - M^2)^(1/2) of a probe M = a, or of each in a stack; not checked.
+
+    I - M^2 may dip to -2 PROBE_TOL for a checked M, so the root clips it at 0.
+    """
+    w, v = _eigh(_herm(np.eye(a.shape[-1], dtype=complex) - a @ a))
+    return _from_eig(np.sqrt(np.clip(w, 0.0, None)), v)
 
 
 def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementation:
@@ -360,7 +366,11 @@ def max_certified_epsilon(
     epsilon is the same float, and its certificate is that of the last
     passing step.
     """
-    a, root = _probe(m)
+    return _calibrate(*_probe(m), spec, e, mode)
+
+
+def _calibrate(a, root, spec: GentlenessSpec, e: CqEnsemble, mode: str) -> EpsilonCalibration:
+    """max_certified_epsilon of the probe M = a with root = (I - M^2)^(1/2); M not checked."""
 
     def certify(eps: float) -> GentlenessCertificate:
         return certify_gentle(e, _probe_at(a, root, eps), spec, mode)

@@ -23,9 +23,9 @@ from functools import cache
 import numpy as np
 
 from .leakage import _sibson
-from .linalg import _fill, _frozen_hermitian, positive_part
+from .linalg import _fill, _frozen_hermitian, _positive_part
 from .measurements import (
-    MAX_EPSILON, Povm, PovmImplementation, _probe, _probe_at, collapse, projective_povm,
+    MAX_EPSILON, Povm, PovmImplementation, _probe_at, _probe_root, collapse, projective_povm,
 )
 from .states import bb84_ensemble, pure_state
 
@@ -46,7 +46,7 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 def default_gentle_probe() -> np.ndarray:
     """Positive part of |0><0| - |+><+|, the natural probe for the BB84 pair."""
-    return positive_part(pure_state([1.0, 0.0]) - pure_state([1.0, 1.0]))
+    return _positive_part(pure_state([1.0, 0.0]) - pure_state([1.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def _constants():
     ops = np.concatenate((z.operators, x.operators)) / np.sqrt(2.0)
     w1 = _fill(object.__new__(PovmImplementation), povm=povm, operators=ops)
     fixed = {"none": None, "intercept-z": z, "w2": x, "w1": w1}
-    return bb84_ensemble(), _probe(default_gentle_probe()), fixed
+    probe = default_gentle_probe()
+    return bb84_ensemble(), (probe, _probe_root(probe)), fixed
 
 
 def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
@@ -183,8 +184,9 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     seed) always reproduces the same report bit for bit. The values a seed
     gives differ from versions that sampled round by round; the law does not.
     """
-    if not 1 <= rounds <= np.iinfo(np.int64).max:
-        raise ValueError(f"rounds must lie in [1, 2**63 - 1], got {rounds}")
+    integer = isinstance(rounds, (int, np.integer)) and not isinstance(rounds, bool)
+    if not (integer and 1 <= rounds <= np.iinfo(np.int64).max):
+        raise ValueError(f"rounds must lie in [1, 2**63 - 1] and be an integer, got {rounds!r}")
     probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)

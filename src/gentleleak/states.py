@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL, PSD_TOL, UNIT_TRACE_TOL, SchemaError, _fill, _frozen_hermitian, _spectrum,
-    _stack, as_unitary, matrices_from_json, matrix_to_json, trace_distance,
+    HERMITICITY_TOL, PSD_TOL, UNIT_TRACE_TOL, SchemaError, _eigh, _fill, _frozen_hermitian, _herm,
+    _spectrum, _stack, as_unitary, matrices_from_json, matrix_to_json,
 )
 
 __all__ = [
@@ -153,7 +153,8 @@ def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
 
 def unitary_disturbance(e: CqEnsemble, u) -> float:
     """Largest trace distance between an encoding state and its image under u."""
-    return float(trace_distance(_conjugated(e, u), e.states).max())
+    w, _ = _eigh(_herm(_conjugated(e, u)) - e.states)
+    return float(0.5 * np.abs(w).sum(axis=-1).max())
 
 
 def bb84_ensemble() -> CqEnsemble:

@@ -21,12 +21,13 @@ from gentleleak.leakage import (
     maximal_quantum_leakage,
     sibson_infinity,
 )
-from gentleleak.linalg import ConvergenceError, positive_part, trace_distance
+from gentleleak.linalg import ConvergenceError, _positive_part, trace_distance
 from gentleleak.measurements import (
     GentlenessSpec,
     born_probabilities,
     certify_gentle,
     gentle_povm,
+    max_certified_epsilon,
     projective_povm,
 )
 from gentleleak.states import (
@@ -574,10 +575,35 @@ class TestGentleProbeSearch:
         # the reported best witness, rebuilt from public calls, certifies at search_bits
         i, j = (bb84.labels.index(label) for label in iv.meta["search"]["best_pair"])
         mats = bb84.states
-        impl = gentle_povm(positive_part(mats[i] - mats[j]), epsilon)
+        impl = gentle_povm(_positive_part(mats[i] - mats[j]), epsilon)
         cert = certify_gentle(bb84, impl, spec)
         assert cert.certified
         assert sibson_infinity(cert.outcome_probs) == bits
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("spec", [GentlenessSpec(0.1, 0.05), GentlenessSpec(0.01, 0.001)])
+    def test_matches_public_calibration_per_probe(self, seed, spec):
+        # the search calibrates its stacked probes unchecked; each probe given
+        # alone to the public, checked max_certified_epsilon must agree to the bit
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        e = bb84_ensemble() if seed == 0 else random_ensemble(
+            rng, d, int(rng.integers(2, 5)), rank=int(rng.integers(1, d + 1))
+        )
+        best, detail = 0.0, {"probes": 0}
+        for i, j in itertools.permutations(range(len(e)), 2):
+            probe = _positive_part(e.states[i] - e.states[j])
+            if np.max(np.abs(probe)) < leakage.PROBE_FLOOR:
+                continue
+            cal = max_certified_epsilon(probe, spec, e)
+            if cal.certificate is None:
+                continue
+            bits = sibson_infinity(cal.certificate.outcome_probs)
+            detail["probes"] += 1
+            if bits > best:
+                best = bits
+                detail.update(best_pair=(e.labels[i], e.labels[j]), epsilon=cal.epsilon)
+        assert leakage._gentle_probe_search(e, spec) == (best, detail)
 
 
 def dual_cases():

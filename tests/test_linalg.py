@@ -8,12 +8,12 @@ from random_matrices import haar_unitary, random_density, random_hermitian
 from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
+    _positive_part,
     as_hermitian,
     as_unitary,
     eig_hermitian,
     matrix_from_json,
     matrix_to_json,
-    positive_part,
     psd_inv_sqrt,
     trace_distance,
     trace_norm,
@@ -131,11 +131,22 @@ class TestTraceDistance:
             u, v = haar_unitary(d, rng), haar_unitary(d, rng)
             assert abs(trace_norm(u @ delta @ v.conj().T) - trace_norm(delta)) <= 1e-9
 
+    def test_trace_norm_of_rank_deficient_matrices(self):
+        # ||U diag(s) V†||_1 = sum(s); square roots of the rounding-level
+        # eigenvalues of M†M once missed it by up to 3.6e-8
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            d = int(rng.choice([2, 3, 4, 8]))
+            s = rng.uniform(0.0, 1.0, d)
+            s[rng.permutation(d)[: rng.integers(1, d)]] = 0.0
+            m = (haar_unitary(d, rng) * s) @ haar_unitary(d, rng).conj().T
+            assert abs(trace_norm(m) - s.sum()) <= 1e-12
+
 
 class TestPsd:
     def test_positive_part(self):
         m = np.diag([2.0, -3.0])
-        assert np.allclose(positive_part(m), np.diag([2.0, 0.0]))
+        assert np.allclose(_positive_part(m), np.diag([2.0, 0.0]))
 
     def test_stack_with_one_non_psd_matrix(self):
         stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.diag([4.0, 1.0])])

@@ -11,8 +11,8 @@ from gentleleak import linalg, measurements, states
 from gentleleak.cli import main
 from gentleleak.linalg import (
     SchemaError,
+    _positive_part,
     matrix_to_json,
-    positive_part,
     trace_distance,
     trace_norm,
 )
@@ -51,7 +51,7 @@ def bb84():
 
 
 def bb84_pair_probe():
-    return positive_part(pure_state([1, 0]) - pure_state([1, 1]))
+    return _positive_part(pure_state([1, 0]) - pure_state([1, 1]))
 
 
 class TestPovmTypes:
@@ -123,8 +123,9 @@ class TestStackedChecks:
         assert not any(np.shares_memory(b, impl.operators) for b in ops)
 
     def test_no_hermiticity_check_per_tried_strength(self, bb84, monkeypatch):
-        # gentle_povm checks M and I - M^2 once per probe; each tried strength then
-        # builds its implementation and post-measurement states without a check
+        # gentle_povm checks M once per probe and derives I - M^2 without a check;
+        # each tried strength builds its implementation and post-measurement states
+        # without a check
         probe, spec = bb84_pair_probe(), GentlenessSpec(0.1, 0.05)
         shapes = []
         real = linalg.as_hermitian
@@ -138,11 +139,11 @@ class TestStackedChecks:
                 if value is real:
                     monkeypatch.setattr(mod, name, counting)
         certify_gentle(bb84, gentle_povm(probe, 0.05), spec)
-        assert shapes == [(2, 2), (2, 2)]
+        assert shapes == [(2, 2)]
 
         shapes.clear()
         max_certified_epsilon(probe, spec, bb84)
-        assert shapes == [(2, 2), (2, 2)]
+        assert shapes == [(2, 2)]
 
 
 class TestBornProbabilities:
@@ -218,6 +219,12 @@ class TestPostMeasurementState:
     def test_rejects_an_outcome_out_of_range(self, y):
         impl = gentle_povm(bb84_pair_probe(), 0.05)
         with pytest.raises(ValueError, match=f"outcome {y} out of range for 3 outcomes"):
+            post_measurement_state(pure_state([1, 0]), impl, y)
+
+    @pytest.mark.parametrize("y", [True, 1.0, "1"])
+    def test_rejects_an_outcome_that_is_not_an_integer(self, y):
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        with pytest.raises(ValueError, match=f"outcome y must be an integer, got {y!r}"):
             post_measurement_state(pure_state([1, 0]), impl, y)
 
     def test_output_is_symmetrized_and_read_only(self):

@@ -204,6 +204,14 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="rounds must lie"):
             run_simulation(EveStrategy("w1"), 2**63, seed=0)
 
+    @pytest.mark.parametrize("rounds", [10.9, 10.0, True, "10"])
+    def test_rejects_rounds_that_are_not_an_integer(self, rounds):
+        # 10.9 drew 10 rounds and divided by 10.9; True ran one round
+        with pytest.raises(ValueError, match="be an integer"):
+            run_simulation(EveStrategy("intercept-z"), rounds, seed=3)
+        with pytest.raises(ValueError, match="be an integer"):
+            tradeoff_sweep([0.05], rounds, seed=3)
+
     def test_gentle_disturbance_below_certified_alpha(self):
         # certified at (alpha, 0) in per-state mode forces every branch below alpha
         eps = 0.06

@@ -77,9 +77,11 @@ class TestEnsembleConstruction:
         lambda: CqEnsemble(np.array([np.nan, 1.0]), (pure_state([1, 0]), pure_state([0, 1]))),
         lambda: sibson_infinity([[np.nan, 0.5], [0.5, 0.5]]),
         lambda: depolarized_leakage(np.nan, 0.3),
+        lambda: depolarized_leakage(np.inf, 0.3),
         lambda: lower_bound_sweep(bb84_ensemble(), [0.1], np.nan),
     ],
-    ids=["ensemble-probs", "sibson-channel", "depolarized-base-bits", "sweep-q-bits"],
+    ids=["ensemble-probs", "sibson-channel", "depolarized-base-bits", "depolarized-inf-bits",
+         "sweep-q-bits"],
 )
 def test_nan_fails_public_range_checks(call):
     with pytest.raises(ValueError):

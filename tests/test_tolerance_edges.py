@@ -6,12 +6,14 @@ So an input just inside a tolerance must pass every public function that
 accepts it and every CLI command that reads it. The three tests of
 TestDerivedValuesStayAccepted each raised while derived values were checked
 again: a conjugated ensemble, the Born table of a POVM and the projectors of a
-unitary. The last two tests pin that those derived values run no check, and
-that every small tolerance has a name.
+unitary. The last three tests pin that those derived values run no check,
+that no call checks again a matrix it derived, and that every small tolerance
+has a name.
 """
 
 import ast
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from random_matrices import haar_unitary, random_density
 
 import gentleleak
-from gentleleak import linalg, measurements, states
+from gentleleak import linalg, measurements, simulate, states
 from gentleleak.cli import main
 from gentleleak.cloning import cloning_lower_bound, lower_bound_sweep
 from gentleleak.leakage import (
@@ -274,6 +276,48 @@ def test_derived_builds_run_no_check(monkeypatch):
     apply_unitary(e, HADAMARD)
     depolarize(e, 0.3)
     projective_povm(HADAMARD)
+
+
+QUTRIT = CqEnsemble(
+    np.full(3, 1.0 / 3), tuple(random_density(3, np.random.default_rng(4)) for _ in range(3))
+)
+
+
+@pytest.mark.parametrize(
+    "call, hermitian, probes",
+    [
+        # the one check left is the solver's witness POVM, 4 elements of a qubit
+        (lambda: gentle_leakage_interval(bb84_ensemble(), SPEC), [(4, 2, 2)], 0),
+        (lambda: maximal_quantum_leakage(QUTRIT), [(3, 3, 3)], 0),
+        (lambda: lower_bound_sweep(QUTRIT, [0.05, 0.1], 1.0), [], 0),
+        (lambda: unitary_disturbance(QUTRIT, haar_unitary(3, np.random.default_rng(5))), [], 0),
+        (lambda: simulate._constants.cache_clear()
+         or simulate.run_simulation(simulate.EveStrategy.gentle(0.05), 1000, 1), [], 0),
+    ],
+    ids=["bb84-interval", "qutrit-leakage", "lower-bound-sweep", "unitary-disturbance",
+         "first-gentle-simulation"],
+)
+def test_derived_matrices_pass_no_public_check(monkeypatch, call, hermitian, probes):
+    # every module that binds linalg.as_hermitian or the probe's range check
+    # (measurements._probe) counts its calls: only input is checked, never a
+    # matrix the call derived itself
+    herm, probe = linalg.as_hermitian, measurements._probe
+    shapes = {herm: [], probe: []}
+
+    def counting(real):
+        def check(m):
+            shapes[real].append(np.shape(m))
+            return real(m)
+        return check
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gentleleak":
+            for attr, value in list(vars(mod).items()):
+                if value is herm or value is probe:
+                    monkeypatch.setattr(mod, attr, counting(value))
+    call()
+    assert shapes[herm] == hermitian
+    assert shapes[probe] == [(2, 2)] * probes
 
 
 def test_every_small_float_literal_is_a_named_constant():
