@@ -248,8 +248,8 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     outside = ~((0.0 <= alphas) & (alphas <= 1.0))
     if outside.any():
         raise ValueError(f"alpha must be in [0, 1], got {float(alphas[outside.argmax()])}")
-    if not q_bits >= 0.0:
-        raise ValueError("q_bits must be non-negative")
+    if not 0.0 <= q_bits < np.inf:
+        raise ValueError(f"q_bits must be non-negative and finite, got {q_bits}")
     d = e.dim
     w, _ = _eigh(np.eye(d) / d - e.states)
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))

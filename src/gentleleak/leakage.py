@@ -19,9 +19,9 @@ BB84 and the trine. If it leaves the gap above GAP_TOL and the support has
 dimension 2 (every qubit ensemble, or e.g. two pure states in d = 8), the
 POVM of the smallest ball around the Bloch vectors (Deconinck-Terhal; Bae)
 is certified too, still as iteration 1: the optimum there is log2(1 + R)
-for the ball's radius R. A value is only returned once the two bounds agree to
-within GAP_TOL bits; a step that can no longer close the gap, or the end of
-the iteration budget, raises ConvergenceError.
+for the ball's radius R. The solve returns as soon as the two bounds agree to
+within GAP_TOL bits, and never before; a step that can no longer close the
+gap, or the end of the iteration budget, raises ConvergenceError.
 
 Gentle leakage (the same supremum restricted to detection-avoiding
 measurements) is bracketed: from above by the certified unrestricted
@@ -298,15 +298,14 @@ def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndar
 def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     """Supremum over all POVMs of the Born-channel Sibson information, in bits.
 
-    Certifies the square-root measurement and the uniform POVM I/|X| (one
+    Certifies the uniform POVM I/|X| and the square-root measurement (one
     iteration). If their gap is above GAP_TOL and the support of sum_x rho^x
     has dimension 2, the same iteration certifies the Bloch-ball POVM of
-    _bloch_ball_povm. Otherwise, or if that fails too, it takes
-    interior-point steps from I/|X|, keeping the best lower and upper values
-    seen. Once they are within GAP_TOL bits it goes on while each step at
-    least halves the gap. Raises ConvergenceError if a
-    step fails or cannot lower the solver's duality measure before the gap
-    is within GAP_TOL, or if the gap is still larger after MAX_ITERS
+    _bloch_ball_povm. While the gap between the best lower and upper values
+    seen is above GAP_TOL, it takes interior-point steps from I/|X| and
+    prices each new iterate; it returns at the first gap within GAP_TOL bits.
+    Raises ConvergenceError if a step fails or cannot lower the solver's
+    duality measure, or if the gap is still above GAP_TOL after MAX_ITERS
     iterations; an uncertified value is never returned.
     """
     mats = e.states
@@ -319,12 +318,11 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     g = np.repeat(np.eye(len(ws), dtype=complex)[None] / n, n, axis=0)
     # strictly dual-feasible, as no eigenvalue of a state exceeds 1
     y = 2.0 * np.eye(len(ws), dtype=complex)
-    scale = 1.0 / np.sqrt(ws)
-    square_root = _povm(scale[:, None] * rho * scale[None, :])
-    points, iterations, prev = (g, square_root), 1, 0.0  # the start has no earlier gap to halve
     best_bits, best_g, best_upper, best_y = -np.inf, None, leakage_upper_bound(e), None
-    ball = len(ws) == 2  # the Bloch-ball POVM is still to be priced
-    while True:
+
+    def price(*points: np.ndarray) -> float:
+        """Prices each point with the current y, keeps the best values; returns the gap."""
+        nonlocal best_bits, best_g, best_upper, best_y
         for point in points:
             full = vs @ point @ vs.conj().T + kernel
             bits, upper, dual_y = _bounds(mats, full, vs @ y @ vs.conj().T)
@@ -332,14 +330,16 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
                 best_bits, best_g = bits, full
             if upper < best_upper:
                 best_upper, best_y = upper, dual_y
-        gap = max(best_upper - best_bits, 0.0)
-        if gap <= GAP_TOL and not 0.0 < 2.0 * gap <= prev:
-            break
-        if ball:  # a start candidate, still iteration 1
-            ball, candidate = False, _bloch_ball_povm(rho)
-            if candidate is not None:
-                points = (candidate,)
-                continue
+        return max(best_upper - best_bits, 0.0)
+
+    scale = 1.0 / np.sqrt(ws)
+    gap = price(g, _povm(scale[:, None] * rho * scale[None, :]))
+    if gap > GAP_TOL and len(ws) == 2:  # a start candidate, still iteration 1
+        candidate = _bloch_ball_povm(rho)
+        if candidate is not None:
+            gap = price(candidate)
+    iterations = 1
+    while gap > GAP_TOL:
         if iterations == MAX_ITERS:
             raise ConvergenceError(
                 f"leakage gap {gap:.3e} bits still above {GAP_TOL:.1e} after {MAX_ITERS} iterations"
@@ -347,13 +347,12 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
         try:
             g, y = _newton_step(rho, g, y)
         except (ConvergenceError, np.linalg.LinAlgError) as exc:
-            if gap <= GAP_TOL:
-                break
             raise ConvergenceError(
                 f"leakage gap stalled at {gap:.3e} bits, above {GAP_TOL:.1e}, "
                 f"after {iterations} iterations: {exc}"
             ) from exc
-        points, iterations, prev = (g,), iterations + 1, gap
+        iterations += 1
+        gap = price(g)
     # the best values come from different iterates and can cross by rounding
     povm = Povm(tuple(best_g), labels=e.labels)
     if best_y is None:  # the cap's own dual, already feasible: I when d <= |X|, else sum_x rho^x

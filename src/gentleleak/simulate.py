@@ -187,6 +187,7 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     integer = isinstance(rounds, (int, np.integer)) and not isinstance(rounds, bool)
     if not (integer and 1 <= rounds <= np.iinfo(np.int64).max):
         raise ValueError(f"rounds must lie in [1, 2**63 - 1] and be an integer, got {rounds!r}")
+    rounds = int(rounds)
     probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)

@@ -275,6 +275,37 @@ class TestCertifiedSolver:
             maximal_quantum_leakage(e)
         assert len(steps) < leakage.MAX_ITERS // 2
 
+    def test_steps_only_while_the_gap_is_open(self, monkeypatch):
+        # the leakage benchmark's qutrit, bare and rotated, and the first four
+        # ensembles of the seed-2024 sweep whose support has dimension 3 or more
+        qutrit = random_ensemble(np.random.default_rng([15, 1]), 3, 4)
+        rotated = apply_unitary(qutrit, haar_unitary(3, np.random.default_rng([1, 1])))
+        sweep = [e for d, n, rank, e in seeded_sweep(2024) if d > 2 and (n, rank) != (2, 1)]
+        lowers, uppers, gaps = [], [], []
+        bounds, step = leakage._bounds, leakage._newton_step
+
+        def priced(mats, g, y):
+            lower, upper, dual = bounds(mats, g, y)
+            lowers.append(lower)
+            uppers.append(upper)
+            return lower, upper, dual
+
+        def stepped(rho, g, y):
+            gaps.append(min(uppers) - max(lowers))  # the best gap before this step
+            return step(rho, g, y)
+
+        monkeypatch.setattr(leakage, "_bounds", priced)
+        monkeypatch.setattr(leakage, "_newton_step", stepped)
+        for e in [qutrit, rotated, *sweep[:4]]:
+            lowers.clear()
+            uppers[:] = [leakage_upper_bound(e)]
+            gaps.clear()
+            est = maximal_quantum_leakage(e)
+            assert_certified(est, e)
+            assert gaps and all(gap > GAP_TOL for gap in gaps)
+            assert est.iterations == 1 + len(gaps)
+            assert min(uppers) - max(lowers) <= GAP_TOL
+
     @pytest.mark.parametrize("seed, rank", [(304, 1), (330, None), (662, 1)])
     def test_six_state_qubit_ensembles(self, seed, rank):
         # six-state qubit ensembles on which a Jezek-Rehacek-Fiurasek fixed point

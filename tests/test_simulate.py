@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -211,6 +212,19 @@ class TestRunSimulation:
             run_simulation(EveStrategy("intercept-z"), rounds, seed=3)
         with pytest.raises(ValueError, match="be an integer"):
             tradeoff_sweep([0.05], rounds, seed=3)
+
+    def test_numpy_integer_rounds_give_plain_json_values(self):
+        # a numpy rounds count used to carry np.int64 and np.float64 into the report
+        rep = run_simulation(EveStrategy("w1"), np.int64(10), 3)
+        doc = rep.to_json()
+        json.dumps(doc)
+        assert type(rep.rounds) is int
+        assert type(rep.qber) is float and type(rep.mean_disturbance) is float
+        assert doc == run_simulation(EveStrategy("w1"), 10, 3).to_json()
+        rows = tradeoff_sweep([0.05], np.int64(10), 3)
+        json.dumps(rows)
+        assert all(type(v) is float for v in rows[0].values())
+        assert rows == tradeoff_sweep([0.05], 10, 3)
 
     def test_gentle_disturbance_below_certified_alpha(self):
         # certified at (alpha, 0) in per-state mode forces every branch below alpha

@@ -79,9 +79,10 @@ class TestEnsembleConstruction:
         lambda: depolarized_leakage(np.nan, 0.3),
         lambda: depolarized_leakage(np.inf, 0.3),
         lambda: lower_bound_sweep(bb84_ensemble(), [0.1], np.nan),
+        lambda: lower_bound_sweep(bb84_ensemble(), [0.1], np.inf),
     ],
     ids=["ensemble-probs", "sibson-channel", "depolarized-base-bits", "depolarized-inf-bits",
-         "sweep-q-bits"],
+         "sweep-q-bits", "sweep-inf-q-bits"],
 )
 def test_nan_fails_public_range_checks(call):
     with pytest.raises(ValueError):
