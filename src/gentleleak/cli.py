@@ -6,7 +6,8 @@ failure (e.g. certifying a POVM without an implementation), 4 numerical
 non-convergence (a leakage gap still above its tolerance when the iteration
 budget ran out, or when a solver step could no longer close it). Every command
 is deterministic (the Monte Carlo ones, simulate and tradeoff, for a fixed
---seed) and writes output atomically (temp file + rename).
+--seed) and returns its output text; main writes it to stdout or, atomically
+(temp file + rename), to --out.
 """
 
 from __future__ import annotations
@@ -123,33 +124,28 @@ def tradeoff_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_leakage(args) -> int:
+def cmd_leakage(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
-    est = maximal_quantum_leakage(e)
-    _emit(json.dumps(est.to_json(), indent=2), args.out)
-    return EXIT_OK
+    return json.dumps(maximal_quantum_leakage(e).to_json(), indent=2)
 
 
-def cmd_lower_bound(args) -> int:
-    e = _load(args.ensemble, ensemble_from_json)
-    q = maximal_quantum_leakage(e)
-    rows = lower_bound_sweep(e, args.alpha, q.bits)
-    _emit(sweep_csv(rows), args.out)
-    return EXIT_OK
+def _bound_csv(e, alphas) -> str:
+    """The lower-bound CSV of e at the alphas, from its maximal leakage."""
+    return sweep_csv(lower_bound_sweep(e, alphas, maximal_quantum_leakage(e).bits))
 
 
-def cmd_figure2(args) -> int:
+def cmd_lower_bound(args) -> str:
+    return _bound_csv(_load(args.ensemble, ensemble_from_json), args.alpha)
+
+
+def cmd_figure2(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
     if args.grid_points < 2:
         raise SchemaError("--grid needs at least 2 points")
-    q = maximal_quantum_leakage(e)
-    alphas = np.linspace(0.0, 1.0, args.grid_points)
-    rows = lower_bound_sweep(e, alphas, q.bits)
-    _emit(sweep_csv(rows), args.out)
-    return EXIT_OK
+    return _bound_csv(e, np.linspace(0.0, 1.0, args.grid_points))
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
     _, impl = _load(args.povm, povm_from_json)
     if impl is None:
@@ -159,12 +155,10 @@ def cmd_certify(args) -> int:
         )
     spec = GentlenessSpec(args.alpha, args.delta)
     cert = certify_gentle(e, impl, spec, mode=args.mode)
-    doc = {"alpha": spec.alpha, "delta": spec.delta, **cert.to_json()}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_OK
+    return json.dumps({"alpha": spec.alpha, "delta": spec.delta, **cert.to_json()}, indent=2)
 
 
-def cmd_depolarize(args) -> int:
+def cmd_depolarize(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
     rows = []
     for p in args.p:
@@ -176,34 +170,27 @@ def cmd_depolarize(args) -> int:
         "closed_form_bits": [depolarized_leakage(base.bits, p) for p in args.p],
         "rows": rows,
     }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_OK
+    return json.dumps(doc, indent=2)
 
 
-def cmd_interval(args) -> int:
+def cmd_interval(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
-    spec = GentlenessSpec(args.alpha, args.delta)
-    iv = gentle_leakage_interval(e, spec)
-    _emit(json.dumps(iv.to_json(), indent=2), args.out)
-    return EXIT_OK
+    iv = gentle_leakage_interval(e, GentlenessSpec(args.alpha, args.delta))
+    return json.dumps(iv.to_json(), indent=2)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     if args.strategy == "gentle":
         strategy = EveStrategy.gentle(0.05 if args.epsilon is None else args.epsilon)
     elif args.epsilon is not None:
         raise SchemaError("--epsilon applies only to --strategy gentle")
     else:
         strategy = EveStrategy(args.strategy)
-    report = run_simulation(strategy, args.rounds, args.seed)
-    _emit(json.dumps(report.to_json(), indent=2), args.out)
-    return EXIT_OK
+    return json.dumps(run_simulation(strategy, args.rounds, args.seed).to_json(), indent=2)
 
 
-def cmd_tradeoff(args) -> int:
-    eps = args.epsilon or [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
-    _emit(tradeoff_csv(tradeoff_sweep(eps, args.rounds, args.seed)), args.out)
-    return EXIT_OK
+def cmd_tradeoff(args) -> str:
+    return tradeoff_csv(tradeoff_sweep(args.epsilon, args.rounds, args.seed))
 
 
 @functools.cache
@@ -267,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ensemble=False)
     p.add_argument("--rounds", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epsilon", type=float, nargs="+", default=None)
+    p.add_argument("--epsilon", type=float, nargs="+",
+                   default=[0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
     p.set_defaults(func=cmd_tradeoff)
 
     return parser
@@ -277,7 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return EXIT_OK
     except PreconditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

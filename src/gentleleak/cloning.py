@@ -22,7 +22,11 @@ Which p1-p2 trade-off the bound uses depends on the dimension d:
 The quadratic form stays available for diagnostics at every d, as does a
 square-root form of the region, which is undefined where its discriminant is
 negative (including the whole symmetric line) and so is evaluated only on its
-real domain.
+real domain. min_feasible_p2, the region's least p2 at a p1 in [0, 1], is one
+root of q(p1, .) clipped to [0, 1]. At d = 2 (a = 3) it is the lower root
+(1 - sqrt(p1))^2, of discriminant 144 p1 >= 0. At d >= 3 (a, b, c < 0) it is
+the upper root: the lower one is below -(2 + d^2)/(2|a|) < 0, q(p1, 1) <=
+d^2 - d^4/4 < 0 keeps the upper one <= 1, and with no real root it clips to 0.
 
 The region forms and tradeoff_p2 work elementwise on arrays as well as on
 floats. lower_bound_sweep bounds a whole alpha grid in one array pass and
@@ -115,31 +119,16 @@ def _p2_roots(p1, d: int):
     return disc, np.minimum(r1, r2), np.maximum(r1, r2)
 
 
-def min_feasible_p2(p1: float, d: int) -> float | None:
-    """Smallest p2 in [0, 1] satisfying the quadratic constraint at fixed p1.
+def min_feasible_p2(p1: float, d: int) -> float:
+    """Smallest p2 in [0, 1] satisfying the quadratic constraint at fixed p1 in [0, 1].
 
-    Returns None when no p2 in [0, 1] is feasible. Handles both orientations
-    of the parabola in p2: the diagonal coefficient a(d) = 2d^2 - 1 - d^4/4
-    is 3 at d = 2, -3.25 at d = 3 and falls after that, so it is never 0 at
-    an integer d >= 2 and q is always a true quadratic in p2.
+    Some p2 is always feasible (see the module docstring): the answer is the
+    lower root of q(p1, .) at d = 2 and the upper root at d >= 3, clipped to [0, 1].
     """
-    a = quadratic_coefficients(d)[0]
-    disc, root_lo, root_hi = _p2_roots(p1, d)
-    if disc < 0.0:
-        # no real roots: sign of q is the sign of a everywhere
-        return 0.0 if a < 0.0 else None
-    if a > 0.0:
-        # feasible between the roots
-        lo = max(root_lo, 0.0)
-        if lo <= min(root_hi, 1.0) + FEAS_TOL:
-            return min(lo, 1.0)
-        return None
-    # a < 0: feasible outside the open interval (root_lo, root_hi)
-    if root_lo >= -FEAS_TOL:
-        return 0.0
-    if root_hi <= 1.0 + FEAS_TOL:
-        return min(max(root_hi, 0.0), 1.0)
-    return None
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
+    _, root_lo, root_hi = _p2_roots(p1, d)
+    return min(max(root_lo if d == 2 else root_hi, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

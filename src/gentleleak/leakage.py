@@ -422,11 +422,12 @@ def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakag
 
     The lower bound is the better of the cloning bound (depends only on alpha
     and the states' distances to I/d) and an explicit search over certified
-    gentle probes; at alpha = 1 or delta = 1 every measurement is gentle, so
-    the interval is the certified interval of the unrestricted supremum.
+    gentle probes. At alpha = 1, delta = 1 or d = 1 (where a measurement leaves
+    the only state as it is) every measurement is gentle, so the interval is
+    the certified interval of the unrestricted supremum.
     """
     upper = maximal_quantum_leakage(e)
-    if spec.alpha >= 1.0 or spec.delta >= 1.0:
+    if spec.alpha >= 1.0 or spec.delta >= 1.0 or e.dim == 1:
         return GentleLeakageInterval(
             lower_bits=upper.bits,
             upper_bits=upper.upper_bits,

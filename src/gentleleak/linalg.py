@@ -70,10 +70,10 @@ PSD_TOL = 1e-10
 # Max-entry residual of sum_y F_y - I and of B_y† B_y - F_y. The Born columns of
 # checked inputs then sum to 1 within about d COMPLETENESS_TOL + UNIT_TRACE_TOL.
 COMPLETENESS_TOL = 1e-9
-# |tr rho - 1| of a state and |sum_x p_x - 1| of priors; average_state may miss by both.
+# |tr rho - 1| of a state and |sum_x p_x - 1| of priors; average_state renormalizes its sum.
 UNIT_TRACE_TOL = 1e-10
-# Max-entry residual of U†U - I. Conjugated states then have traces within about
-# d UNITARY_TOL + UNIT_TRACE_TOL of 1; U's column projectors sum to within d UNITARY_TOL of I.
+# Max-entry residual of U†U - I. Conjugated states are renormalized to unit trace;
+# U's column projectors sum to within d UNITARY_TOL of I.
 UNITARY_TOL = 1e-9
 # How far a probe's eigenvalues may leave [0, 1]; its operators at strength eps
 # then have sum_y B_y† B_y within 4 eps^2 PROBE_TOL of I.

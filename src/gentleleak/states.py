@@ -114,10 +114,11 @@ def pure_state(amplitudes) -> np.ndarray:
 def average_state(e: CqEnsemble) -> np.ndarray:
     """Expected density operator of the ensemble, sum_x p(x) rho^x, symmetrized and read-only.
 
-    The sum is derived from a checked ensemble and is not checked again: its
-    trace may miss 1 by the probability and state tolerances together.
+    The sum is derived from a checked ensemble and is not checked again; it is
+    renormalized, so its trace is 1 to rounding and it passes as input again.
     """
-    return _frozen_hermitian(np.einsum("x,xij->ij", e.probs, e.states))
+    rho = np.einsum("x,xij->ij", e.probs, e.states)
+    return _frozen_hermitian(rho / rho.trace().real)
 
 
 def _with_states(e: CqEnsemble, states: np.ndarray) -> CqEnsemble:
@@ -137,9 +138,11 @@ def _conjugated(e: CqEnsemble, u) -> np.ndarray:
 def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:
     """Conjugate every encoding state by the unitary u; probabilities unchanged.
 
-    The traces of the new states may miss 1 by about d UNITARY_TOL + UNIT_TRACE_TOL.
+    The new states are renormalized, so a u at its UNITARY_TOL edge still gives
+    traces of 1 to rounding and an ensemble that passes as input again.
     """
-    return _with_states(e, _conjugated(e, u))
+    states = _conjugated(e, u)
+    return _with_states(e, states / states.trace(axis1=-2, axis2=-1).real[:, None, None])
 
 
 def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:

@@ -530,6 +530,15 @@ class TestIntervalCommand:
         assert doc["lower_bits"] >= 0.7608 - 5e-4
         assert doc["upper_bits"] >= doc["lower_bits"]
 
+    def test_one_dimensional_ensemble_is_zero(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        doc = {"labels": ["a", "b"], "probs": [0.5, 0.5], "states": [ONE_BY_ONE, ONE_BY_ONE]}
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["interval", str(path), "--alpha", "0.1", "--delta", "0.05"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["lower_bits"], doc["upper_bits"]) == (0.0, 0.0)
+
     @pytest.mark.parametrize("command", ["interval", "certify"])
     def test_alpha_takes_one_value(self, command, bb84_file, zpovm_file, capsys):
         files = [bb84_file] if command == "interval" else [bb84_file, zpovm_file]

@@ -300,6 +300,12 @@ class TestTradeoffP2:
         with pytest.raises(ValueError, match="p1 must lie in"):
             tradeoff_p2(p1, 2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p1", [1.5, -0.5, float("nan")])
+    def test_min_feasible_p2_rejects_p1_outside_unit_interval(self, p1, d):
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+            min_feasible_p2(p1, d)
+
 
 class TestSweepMatchesReference:
     """The array pass against the alpha-by-alpha loop, bit for bit."""

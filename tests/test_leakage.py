@@ -535,6 +535,13 @@ class TestGentleInterval:
         assert iv.meta["search_bits"] == 0.0
         assert iv.meta["search"] == {"probes": 0}
 
+    def test_one_dimensional_ensemble_saturates(self):
+        # at d = 1 no measurement moves the only state, so every one is gentle
+        e = CqEnsemble(np.array([0.5, 0.5]), (np.eye(1), np.eye(1)))
+        iv = gentle_leakage_interval(e, GentlenessSpec(0.1, 0.05))
+        assert (iv.lower_bits, iv.upper_bits) == (0.0, 0.0)
+        assert iv.lower_witness == "maximal-leakage-povm" and iv.cloning is None
+
     def test_lower_non_decreasing_in_alpha(self, bb84):
         prev = -1.0
         for alpha in (0.0, 0.05, 0.1, 0.3, 0.6, 1.0):

@@ -8,9 +8,20 @@ from hypothesis import strategies as st
 from random_matrices import haar_unitary, random_density
 
 from gentleleak import states
-from gentleleak.cloning import lower_bound_sweep
+from gentleleak.cloning import (
+    lower_bound_sweep,
+    quadratic_coefficients,
+    region_sqrt_form,
+    tradeoff_p2,
+)
 from gentleleak.leakage import depolarized_leakage, sibson_infinity
-from gentleleak.linalg import SchemaError, trace_distance
+from gentleleak.linalg import SchemaError, as_complex_matrix, as_hermitian, trace_distance
+from gentleleak.measurements import (
+    Povm,
+    PovmImplementation,
+    post_measurement_state,
+    projective_povm,
+)
 from gentleleak.states import (
     CqEnsemble,
     apply_unitary,
@@ -19,6 +30,7 @@ from gentleleak.states import (
     depolarize,
     ensemble_from_json,
     ensemble_to_json,
+    ket,
     pure_state,
     unitary_disturbance,
 )
@@ -86,6 +98,41 @@ class TestEnsembleConstruction:
 )
 def test_nan_fails_public_range_checks(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sibson_infinity([[1.5, 1.0], [-0.5, 0.0]]), "negative channel entry"),
+        (lambda: depolarized_leakage(0.5, 1.5), r"depolarizing parameter must be in \[0, 1\]"),
+        (lambda: CqEnsemble(np.array([]), np.zeros((0, 2, 2))), "need one probability per state"),
+        (lambda: CqEnsemble(np.array([1.0]), (np.eye(2) / 2, np.eye(2) / 2)),
+         "need one probability per state"),
+        (lambda: CqEnsemble(np.array([0.5, 0.5]), (np.eye(2) / 2, np.eye(2) / 2), ("a", "a")),
+         "labels must be unique"),
+        (lambda: ket([0, 0]), "zero vector"),
+        (lambda: Povm(()), "at least one element"),
+        (lambda: Povm((np.eye(2),), labels=("a", "b")), "labels must align"),
+        (lambda: PovmImplementation(projective_povm(np.eye(2)).povm, (np.eye(2),)),
+         "one operator per POVM element"),
+        (lambda: post_measurement_state(np.eye(3) / 3, projective_povm(np.eye(2)), 0),
+         "dimension mismatch"),
+        (lambda: quadratic_coefficients(1), "dimension must be at least 2"),
+        (lambda: region_sqrt_form(0.1, 0.1, 1), "dimension must be at least 2"),
+        (lambda: tradeoff_p2(0.1, 1), "dimension must be at least 2"),
+        (lambda: lower_bound_sweep(bb84_ensemble(), [[0.1]], 1.0), "one-dimensional"),
+        (lambda: as_complex_matrix(np.zeros((2, 2, 2))), "expected a square matrix"),
+        (lambda: as_hermitian(np.zeros((2, 3))), "expected a square matrix"),
+    ],
+    ids=["sibson-negative-entry", "depolarized-p", "ensemble-no-states", "ensemble-probs-short",
+         "ensemble-duplicate-labels", "ket-zero", "povm-empty", "povm-labels",
+         "implementation-operator-count", "post-state-dimension", "quadratic-dimension",
+         "sqrt-form-dimension", "tradeoff-dimension", "sweep-alphas-2d",
+         "complex-matrix-stack", "hermitian-not-square"],
+)
+def test_input_checks_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

@@ -3,10 +3,11 @@
 gentleleak checks a value once, where it enters, against a tolerance of the
 block in ``linalg``, and never checks again what it derives from that value.
 So an input just inside a tolerance must pass every public function that
-accepts it and every CLI command that reads it. The three tests of
+accepts it and every CLI command that reads it. Three tests of
 TestDerivedValuesStayAccepted each raised while derived values were checked
 again: a conjugated ensemble, the Born table of a POVM and the projectors of a
-unitary. The last three tests pin that those derived values run no check,
+unitary. Two more raised while a conjugated or averaged state, handed back in
+as input, kept the trace drift of its sum. The last three tests pin that those derived values run no check,
 that no call checks again a matrix it derived, and that every small tolerance
 has a name.
 """
@@ -177,12 +178,30 @@ def run_cli(docs: dict, argvs) -> None:
 
 class TestDerivedValuesStayAccepted:
     def test_an_ensemble_conjugated_by_a_scaled_identity(self):
-        # U†U - I is 8e-10 on the diagonal, so every trace grows by 8e-10 > UNIT_TRACE_TOL
+        # U†U - I is 8e-10 on the diagonal, which would grow every trace by
+        # 8e-10 > UNIT_TRACE_TOL; the image is renormalized instead
         e = apply_unitary(bb84_ensemble(), (1.0 + 4e-10) * np.eye(2))
         drift = np.abs(e.states.trace(axis1=1, axis2=2).real - 1.0).max()
-        assert UNIT_TRACE_TOL < drift <= 2 * UNITARY_TOL + UNIT_TRACE_TOL
+        assert drift <= UNIT_TRACE_TOL
+        assert ensemble_from_json(ensemble_to_json(e)).labels == e.labels
         maximal_quantum_leakage(e)
         gentle_leakage_interval(e, SPEC)
+
+    def test_a_conjugated_state_passes_as_input_again(self):
+        # U†U - I = 0.9 UNITARY_TOL would give traces of 1 + 9.0e-10
+        img = apply_unitary(bb84_ensemble(), np.sqrt(1.0 + EDGE * UNITARY_TOL) * np.eye(2))
+        post_measurement_state(img.states[0], projective_povm(np.eye(2)), 0)
+        assert ensemble_from_json(ensemble_to_json(img)).labels == img.labels
+
+    def test_the_average_state_passes_as_input_again(self):
+        # both inputs pass, but the plain sum would have trace 1 + 1.35e-10
+        t, s = EDGE * UNIT_TRACE_TOL, EDGE / 2 * UNIT_TRACE_TOL
+        e = CqEnsemble(
+            np.array([0.5, 0.5 + s]), (np.diag([0.5 + t, 0.5]), np.diag([0.3, 0.7 + t]))
+        )
+        avg = average_state(e)
+        assert abs(avg.trace().real - 1.0) <= UNIT_TRACE_TOL
+        post_measurement_state(avg, projective_povm(np.eye(2)), 0)
 
     def test_the_born_table_of_a_povm_at_its_completeness_edge(self):
         # the uniform superposition gathers the residual of all 64 entries of 0.9e-9 J
