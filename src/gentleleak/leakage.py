@@ -158,56 +158,31 @@ def _povm(h: np.ndarray) -> np.ndarray:
     return _herm(s @ h @ s)
 
 
-def _ball_through(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest ball with the m <= 4 points p (m, 3) on its sphere: (centre, radius).
+def _ball_through(p: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Smallest ball with the m <= 4 points p (m, 3) on its sphere: (centre, radius, weights).
 
     The centre c = p_0 + sum_k alpha_k (p_k - p_0) solves 2 (p_k - p_0).(c - p_0) =
     |p_k - p_0|^2; least squares keeps a degenerate (collinear or coplanar) set finite.
+    The weights (1 - sum_k alpha_k, alpha) sum to 1 and give c = sum_k lambda_k p_k.
     """
     a = p[1:] - p[0]
     gram = a @ a.T
-    c = p[0] + np.linalg.lstsq(2.0 * gram, np.diag(gram), rcond=None)[0] @ a
-    return c, float(np.linalg.norm(p - c, axis=1).max())
+    alpha = np.linalg.lstsq(2.0 * gram, np.diag(gram), rcond=None)[0]
+    c = p[0] + alpha @ a
+    return c, float(np.linalg.norm(p - c, axis=1).max()), np.append(1.0 - alpha.sum(), alpha)
 
 
-def _nonnegative_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x >= 0 that minimizes |a x - b|, by Lawson and Hanson's active-set method.
-
-    The free set grows by the index of the largest gradient entry; whenever the
-    least-squares solution on it leaves the orthant, x moves toward it as far as
-    x >= 0 allows and the indices that reach 0 are fixed again.
-    """
-    m = a.shape[1]
-    x, free = np.zeros(m), np.zeros(m, dtype=bool)
-    for _ in range(3 * m):
-        grad = np.where(free, -np.inf, a.T @ (b - a @ x))
-        if grad.max() <= BALL_TOL:
-            break
-        free[grad.argmax()] = True
-        while free.any():
-            s = np.zeros(m)
-            s[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
-            cut = free & (s <= 0.0)
-            if not cut.any():
-                x = s
-                break
-            t = np.min(x[cut] / np.maximum(x[cut] - s[cut], np.finfo(float).tiny))
-            x = x + t * (s - x)
-            free &= x > BALL_TOL
-    return np.clip(x, 0.0, None)
-
-
-def _bloch_ball_povm(rho: np.ndarray) -> np.ndarray | None:
+def _bloch_ball_povm(rho: np.ndarray) -> np.ndarray:
     """The minimum-error POVM of a two-dimensional ensemble rho (n, 2, 2), from its Bloch ball.
 
     With rho^x = (I + r_x.sigma)/2 and Y = aI + b.sigma, Y >= rho^x reads
     a - 1/2 >= |b - r_x/2|, so min tr Y = 1 + R for the smallest ball (c, R)
     around the Bloch vectors r_x. Welzl's incremental algorithm finds it in
-    four nested loops. Writing c = sum_x lambda_x r_x over the points on the
-    sphere (lambda >= 0, sum lambda = 1) gives G_x = lambda_x (I + n_x.sigma)
-    with n_x = (r_x - c)/R, which sums to I and reaches 1 + R; G = I on the
-    first state when R = 0. None when rounding leaves no such lambda. The
-    caller certifies the POVM, so nothing here is trusted.
+    four nested loops. The solve of the last ball they build also writes
+    c = sum_x lambda_x r_x over its m <= 4 defining points (sum lambda = 1).
+    Clipped at 0, these weights give G_x = lambda_x (I + n_x.sigma) with
+    n_x = (r_x - c)/R, which sums to I and reaches 1 + R; G = I on the first
+    state when R = 0. The caller certifies the POVM, so nothing here is trusted.
     """
     r = np.einsum("xij,aji->xa", rho, PAULI).real
     c, rad = r[0], 0.0
@@ -220,23 +195,19 @@ def _bloch_ball_povm(rho: np.ndarray) -> np.ndarray | None:
             c, rad = r[i], 0.0
             for j in range(i):
                 if outside(r[j]):
-                    c, rad = _ball_through(r[[i, j]])
+                    c, rad, lam = _ball_through(r[on := [i, j]])
                     for k in range(j):
                         if outside(r[k]):
-                            c, rad = _ball_through(r[[i, j, k]])
+                            c, rad, lam = _ball_through(r[on := [i, j, k]])
                             for m in range(k):
                                 if outside(r[m]):
-                                    c, rad = _ball_through(r[[i, j, k, m]])
+                                    c, rad, lam = _ball_through(r[on := [i, j, k, m]])
     g = np.zeros_like(rho)
     if rad <= BALL_TOL:
         g[0] = np.eye(2)
         return g
-    on = np.flatnonzero(np.linalg.norm(r - c, axis=1) >= rad - BALL_TOL)
-    a, b = np.vstack([r[on].T, np.ones(len(on))]), np.append(c, 1.0)
-    lam = _nonnegative_solution(a, b)
-    if np.abs(a @ lam - b).max() > BALL_TOL:
-        return None
-    g[on] = lam[:, None, None] * (np.eye(2) + np.einsum("xa,aij->xij", (r[on] - c) / rad, PAULI))
+    n_sigma = np.einsum("xa,aij->xij", (r[on] - c) / rad, PAULI)
+    g[on] = np.clip(lam, 0.0, None)[:, None, None] * (np.eye(2) + n_sigma)
     return _povm(g)
 
 
@@ -335,9 +306,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
     scale = 1.0 / np.sqrt(ws)
     gap = price(g, _povm(scale[:, None] * rho * scale[None, :]))
     if gap > GAP_TOL and len(ws) == 2:  # a start candidate, still iteration 1
-        candidate = _bloch_ball_povm(rho)
-        if candidate is not None:
-            gap = price(candidate)
+        gap = price(_bloch_ball_povm(rho))
     iterations = 1
     while gap > GAP_TOL:
         if iterations == MAX_ITERS:

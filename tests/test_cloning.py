@@ -191,11 +191,8 @@ class TestMinFeasibleP2:
         for p1 in np.linspace(0.0, 1.0, 41):
             got = min_feasible_p2(float(p1), d)
             feas = [p2 for p2 in grid if region_quadratic_form(float(p1), float(p2), d)[0]]
-            if got is None:
-                assert not feas
-            else:
-                assert feas
-                assert got == pytest.approx(feas[0], abs=3e-4)
+            assert feas
+            assert got == pytest.approx(feas[0], abs=3e-4)
 
     def test_qubit_closed_form(self):
         # for d=2 the minimal feasible p2 is (1 - sqrt(p1))^2

@@ -201,8 +201,11 @@ def seeded_sweep(seed):
 
 @pytest.fixture
 def no_ball(monkeypatch):
-    """Solve without the Bloch-ball start candidate, so every uncertified start takes Newton steps."""
-    monkeypatch.setattr(leakage, "_bloch_ball_povm", lambda rho: None)
+    """Solve with the uniform POVM in place of the Bloch-ball start candidate, so every
+    uncertified start takes Newton steps."""
+    monkeypatch.setattr(
+        leakage, "_bloch_ball_povm", lambda rho: np.repeat(np.eye(2)[None] / len(rho), len(rho), 0)
+    )
 
 
 def assert_certified(est, e):
@@ -346,9 +349,8 @@ def bloch_ensemble(vectors):
 
 
 ARC = [(np.cos(t), np.sin(t), 0.0) for t in np.radians([0.0, 30.0, 60.0, 90.0])]
-# Five pure states (unit Bloch vectors after rounding) on which the Bloch-ball weights
-# need the orthant step of the active-set method: a least-squares solution on the free
-# set leaves lambda >= 0 once, and the fifth weight is fixed at 0.
+# Five pure states (unit Bloch vectors after rounding): the unit sphere is their smallest
+# ball, four of them define it, and the fifth, on the sphere too, gets no weight.
 ORTHANT = [
     (-0.57956, -0.572316, -0.580143),
     (-0.420862, 0.903154, -0.084783),
@@ -356,6 +358,44 @@ ORTHANT = [
     (0.678167, -0.541433, 0.49693),
     (-0.379468, -0.731454, 0.56655),
 ]
+
+
+def unit(vectors):
+    """The vectors (n, 3) scaled to length 1."""
+    v = np.asarray(vectors, dtype=float)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+PLATONIC = {
+    "tetrahedron": [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
+    "cube": list(itertools.product([-1, 1], repeat=3)),
+    "icosahedron": [
+        np.roll((0.0, a, b * GOLDEN), k) for k in range(3) for a in (-1, 1) for b in (-1, 1)
+    ],
+}
+
+
+def cospherical_sets(rng, count):
+    """count sets of 3-7 Bloch vectors on a great circle, a small circle or a whole sphere.
+
+    The sphere has radius 0.3-1 and sits inside the Bloch ball; a circle's plane is at a
+    random height above the sphere's centre (0 for a great circle).
+    """
+    for _ in range(count):
+        n, radius = int(rng.integers(3, 8)), rng.uniform(0.3, 1.0)
+        centre = rng.normal(size=3)
+        centre *= rng.uniform(0.0, 1.0 - radius) / np.linalg.norm(centre)
+        kind = rng.integers(3)
+        if kind == 2:
+            points = rng.normal(size=(n, 3))
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+        else:
+            u, v, w = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+            height = 0.0 if kind == 0 else rng.uniform(-0.9, 0.9)
+            t = rng.uniform(0.0, 2.0 * np.pi, n)[:, None]
+            points = np.sqrt(1.0 - height**2) * (np.cos(t) * u + np.sin(t) * v) + height * w
+        yield centre + radius * points
 
 
 class TestBlochBall:
@@ -397,34 +437,66 @@ class TestBlochBall:
         assert abs(est.bits - np.log2(1.0 + radius)) <= GAP_TOL
 
     @pytest.mark.parametrize(
-        "vectors, radius", [(np.vstack([np.eye(3), -np.eye(3)]), 1.0), (ARC, np.sqrt(0.5))]
+        "vectors, radius",
+        [
+            (np.vstack([np.eye(3), -np.eye(3)]), 1.0),
+            (ARC, np.sqrt(0.5)),
+            *(pytest.param(unit(v), 1.0, id=name) for name, v in PLATONIC.items()),
+        ],
     )
     def test_candidate_alone_reaches_the_ball(self, vectors, radius):
-        # the square-root measurement is not optimal on the arc; the helper's POVM must be
-        e = bloch_ensemble(np.asarray(vectors, dtype=float))
-        g = leakage._bloch_ball_povm(e.states)
-        assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-13
-        assert np.linalg.eigvalsh(g).min() >= -1e-13
-        bits = sibson_infinity(np.einsum("xij,yji->yx", e.states, g).real)
-        assert bits == pytest.approx(np.log2(1.0 + radius), abs=1e-12)
+        # the square-root measurement is not optimal on the arc; the helper's POVM must be.
+        # On the Platonic sets the square-root measurement certifies first, so only a
+        # direct call reaches the ball, here in several orders of the points
+        vectors = np.asarray(vectors, dtype=float)
+        rng = np.random.default_rng(len(vectors))
+        for order in [np.arange(len(vectors)), *(rng.permutation(len(vectors)) for _ in range(4))]:
+            e = bloch_ensemble(vectors[order])
+            g = leakage._bloch_ball_povm(e.states)
+            assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-13
+            assert np.linalg.eigvalsh(g).min() >= -1e-13
+            bits = sibson_infinity(np.einsum("xij,yji->yx", e.states, g).real)
+            assert bits == pytest.approx(np.log2(1.0 + radius), abs=1e-12)
 
-    def test_orthant_step(self, monkeypatch):
-        vectors = np.array(ORTHANT)
-        e = bloch_ensemble(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
-        calls = []
-        solve = leakage._nonnegative_solution
-        monkeypatch.setattr(
-            leakage, "_nonnegative_solution", lambda a, b: calls.append((a, b)) or solve(a, b)
-        )
+    def test_cospherical_sets_in_any_order(self):
+        # Welzl's loops pick a different defining set in each order of the points; the
+        # weights of that set's own solve must still give the ball's POVM
+        rng = np.random.default_rng(26)
+        for vectors in cospherical_sets(rng, 40):
+            for order in [np.arange(len(vectors)), rng.permutation(len(vectors))]:
+                e = bloch_ensemble(vectors[order])
+                est = maximal_quantum_leakage(e)
+                assert_certified(est, e)
+                assert est.iterations == 1
+                assert abs(est.bits - povm_bits(e)) <= GAP_TOL
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param([(0.1, 0.2, 0.3), (-0.4, 0.5, 0.0)], id="two"),
+            pytest.param([(1, 0, 0), (0, 1, 0), (0, 0, 1)], id="three"),
+            pytest.param([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-0.6, -0.6, 0.2)], id="four"),
+            pytest.param(np.outer([0.9, 0.2, -0.5], [0.6, 0.0, 0.8]), id="collinear-three"),
+            pytest.param(np.outer([0.9, 0.2, -0.5, -0.1], [0.6, 0.0, 0.8]), id="collinear-four"),
+            pytest.param([(0.3, 0.4, 0.0)] * 2, id="duplicate-two"),
+            pytest.param([(0.3, 0.4, 0.0), (0.3, 0.4, 0.0), (-0.5, 0.1, 0.2)], id="duplicate-three"),
+            pytest.param(ARC, id="coplanar-four"),
+        ],
+    )
+    def test_ball_weights_rebuild_the_centre(self, points):
+        p = np.asarray(points, dtype=float)
+        c, _, lam = leakage._ball_through(p)
+        assert lam.shape == (len(p),)
+        assert abs(lam.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(lam @ p - c)) <= 1e-12
+
+    def test_orthant_step(self):
+        e = bloch_ensemble(unit(ORTHANT))
         est = maximal_quantum_leakage(e)
         assert_certified(est, e)
         assert est.iterations == 1
         assert abs(est.bits - povm_bits(e)) <= GAP_TOL
         assert abs(est.upper_bits - povm_bits(e)) <= GAP_TOL
-        [(a, b)] = calls
-        lam = solve(a, b)
-        assert lam.min() >= 0.0 and lam[4] == 0.0
-        assert np.abs(a @ lam - b).max() <= leakage.BALL_TOL
 
     def test_two_dimensional_support_in_eight_dimensions(self):
         rng = np.random.default_rng(12)
