@@ -107,7 +107,7 @@ def region_sqrt_form(p1, p2, d: int):
 
 
 def _p2_roots(p1, d: int):
-    """Discriminant and ordered roots (low, high) in p2 of q(p1, p2) = 0 at fixed p1, elementwise."""
+    """Ordered roots (low, high) in p2 of q(p1, p2) = 0 at fixed p1, elementwise."""
     a, b, c = quadratic_coefficients(d)
     # q(p2) = a p2^2 + beta p2 + gamma at fixed p1
     beta = 2.0 * b * p1 + c
@@ -116,7 +116,7 @@ def _p2_roots(p1, d: int):
     root = np.sqrt(np.maximum(disc, 0.0))
     r1 = (-beta - root) / (2.0 * a)
     r2 = (-beta + root) / (2.0 * a)
-    return disc, np.minimum(r1, r2), np.maximum(r1, r2)
+    return np.minimum(r1, r2), np.maximum(r1, r2)
 
 
 def min_feasible_p2(p1: float, d: int) -> float:
@@ -127,7 +127,7 @@ def min_feasible_p2(p1: float, d: int) -> float:
     """
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    _, root_lo, root_hi = _p2_roots(p1, d)
+    root_lo, root_hi = _p2_roots(p1, d)
     return min(max(root_lo if d == 2 else root_hi, 0.0), 1.0)
 
 
@@ -205,7 +205,7 @@ def tradeoff_p2(p1, d: int):
     if not np.all((0.0 <= p1) & (p1 <= 1.0)):
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     if d == 2:
-        _, root_lo, _ = _p2_roots(p1, 2)
+        root_lo, _ = _p2_roots(p1, 2)
         p2 = np.minimum(np.maximum(root_lo, 0.0), 1.0)
     else:
         a = np.sqrt(1.0 - p1 * (1.0 - 1.0 / (d * d))) - np.sqrt(p1) / d

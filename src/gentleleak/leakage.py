@@ -68,7 +68,6 @@ BALL_TOL = 1e-12
 # how far it may exceed the upper value, in an estimate and in an interval.
 NEGATIVE_BITS_SLACK = 1e-9
 CROSSING_SLACK = 1e-12
-INTERVAL_SLACK = 1e-12
 # A probe whose largest entry is below this tells no states apart; the search skips it.
 PROBE_FLOOR = 1e-12
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -343,7 +342,7 @@ class GentleLeakageInterval:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.lower_bits <= self.upper_bits + INTERVAL_SLACK:
+        if not 0.0 <= self.lower_bits <= self.upper_bits + CROSSING_SLACK:
             raise ValueError(f"invalid interval [{self.lower_bits}, {self.upper_bits}]")
 
     def to_json(self) -> dict:
@@ -365,13 +364,11 @@ def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, di
     certifies; its Born table is the one that calibration certified.
     """
     mats = e.states
-    pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats)) if i != j]
+    first, second = np.nonzero(~np.eye(len(mats), dtype=bool))  # every ordered pair i != j
     best = 0.0
     detail: dict = {"probes": 0}
-    if not pairs:
-        return best, detail
-    probes = _positive_part(np.stack([mats[i] - mats[j] for i, j in pairs]))
-    for (i, j), probe, root in zip(pairs, probes, _probe_root(probes)):
+    probes = _positive_part(mats[first] - mats[second])
+    for i, j, probe, root in zip(first, second, probes, _probe_root(probes)):
         if float(np.max(np.abs(probe))) < PROBE_FLOOR:
             continue
         cal = _calibrate(probe, root, spec, e, "per-state")

@@ -11,6 +11,7 @@ is checked once, where it enters, against a tolerance of the block below.
 :func:`as_hermitian` checks and then symmetrizes with ``_herm``;
 :func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
 output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
+``_checked_stack`` is the one check of a stack of states or POVM elements.
 ``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
 ...)`` fills a frozen dataclass without its checks. A derived value may thus
 miss an entry tolerance, by at most the drift stated beside it.
@@ -189,6 +190,38 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
     For checks that keep the symmetrized matrix and read no eigenvector.
     """
     return np.linalg.eigvalsh(h)[..., ::-1]
+
+
+def _checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
+    """The states or POVM elements as one checked, symmetrized, read-only (n, d, d) array.
+
+    One pass with one spectrum call checks that each matrix is square, of the first one's
+    dimension, finite, Hermitian, PSD and, with unit_trace, of trace 1. A failure names the
+    first failing matrix as '<what> <i>: ...' with its first failed check.
+    """
+    a = _stack(mats, what)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():  # zeroed, so no later check reads nan or inf
+        a = np.where(finite[:, None, None], a, 0.0)
+    asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    h = _herm(a)
+    low = _spectrum(h)[:, -1]
+    ok = finite & (asym <= HERMITICITY_TOL) & (low >= -PSD_TOL)
+    if unit_trace:
+        tr = h.trace(axis1=-2, axis2=-1).real
+        ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
+    if not ok.all():
+        i = int(ok.argmin())
+        if not finite[i]:
+            raise ValueError(f"{what} {i}: matrix has non-finite entries")
+        if asym[i] > HERMITICITY_TOL:
+            raise ValueError(f"{what} {i}: matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
+                             f"> {HERMITICITY_TOL:.3e}")
+        if not low[i] >= -PSD_TOL:
+            raise ValueError(f"{what} {i}: {what} is not PSD: min eigenvalue {low[i]:.3e}")
+        raise ValueError(f"{what} {i}: {what} trace {float(tr[i])!r} is not 1")
+    h.flags.writeable = False
+    return h
 
 
 def trace_norm(m) -> float:

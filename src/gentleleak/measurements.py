@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    COMPLETENESS_TOL, PROBE_TOL, PSD_TOL, SchemaError, _as_square_stack, _eigh, _fill, _from_eig,
+    COMPLETENESS_TOL, PROBE_TOL, SchemaError, _checked_stack, _eigh, _fill, _from_eig,
     _frozen_hermitian, _herm, _spectrum, _stack, as_hermitian, as_unitary, matrices_from_json,
     matrix_to_json,
 )
-from .states import CqEnsemble, checked_states
+from .states import CqEnsemble
 
 __all__ = [
     "ZERO_PROB",
@@ -47,10 +47,9 @@ __all__ = [
 # their post-measurement state is a 0/0 expression.
 ZERO_PROB = 1e-12
 
-# certify_gentle's rounding slacks on alpha and on 1 - delta, so an exactly gentle
+# certify_gentle's rounding slack on alpha and on 1 - delta, so an exactly gentle
 # branch at alpha = 0 and a good-event probability of exactly 1 - delta pass.
-ALPHA_SLACK = 1e-12
-DELTA_SLACK = 1e-12
+CERTIFY_SLACK = 1e-12
 
 # Largest gentle-probe strength that gentle_povm, the calibration and the simulator accept.
 MAX_EPSILON = 0.1
@@ -80,11 +79,7 @@ class Povm:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise ValueError("POVM needs at least one element")
-        elements = as_hermitian(_stack(self.elements, "element"))
-        low = _spectrum(elements)[:, -1]
-        i = int(np.argmin(low))
-        if low[i] < -PSD_TOL:
-            raise ValueError(f"element {i} is not PSD: min eigenvalue {low[i]:.3e}")
+        elements = _checked_stack(self.elements, "element")
         resid = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max()
         if resid > COMPLETENESS_TOL:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
@@ -114,13 +109,16 @@ class PovmImplementation:
     def __post_init__(self):
         if len(self.operators) != len(self.povm):
             raise ValueError("one operator per POVM element required")
-        ops = _as_square_stack(_stack(self.operators, "operator", self.povm.dim))
+        ops = _stack(self.operators, "operator", self.povm.dim)
         if ops is self.operators:  # never freeze the caller's own array
             ops = ops.copy()
-        resid = np.abs(ops.conj().swapaxes(-1, -2) @ ops - self.povm.elements).max(axis=(1, 2))
-        bad = np.flatnonzero(resid > COMPLETENESS_TOL)
+        with np.errstate(invalid="ignore"):  # inf * 0; a non-finite operator's residual is nan
+            resid = np.abs(ops.conj().swapaxes(-1, -2) @ ops - self.povm.elements).max(axis=(1, 2))
+        bad = np.flatnonzero(~(resid <= COMPLETENESS_TOL))
         if bad.size:
             i = int(bad[0])
+            if not np.isfinite(ops[i]).all():
+                raise ValueError(f"operator {i}: matrix has non-finite entries")
             raise ValueError(f"operator {i}: B†B differs from F by {resid[i]:.3e}")
         _fill(self, operators=ops)
 
@@ -165,7 +163,7 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
     outcome; the output is derived from checked values and is not checked
     again, as in :func:`collapse`.
     """
-    rho = checked_states([rho])[0]
+    rho = _checked_stack([rho], "state", unit_trace=True)[0]
     if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
     if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
@@ -269,7 +267,7 @@ def certify_gentle(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     probs, _, dist = collapse(e, impl)
-    good = (dist <= spec.alpha + ALPHA_SLACK).all(axis=1)
+    good = (dist <= spec.alpha + CERTIFY_SLACK).all(axis=1)
     dists = dist.max(axis=1)
 
     if mode == "per-state":
@@ -279,7 +277,7 @@ def certify_gentle(
         worst_prob = float(weights[good].sum())
 
     return GentlenessCertificate(
-        certified=bool(worst_prob >= 1.0 - spec.delta - DELTA_SLACK),
+        certified=bool(worst_prob >= 1.0 - spec.delta - CERTIFY_SLACK),
         worst_prob=worst_prob,
         worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,

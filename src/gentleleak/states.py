@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL, PSD_TOL, UNIT_TRACE_TOL, SchemaError, _eigh, _fill, _frozen_hermitian, _herm,
-    _spectrum, _stack, as_unitary, matrices_from_json, matrix_to_json,
+    UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm, as_unitary,
+    matrices_from_json, matrix_to_json,
 )
 
 __all__ = [
@@ -29,43 +29,12 @@ __all__ = [
 ]
 
 
-def checked_states(mats) -> np.ndarray:
-    """The density matrices as one checked, symmetrized, read-only (n, d, d) array.
-
-    The whole stack is checked in one pass with one spectrum call: each
-    matrix must be square and of the first one's dimension, finite, Hermitian,
-    PSD and of unit trace. A failure names the first failing matrix, with the
-    text a lone matrix would give, so every earlier matrix passes every check.
-    """
-    a = _stack(mats, "state")
-    adj = a.conj().swapaxes(-1, -2)
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):  # inf - inf; those matrices fail as non-finite
-        asym = np.abs(a - adj).max(axis=(-2, -1))
-    ok = finite & (asym <= HERMITICITY_TOL)
-    k = len(a) if ok.all() else int(ok.argmin())  # the first failure of these two checks
-    h = _frozen_hermitian(a[:k])
-    low = _spectrum(h)[:, -1]
-    tr = h.trace(axis1=-2, axis2=-1).real
-    bad = np.flatnonzero((low < -PSD_TOL) | (np.abs(tr - 1.0) > UNIT_TRACE_TOL))
-    if bad.size:
-        i = int(bad[0])
-        if low[i] < -PSD_TOL:
-            raise ValueError(f"state {i}: state is not PSD: min eigenvalue {low[i]:.3e}")
-        raise ValueError(f"state {i}: state trace {float(tr[i])!r} is not 1")
-    if k < len(a):
-        raise ValueError(f"state {k}: matrix has non-finite entries" if not finite[k] else
-                         f"state {k}: matrix is not Hermitian: max asymmetry {asym[k]:.3e} > "
-                         f"{HERMITICITY_TOL:.3e}")
-    return h
-
-
 @dataclass(frozen=True)
 class CqEnsemble:
     """Classical-quantum ensemble: labels x with probabilities and encoding states.
 
     ``states`` holds the density matrices as one read-only (len, d, d) array,
-    checked by checked_states. All probabilities must be strictly positive
+    checked by linalg._checked_stack. All probabilities must be strictly positive
     (zero-probability symbols are rejected rather than trimmed, so user
     errors surface) and sum to one.
     """
@@ -78,7 +47,7 @@ class CqEnsemble:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(self.states) or len(probs) == 0:
             raise ValueError("need one probability per state, at least one item")
-        states = checked_states(self.states)
+        states = _checked_stack(self.states, "state", unit_trace=True)
         if not np.all(probs > 0.0):
             raise ValueError("all probabilities must be strictly positive")
         if not abs(float(probs.sum()) - 1.0) <= UNIT_TRACE_TOL:
@@ -108,7 +77,7 @@ def ket(amplitudes) -> np.ndarray:
 def pure_state(amplitudes) -> np.ndarray:
     """The density matrix |v><v| of the normalized amplitudes, checked and read-only."""
     v = ket(amplitudes)
-    return checked_states([np.outer(v, v.conj())])[0]
+    return _checked_stack([np.outer(v, v.conj())], "state", unit_trace=True)[0]
 
 
 def average_state(e: CqEnsemble) -> np.ndarray:

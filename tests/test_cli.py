@@ -210,8 +210,15 @@ class TestMalformedJson:
                 "certify",
                 {"elements": [matrix_to_json(np.diag([1.5, 1.0])),
                               matrix_to_json(np.diag([-0.5, 0.0]))]},
-                "element 1 is not PSD: min eigenvalue -5.000e-01",
+                "element 1: element is not PSD: min eigenvalue -5.000e-01",
                 id="element-not-psd",
+            ),
+            pytest.param(
+                "certify",
+                {"elements": [matrix_to_json(np.eye(2)),
+                              matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]]))]},
+                "element 1: matrix is not Hermitian: max asymmetry 3.000e-01 > 1.000e-10",
+                id="element-not-hermitian",
             ),
             pytest.param(
                 "certify",
@@ -447,6 +454,17 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--strategy", "w1", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
+
+    def test_out_steps_past_a_taken_temp_name(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        taken = tmp_path / f"x.json.{os.getpid()}.0.tmp"
+        taken.write_text("taken")
+        code, _ = run_cli(["simulate", "--strategy", "none", "--rounds", "1000",
+                           "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["rounds"] == 1000
+        assert taken.read_text() == "taken"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", taken.name]
 
     def test_json_keys(self, capsys):
         code, out = run_cli(["simulate", "--strategy", "gentle", "--rounds", "1000"], capsys)

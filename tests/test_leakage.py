@@ -264,6 +264,14 @@ class TestCertifiedSolver:
         with pytest.raises(ConvergenceError):
             maximal_quantum_leakage(e)
 
+    def test_step_from_the_boundary_raises(self):
+        # a G_x with a zero eigenvalue is on the boundary of the PSD cone, not inside it
+        rho = bb84_ensemble().states
+        g = np.zeros_like(rho)
+        g[0] = np.eye(2)
+        with pytest.raises(ConvergenceError, match="left the interior"):
+            leakage._newton_step(rho, g, 2.0 * np.eye(2, dtype=complex))
+
     def test_stalled_gap_fails_fast(self, monkeypatch):
         # no gap reaches a negative tolerance: once a step can no longer lower
         # the duality measure, the solve must fail long before the budget ends
@@ -457,6 +465,12 @@ class TestBlochBall:
             assert np.linalg.eigvalsh(g).min() >= -1e-13
             bits = sibson_infinity(np.einsum("xij,yji->yx", e.states, g).real)
             assert bits == pytest.approx(np.log2(1.0 + radius), abs=1e-12)
+
+    def test_identical_vectors_give_the_trivial_povm(self):
+        # a ball of radius 0: the first state takes G = I, every other state nothing
+        g = leakage._bloch_ball_povm(bloch_ensemble(np.array([(0.3, 0.4, 0.0)] * 3)).states)
+        assert np.array_equal(g[0], np.eye(2))
+        assert not g[1:].any()
 
     def test_cospherical_sets_in_any_order(self):
         # Welzl's loops pick a different defining set in each order of the points; the

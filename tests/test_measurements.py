@@ -88,8 +88,26 @@ class TestStackedChecks:
 
     def test_names_the_non_psd_element(self):
         elements = (np.diag([0.5, 0.5]), np.diag([0.7, 0.3]), np.diag([-0.2, 0.2]))
-        with pytest.raises(ValueError, match="element 2 is not PSD: min eigenvalue -2.000e-01"):
+        with pytest.raises(ValueError,
+                           match="element 2: element is not PSD: min eigenvalue -2.000e-01"):
             Povm(elements)
+
+    def test_names_the_first_non_psd_element(self):
+        elements = (np.diag([-0.1, 0.5]), np.diag([0.6, 0.5]), np.diag([0.5, -0.5]),
+                    np.diag([0.0, 0.5]))
+        with pytest.raises(ValueError,
+                           match="element 0: element is not PSD: min eigenvalue -1.000e-01"):
+            Povm(elements)
+
+    def test_names_the_non_finite_element(self):
+        elements = (np.diag([1.0, 0.0]), np.diag([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="^element 1: matrix has non-finite entries$"):
+            Povm(elements)
+
+    def test_names_the_non_finite_operator(self):
+        povm = projective_povm(np.eye(2)).povm
+        with pytest.raises(ValueError, match="^operator 1: matrix has non-finite entries$"):
+            PovmImplementation(povm, (np.diag([1.0, 0.0]), np.diag([0.0, np.inf])))
 
     def test_names_the_operator_of_another_dimension(self):
         povm = projective_povm(np.eye(2)).povm

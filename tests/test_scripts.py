@@ -1,6 +1,9 @@
 import importlib.util
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +83,36 @@ class TestEavesdropTradeoff:
         assert load_script("eavesdrop_tradeoff").main(argv) == 0
         rows = tradeoff_sweep(np.linspace(0.0, 0.1, 3), rounds=1000, seed=42)
         assert out.read_text() == tradeoff_csv(rows)
+
+
+class TestDiffOutputs:
+    """scripts/diff_outputs.py finds nothing between a tree and itself, and names a changed text."""
+
+    @staticmethod
+    def diff(other, *expect):
+        argv = [sys.executable, str(SCRIPTS / "diff_outputs.py"), str(other)]
+        argv += ["--expect", *expect] if expect else []
+        return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+    def test_this_tree_differs_nowhere(self):
+        proc = self.diff(ROOT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.fullmatch(r"(\d+) items: \1 byte-identical, 0 differ \(0 unexpected\)\n",
+                            proc.stdout)
+
+    def test_a_changed_text_is_named(self, tmp_path):
+        shutil.copytree(ROOT / "src" / "gentleleak", tmp_path / "src" / "gentleleak",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cli = tmp_path / "src" / "gentleleak" / "cli.py"
+        text = cli.read_text()
+        assert text.count("input file is not UTF-8 text") == 1
+        cli.write_text(text.replace("input file is not UTF-8 text", "input file is not UTF-8"))
+        proc = self.diff(tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        first, last = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
+        assert first.startswith("leakage:not-utf8: stderr at byte ")
+        assert last.endswith(" 1 differ (1 unexpected)")
+        proc = self.diff(tmp_path, "leakage:not-utf8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("leakage:not-utf8: expected, stderr at byte ")
+        assert proc.stdout.endswith(" 1 differ (0 unexpected)\n")

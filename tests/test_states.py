@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from random_matrices import haar_unitary, random_density
 
-from gentleleak import states
+from gentleleak import linalg
 from gentleleak.cloning import (
     lower_bound_sweep,
     quadratic_coefficients,
@@ -74,8 +74,8 @@ class TestEnsembleConstruction:
 
     def test_checks_the_whole_stack_with_one_decomposition(self, monkeypatch):
         calls = []
-        real = states._spectrum
-        monkeypatch.setattr(states, "_spectrum", lambda h: calls.append(h.shape) or real(h))
+        real = linalg._spectrum
+        monkeypatch.setattr(linalg, "_spectrum", lambda h: calls.append(h.shape) or real(h))
         rng = np.random.default_rng(5)
         e = CqEnsemble(np.full(3, 1 / 3), tuple(random_density(3, rng) for _ in range(3)))
         assert calls == [(3, 3, 3)]

@@ -286,7 +286,7 @@ def test_derived_builds_run_no_check(monkeypatch):
         raise AssertionError("a derived value was checked again")
 
     for mod in (linalg, states, measurements):
-        for name in ("as_hermitian", "_spectrum", "checked_states"):
+        for name in ("as_hermitian", "_spectrum", "_checked_stack"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     for cls in (CqEnsemble, Povm, PovmImplementation):
@@ -300,43 +300,48 @@ def test_derived_builds_run_no_check(monkeypatch):
 QUTRIT = CqEnsemble(
     np.full(3, 1.0 / 3), tuple(random_density(3, np.random.default_rng(4)) for _ in range(3))
 )
+BB84 = bb84_ensemble()
 
 
 @pytest.mark.parametrize(
     "call, hermitian, probes",
     [
         # the one check left is the solver's witness POVM, 4 elements of a qubit
-        (lambda: gentle_leakage_interval(bb84_ensemble(), SPEC), [(4, 2, 2)], 0),
+        (lambda: gentle_leakage_interval(BB84, SPEC), [(4, 2, 2)], 0),
         (lambda: maximal_quantum_leakage(QUTRIT), [(3, 3, 3)], 0),
         (lambda: lower_bound_sweep(QUTRIT, [0.05, 0.1], 1.0), [], 0),
         (lambda: unitary_disturbance(QUTRIT, haar_unitary(3, np.random.default_rng(5))), [], 0),
+        # the simulator's constant inputs, built once: |0>, |+> and the BB84 states
         (lambda: simulate._constants.cache_clear()
-         or simulate.run_simulation(simulate.EveStrategy.gentle(0.05), 1000, 1), [], 0),
+         or simulate.run_simulation(simulate.EveStrategy.gentle(0.05), 1000, 1),
+         [(1, 2, 2), (1, 2, 2), (4, 2, 2)], 0),
     ],
     ids=["bb84-interval", "qutrit-leakage", "lower-bound-sweep", "unitary-disturbance",
          "first-gentle-simulation"],
 )
 def test_derived_matrices_pass_no_public_check(monkeypatch, call, hermitian, probes):
-    # every module that binds linalg.as_hermitian or the probe's range check
+    # every module that binds linalg.as_hermitian, the stack check of states and
+    # POVM elements (linalg._checked_stack) or the probe's range check
     # (measurements._probe) counts its calls: only input is checked, never a
     # matrix the call derived itself
-    herm, probe = linalg.as_hermitian, measurements._probe
-    shapes = {herm: [], probe: []}
+    herm, stack, probe = linalg.as_hermitian, linalg._checked_stack, measurements._probe
+    herm_shapes, probe_shapes = [], []
+    shapes = {herm: herm_shapes, stack: herm_shapes, probe: probe_shapes}
 
     def counting(real):
-        def check(m):
+        def check(m, *args, **kwargs):
             shapes[real].append(np.shape(m))
-            return real(m)
+            return real(m, *args, **kwargs)
         return check
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "gentleleak":
             for attr, value in list(vars(mod).items()):
-                if value is herm or value is probe:
+                if any(value is real for real in shapes):
                     monkeypatch.setattr(mod, attr, counting(value))
     call()
-    assert shapes[herm] == hermitian
-    assert shapes[probe] == [(2, 2)] * probes
+    assert herm_shapes == hermitian
+    assert probe_shapes == [(2, 2)] * probes
 
 
 def test_every_small_float_literal_is_a_named_constant():
