@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh
+from .linalg import _eigh, _fill
 from .states import CqEnsemble
 
 __all__ = [
@@ -171,8 +171,9 @@ class CloningSweep(Sequence):
     q_bits: float
 
     def __post_init__(self):
-        for column in (self.alpha, self.p1_cap, self.p2_star, self.lower_bits, self.slack):
-            column.flags.writeable = False
+        columns = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
+        # np.array copies, so _fill freezes the sweep's own columns, not the caller's
+        _fill(self, **{name: np.array(getattr(self, name)) for name in columns})
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -231,7 +232,7 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     the quadratic-form slack and the bits as columns of a CloningSweep, in the
     order the alphas are given.
     """
-    alphas = np.array(alphas, dtype=float)  # a copy: the sweep makes its columns read-only
+    alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1:
         raise ValueError("alphas must be a one-dimensional sequence")
     outside = ~((0.0 <= alphas) & (alphas <= 1.0))

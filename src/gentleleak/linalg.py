@@ -2,16 +2,18 @@
 
 Functions take one complex matrix or a stack (..., d, d), except
 :func:`as_complex_matrix`, :func:`as_unitary`, :func:`trace_norm` and
-:func:`matrix_to_json`, which take one. :func:`matrices_from_json` parses a JSON
-list of matrices in one pass, and goes back over it only to name a bad matrix.
+:func:`matrix_to_json`, which take one. :func:`matrices_from_json` only parses
+a JSON list of matrices: its schema and cell types, in one pass.
 
 A public function is its check plus a private kernel that checks nothing, and
 inside the package a value derived from checked values goes to the kernel: it
 is checked once, where it enters, against a tolerance of the block below.
+Input matrices are checked in two stages: ``_stack``, the one format check, names
+the first matrix of a list that is not square, of one dimension and finite, and
+``_checked_stack`` then checks each state's or POVM element's values.
 :func:`as_hermitian` checks and then symmetrizes with ``_herm``;
 :func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
 output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
-``_checked_stack`` is the one check of a stack of states or POVM elements.
 ``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
 ...)`` fills a frozen dataclass without its checks. A derived value may thus
 miss an entry tolerance, by at most the drift stated beside it.
@@ -19,6 +21,7 @@ miss an entry tolerance, by at most the drift stated beside it.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -91,35 +94,29 @@ INV_SQRT_FLOOR = 1e-300
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _as_square_stack(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
 def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
-    """The matrices as one complex (n, d, d) array, naming the first that is not d x d.
+    """One or more matrices as one finite complex (n, d, d) array: the one format check.
 
-    An (n, d, d) array is taken as it is; d defaults to the dimension of the
-    first matrix. Entries are not checked.
+    In index order each matrix must be square, of dimension d (by default the
+    first matrix's) and finite; the first that is not is named as '<what> <i>: ...'
+    or '<what> <i> has dimension ...'. An (n, d, d) array that passes is returned as it is.
     """
     try:
         a = np.asarray(mats, dtype=complex)
     except ValueError:  # matrices of different shapes
         a = None
-    if a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] == (d or a.shape[1]) >= 1:
+    if (a is not None and a.ndim == 3 and a.shape[1] == a.shape[2] == (d or a.shape[1]) >= 1
+            and np.isfinite(a).all()):
         return a
-    arrs = [np.asarray(m, dtype=complex) for m in mats]
-    for i, a in enumerate(arrs):
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"{what} {i}: expected a square matrix, got shape {a.shape}")
-        d = d or a.shape[0]
-        if a.shape[0] != d:
-            raise ValueError(f"{what} {i} has dimension {a.shape[0]}, expected {d}")
-    return np.array(arrs)
+    for i, m in enumerate(mats):
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError(f"{what} {i}: expected a square matrix, got shape {m.shape}")
+        d = d or m.shape[0]
+        if m.shape[0] != d:
+            raise ValueError(f"{what} {i} has dimension {m.shape[0]}, expected {d}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} {i}: matrix has non-finite entries")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -145,26 +142,27 @@ def _fill(obj, **fields):
 
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
-    a = _as_square_stack(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _stack([m], "matrix")[0]
 
 
 def as_hermitian(m) -> np.ndarray:
     """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
-    Accepts one matrix or a stack (..., d, d), checked matrix by matrix.
-    Raises ValueError if any entry of M - M† exceeds ``HERMITICITY_TOL`` in
-    magnitude; the symmetrization absorbs roundoff from channel applications.
+    Accepts one matrix or a stack (..., d, d), checked matrix by matrix; a failure
+    names the first, in flattened order, as 'matrix <i>: ...'. Raises ValueError if
+    any entry of M - M† exceeds ``HERMITICITY_TOL`` in magnitude; the
+    symmetrization absorbs roundoff from channel applications.
     """
-    a = _as_square_stack(m)
-    asym = np.abs(a - a.conj().swapaxes(-1, -2)).max() if a.size else 0.0
-    if asym > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITICITY_TOL:.3e}"
-        )
-    return _herm(a)
+    a = np.asarray(m, dtype=complex)
+    flat = _stack(a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:]) if a.ndim > 2 else [a],
+                  "matrix")
+    asym = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(asym > HERMITICITY_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"matrix {i}: matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
+                         f"> {HERMITICITY_TOL:.3e}")
+    return _herm(flat).reshape(a.shape)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -195,29 +193,25 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
 def _checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
     """The states or POVM elements as one checked, symmetrized, read-only (n, d, d) array.
 
-    One pass with one spectrum call checks that each matrix is square, of the first one's
-    dimension, finite, Hermitian, PSD and, with unit_trace, of trace 1. A failure names the
-    first failing matrix as '<what> <i>: ...' with its first failed check.
+    ``_stack`` checks the format of the whole list first. Then one pass with one
+    spectrum call checks each matrix's values: Hermitian, PSD and, with unit_trace,
+    of trace 1. A value failure names the first failing matrix as '<what> <i>: ...'
+    with its first failed check.
     """
     a = _stack(mats, what)
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():  # zeroed, so no later check reads nan or inf
-        a = np.where(finite[:, None, None], a, 0.0)
     asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     h = _herm(a)
     low = _spectrum(h)[:, -1]
-    ok = finite & (asym <= HERMITICITY_TOL) & (low >= -PSD_TOL)
+    ok = (asym <= HERMITICITY_TOL) & (low >= -PSD_TOL)
     if unit_trace:
         tr = h.trace(axis1=-2, axis2=-1).real
         ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
     if not ok.all():
         i = int(ok.argmin())
-        if not finite[i]:
-            raise ValueError(f"{what} {i}: matrix has non-finite entries")
         if asym[i] > HERMITICITY_TOL:
             raise ValueError(f"{what} {i}: matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
                              f"> {HERMITICITY_TOL:.3e}")
-        if not low[i] >= -PSD_TOL:
+        if low[i] < -PSD_TOL:
             raise ValueError(f"{what} {i}: {what} is not PSD: min eigenvalue {low[i]:.3e}")
         raise ValueError(f"{what} {i}: {what} trace {float(tr[i])!r} is not 1")
     h.flags.writeable = False
@@ -320,35 +314,30 @@ def _cells_to_array(rows, shape: tuple[int, ...]) -> np.ndarray:
 
 def matrix_from_json(doc) -> np.ndarray:
     """Parse the matrix schema produced by :func:`matrix_to_json`."""
-    rows = _rows(doc)
-    return as_complex_matrix(_cells_to_array(rows, (len(rows), len(rows))))
+    return as_complex_matrix(matrices_from_json([doc], "matrix")[0])
 
 
-def matrices_from_json(docs: list, what: str, d: int | None = None) -> np.ndarray:
-    """Parse a list of matrix documents as one complex (n, d, d) array.
+def matrices_from_json(docs: list, what: str) -> np.ndarray | list[np.ndarray]:
+    """Parse a list of matrix documents; only their schema and cell types are checked.
 
-    d defaults to the dimension of the first matrix. The whole list is scanned,
-    converted and checked for finiteness at once. A failure names the first
-    bad matrix as '<what> <i>: ...', with the text :func:`matrix_from_json`
-    gives for it alone, or as '<what> <i> has dimension d_i, expected d' once
-    every matrix parses.
+    The whole list is scanned and converted at once, to one complex (n, d, d)
+    array when every matrix has the same dimension d, else to a list of the
+    matrices. A failure names the first bad document as '<what> <i>: ...'.
+    Dimensions and finiteness are left to the constructor that takes the
+    matrices, whose ``_stack`` names them as it does for any input.
     """
     try:
         rows = [_rows(raw) for raw in docs]
-        dim = d or (len(rows[0]) if rows else 0)
+        dim = len(rows[0]) if rows else 0
         if all(len(r) == dim for r in rows):
-            a = _cells_to_array(chain.from_iterable(rows), (len(rows), dim, dim))
-            if np.isfinite(a).all():
-                return a
+            return _cells_to_array(chain.from_iterable(rows), (len(rows), dim, dim))
     except SchemaError:
         pass
-    mats = []  # the list fails somewhere: go matrix by matrix to name the first failure
+    mats = []  # go document by document: to name the first failure, or for mixed dimensions
     for i, raw in enumerate(docs):
         try:
-            mats.append(matrix_from_json(raw))
-        except ValueError as exc:  # SchemaError and the non-finite check alike
+            rows = _rows(raw)
+            mats.append(_cells_to_array(rows, (len(rows), len(rows))))
+        except SchemaError as exc:
             raise SchemaError(f"{what} {i}: {exc}") from exc
-    try:
-        return _stack(mats, what, d)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return mats

@@ -184,10 +184,12 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     seed) always reproduces the same report bit for bit. The values a seed
     gives differ from versions that sampled round by round; the law does not.
     """
-    integer = isinstance(rounds, (int, np.integer)) and not isinstance(rounds, bool)
-    if not (integer and 1 <= rounds <= np.iinfo(np.int64).max):
+    integer = [isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (rounds, seed)]
+    if not (integer[0] and 1 <= rounds <= np.iinfo(np.int64).max):
         raise ValueError(f"rounds must lie in [1, 2**63 - 1] and be an integer, got {rounds!r}")
-    rounds = int(rounds)
+    if not (integer[1] and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rounds, seed = int(rounds), int(seed)
     probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)

@@ -44,7 +44,7 @@ class CqEnsemble:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)  # a copy: _fill freezes it
         if probs.ndim != 1 or len(probs) != len(self.states) or len(probs) == 0:
             raise ValueError("need one probability per state, at least one item")
         states = _checked_stack(self.states, "state", unit_trace=True)

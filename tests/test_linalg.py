@@ -98,6 +98,19 @@ class TestTraceDistance:
         assert np.array_equal(dist, [1.0, 0.0])
         assert type(trace_distance(KET0, KET1)) is float
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [([[0.5, 0.3], [0.0, 0.5]], "matrix is not Hermitian"),
+         ([[np.nan, 0.0], [0.0, 1.0]], "matrix has non-finite entries")],
+        ids=["not-hermitian", "nan"],
+    )
+    def test_a_stack_names_its_failing_matrix(self, bad, text):
+        stack = np.array([KET0, bad, [[0.5, 0.3], [0.0, 0.5]]])
+        for call in (lambda: trace_distance(KET0, stack), lambda: trace_distance(stack, stack),
+                     lambda: eig_hermitian(stack), lambda: as_hermitian(stack)):
+            with pytest.raises(ValueError, match=f"^matrix 1: {text}"):
+                call()
+
     def test_one_matrix_against_a_stack(self):
         stack = np.array([KET0, KET1, PLUS])
         want = [trace_distance(KET0, s) for s in stack]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -811,3 +812,79 @@ class TestOnePassParse:
         impl = PovmImplementation(Povm(impl.povm.elements), impl.operators)
         cert = certify_gentle(e, impl, GentlenessSpec(0.1, 0.05))
         assert cert.worst_disturbance > 0.0
+
+
+def _json_matrix(m) -> dict:
+    """The matrix document of m, which may hold nan: matrix_to_json refuses it."""
+    rows = np.asarray(m, dtype=complex).tolist()
+    return {"dim": len(rows), "entries": [[[z.real, z.imag] for z in row] for row in rows]}
+
+
+class TestJsonAndConstructorsAgree:
+    """A JSON document fails with the text its constructor gives on the same matrices."""
+
+    BAD = {
+        "nan": [[np.nan, 0.0], [0.0, 1.0]],
+        "not-hermitian": [[0.5, 0.3], [0.0, 0.5]],
+        "not-psd": [[0.5, 0.7], [0.7, 0.5]],
+        "bad-trace": [[0.5, 0.0], [0.0, 0.25]],
+        "dimension": np.diag([1.0, 0.0, 0.0]),
+    }
+
+    @staticmethod
+    def _texts(base, kinds, where, build, parse):
+        """Per ordered pair of kinds: (pair, constructor text, JSON text) where they differ."""
+        differ = []
+        for first, second in itertools.permutations(kinds, 2):
+            mats = list(base)
+            for i, kind in zip(where, (first, second)):
+                mats[i] = kinds[kind]
+            with pytest.raises(ValueError) as api:
+                build(mats)
+            with pytest.raises(SchemaError) as doc:
+                parse([_json_matrix(m) for m in mats])
+            if str(doc.value) != str(api.value):
+                differ.append(((first, second), str(api.value), str(doc.value)))
+        return differ
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 2), (2, 0)])
+    def test_states(self, bb84, where):
+        labels = list(bb84.labels)
+
+        def parse(docs):
+            doc = {"labels": labels, "probs": [0.25] * 4, "states": docs}
+            return ensemble_from_json(json.loads(json.dumps(doc)))  # NaN as a JSON literal
+
+        def build(mats):
+            return CqEnsemble(np.full(4, 0.25), mats, tuple(labels))
+
+        assert self._texts(bb84.states, self.BAD, where, build, parse) == []
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 2), (2, 0)])
+    def test_povm_elements(self, where):
+        elements = gentle_povm(bb84_pair_probe(), 0.05).povm.elements
+        kinds = {k: m for k, m in self.BAD.items() if k != "bad-trace"}
+
+        def parse(docs):
+            return povm_from_json(json.loads(json.dumps({"elements": docs})))
+
+        assert self._texts(elements, kinds, where, Povm, parse) == []
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 2), (2, 0)])
+    def test_implementation_operators(self, where):
+        impl = gentle_povm(bb84_pair_probe(), 0.05)
+        kinds = {"nan": self.BAD["nan"], "dimension": self.BAD["dimension"],
+                 "off-element": 2.0 * impl.operators[0]}
+        povm_doc = povm_to_json(impl.povm)
+
+        def build(ops):
+            try:
+                return PovmImplementation(impl.povm, ops)
+            except ValueError as exc:
+                raise ValueError(f"implementation: {exc}") from exc
+
+        def parse(docs):
+            doc = dict(povm_doc, implementation=docs)
+            return povm_from_json(json.loads(json.dumps(doc)))
+
+        assert self._texts(impl.operators, kinds, where, build, parse) == []

@@ -226,6 +226,19 @@ class TestRunSimulation:
         assert all(type(v) is float for v in rows[0].values())
         assert rows == tradeoff_sweep([0.05], 10, 3)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1, None])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        # True ran as seed 1; 1.5 raised numpy's TypeError
+        with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got "):
+            run_simulation(EveStrategy("w1"), 10, seed)
+
+    def test_numpy_integer_seed_gives_a_plain_json_value(self):
+        # a numpy seed was stored as it came and broke json.dumps of the report
+        rep = run_simulation(EveStrategy("w1"), 10, np.int64(3))
+        assert type(rep.seed) is int
+        want = run_simulation(EveStrategy("w1"), 10, 3).to_json()
+        assert json.dumps(rep.to_json()) == json.dumps(want)
+
     def test_gentle_disturbance_below_certified_alpha(self):
         # certified at (alpha, 0) in per-state mode forces every branch below alpha
         eps = 0.06

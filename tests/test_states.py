@@ -9,6 +9,7 @@ from random_matrices import haar_unitary, random_density
 
 from gentleleak import linalg
 from gentleleak.cloning import (
+    CloningSweep,
     lower_bound_sweep,
     quadratic_coefficients,
     region_sqrt_form,
@@ -134,6 +135,36 @@ def test_nan_fails_public_range_checks(call):
 def test_input_checks_name_what_they_refuse(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _array_constructor(name):
+    """(build, the caller's arrays it takes, its array fields) of a public array constructor."""
+    diag = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    if name == "CqEnsemble":
+        probs, states = np.array([0.5, 0.5]), diag.copy()
+        return lambda: CqEnsemble(probs, states), (probs, states), ("probs", "states")
+    if name == "Povm":
+        return lambda: Povm(diag), (diag,), ("elements",)
+    if name == "PovmImplementation":
+        povm = Povm(diag.copy())
+        return lambda: PovmImplementation(povm, diag), (diag,), ("operators",)
+    columns = tuple(np.linspace(0.0, 0.5, 3) + k for k in range(5))
+    fields = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
+    return lambda: CloningSweep(*columns, 1.0), columns, fields
+
+
+@pytest.mark.parametrize("name", ["CqEnsemble", "Povm", "PovmImplementation", "CloningSweep"])
+def test_constructors_leave_the_callers_arrays_writeable(name):
+    # CqEnsemble froze the caller's probs, CloningSweep all five of its columns
+    build, taken, fields = _array_constructor(name)
+    kept = [a.copy() for a in taken]
+    obj = build()
+    assert all(a.flags.writeable for a in taken)
+    assert all(np.array_equal(a, b) for a, b in zip(taken, kept))
+    for field_name in fields:
+        value = getattr(obj, field_name)
+        assert not value.flags.writeable
+        assert not any(np.shares_memory(value, a) for a in taken)
 
 
 class TestAverageState:

@@ -363,3 +363,15 @@ def test_every_small_float_literal_is_a_named_constant():
             and 0.0 < abs(node.value) < 1e-6 and id(node) not in named
         ]
     assert not loose, loose
+
+
+@pytest.mark.parametrize("text", ["non-finite entries", "expected a square matrix"])
+def test_each_format_text_is_written_once(text):
+    # linalg._stack is the one format check: no other function words its failures
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(gentleleak.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+    ]
+    assert len(found) == 1, found
