@@ -75,6 +75,7 @@ DOCS = {  # the make_inputs.py files are written beside these
 }
 RAW = {"bad.json": b'{"labels": ', "not-utf8.json": b"\xff\xfe{}"}
 BUDGET = "--alpha 0.1 --delta 0.05"
+SATURATED = {"alpha-1": "--alpha 1 --delta 0", "delta-1": "--alpha 0.1 --delta 1"}
 SIM = "--rounds 20000 --seed 7"
 CERTIFY = {"bb84": ["z_basis", "x_basis", "gentle_probe"], "mixed": ["gentle_probe"],
            "six": ["gentle_probe"]}  # ensemble -> the make_inputs.py POVMs it is certified with
@@ -103,6 +104,9 @@ def items() -> dict:
         out[f"figure2:{stem}"] = f"figure2 {path} --grid 101 --out out.csv"
         out[f"depolarize:{stem}"] = f"depolarize {path} --p 0 0.25 0.5 1"
         out[f"interval:{stem}"] = f"interval {path} {BUDGET}"
+        if stem in ("bb84", "qutrit"):  # every measurement is gentle, at d > 1
+            out.update((f"interval:{stem}:{k}", f"interval {path} {budget}")
+                       for k, budget in SATURATED.items())
         for povm in CERTIFY.get(stem, []):
             out[f"certify:{stem}:{povm}"] = f"certify {path} data/{povm}_povm.json {BUDGET}"
     out["certify:average-state"] = out["certify:six:gentle_probe"] + " --mode average-state"

@@ -171,9 +171,14 @@ class CloningSweep(Sequence):
     q_bits: float
 
     def __post_init__(self):
-        columns = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
+        names = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
         # np.array copies, so _fill freezes the sweep's own columns, not the caller's
-        _fill(self, **{name: np.array(getattr(self, name)) for name in columns})
+        columns = {name: np.array(getattr(self, name)) for name in names}
+        for name, column in columns.items():
+            if column.ndim != 1 or len(column) != len(columns["alpha"]):
+                raise ValueError(f"column {name} must be one-dimensional with one entry per "
+                                 f"alpha, got shape {column.shape}")
+        _fill(self, **columns)
 
     def __len__(self) -> int:
         return len(self.alpha)

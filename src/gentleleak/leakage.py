@@ -37,7 +37,7 @@ import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
 from .linalg import (
-    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, matrix_to_json,
+    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _herm, _positive_part, matrix_to_json,
 )
 from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, povm_to_json
 from .states import CqEnsemble
@@ -64,13 +64,19 @@ BOUNDARY_SHARE = 0.95
 SUPPORT_RTOL = 1e-10
 # Slack, in Bloch-vector length, of the smallest-ball test for a point on the sphere.
 BALL_TOL = 1e-12
-# Rounding slacks of the results: how far a lower value may fall below 0, and
-# how far it may exceed the upper value, in an estimate and in an interval.
-NEGATIVE_BITS_SLACK = 1e-9
+# Rounding slack of the results: how far a lower value may exceed the upper
+# value, in an estimate and in an interval.
 CROSSING_SLACK = 1e-12
 # A probe whose largest entry is below this tells no states apart; the search skips it.
 PROBE_FLOOR = 1e-12
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _check_bracket(lower: float, upper: float) -> None:
+    """Refuses ends in bits unless both are finite and 0 <= lower <= upper + CROSSING_SLACK."""
+    # NaN fails every comparison, and an infinite end fails the last one
+    if not 0.0 <= lower <= upper + CROSSING_SLACK < np.inf:
+        raise ValueError(f"invalid interval [{lower}, {upper}]")
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,7 @@ class LeakageEstimate:
     dual: np.ndarray
 
     def __post_init__(self):
-        bits, upper = float(self.bits), float(self.upper_bits)
-        if bits < -NEGATIVE_BITS_SLACK:
-            raise ValueError(f"leakage cannot be negative, got {bits}")
-        if bits > upper + CROSSING_SLACK:
-            raise ValueError(f"lower value {bits} exceeds the certified upper value {upper}")
-        _fill(self, bits=max(bits, 0.0), upper_bits=max(upper, 0.0))
+        _check_bracket(self.bits, self.upper_bits)
 
     def to_json(self) -> dict:
         return {
@@ -342,8 +343,7 @@ class GentleLeakageInterval:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.lower_bits <= self.upper_bits + CROSSING_SLACK:
-            raise ValueError(f"invalid interval [{self.lower_bits}, {self.upper_bits}]")
+        _check_bracket(self.lower_bits, self.upper_bits)
 
     def to_json(self) -> dict:
         return {
@@ -394,28 +394,14 @@ def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakag
     """
     upper = maximal_quantum_leakage(e)
     if spec.alpha >= 1.0 or spec.delta >= 1.0 or e.dim == 1:
-        return GentleLeakageInterval(
-            lower_bits=upper.bits,
-            upper_bits=upper.upper_bits,
-            lower_witness="maximal-leakage-povm",
-            spec=spec,
-            meta={"saturated": True, "upper_iterations": upper.iterations},
-        )
-
-    clone = cloning_lower_bound(e, spec.alpha, upper.bits)
-    search_bits, detail = _gentle_probe_search(e, spec)
-
-    lower = max(clone.lower_bits, search_bits)
-    witness = "cloning-bound" if clone.lower_bits >= search_bits else "gentle-povm-search"
+        lower, witness, clone, meta = upper.bits, "maximal-leakage-povm", None, {"saturated": True}
+    else:
+        clone = cloning_lower_bound(e, spec.alpha, upper.bits)
+        search_bits, detail = _gentle_probe_search(e, spec)
+        lower = max(clone.lower_bits, search_bits)  # the cloning bound wins a tie
+        witness = "cloning-bound" if clone.lower_bits >= search_bits else "gentle-povm-search"
+        meta = {"search_bits": search_bits, "search": detail}
     return GentleLeakageInterval(
-        lower_bits=lower,
-        upper_bits=upper.upper_bits,
-        lower_witness=witness,
-        spec=spec,
-        cloning=clone,
-        meta={
-            "search_bits": search_bits,
-            "search": detail,
-            "upper_iterations": upper.iterations,
-        },
+        lower_bits=lower, upper_bits=upper.upper_bits, lower_witness=witness, spec=spec,
+        cloning=clone, meta={**meta, "upper_iterations": upper.iterations},
     )

@@ -99,7 +99,8 @@ def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
 
     In index order each matrix must be square, of dimension d (by default the
     first matrix's) and finite; the first that is not is named as '<what> <i>: ...'
-    or '<what> <i> has dimension ...'. An (n, d, d) array that passes is returned as it is.
+    or '<what> <i> has dimension ...'. An (n, d, d) array that passes, (0, d, d) included,
+    is returned as it is; an empty list is refused.
     """
     try:
         a = np.asarray(mats, dtype=complex)
@@ -117,6 +118,7 @@ def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
             raise ValueError(f"{what} {i} has dimension {m.shape[0]}, expected {d}")
         if not np.isfinite(m).all():
             raise ValueError(f"{what} {i}: matrix has non-finite entries")
+    raise ValueError(f"{what}: expected at least one matrix")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:

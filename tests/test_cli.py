@@ -289,6 +289,20 @@ class TestLowerBoundCommand:
         code, _ = run_cli(["lower-bound", bb84_file, "--alpha", "1.5"], capsys)
         assert code == 2
 
+    def test_six_state_region_value_lies_above_the_channel_value(self, tmp_path, capsys):
+        # the d = 2 curve is the paper's region value; on the six-state encoding it exceeds
+        # the certified channel value S(alpha) = log2(1 + sqrt(6 alpha (1 - 3 alpha / 2)))
+        kets = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]
+        e = CqEnsemble(np.full(6, 1 / 6), tuple(pure_state(k) for k in kets))
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        code, out = run_cli(["lower-bound", str(path), "--alpha", "0.02", "0.05"], capsys)
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["0.443607", "0.615845"]
+        for alpha, bits in ((0.02, 0.443607), (0.05, 0.615845)):
+            assert bits > np.log2(1.0 + np.sqrt(6.0 * alpha * (1.0 - 1.5 * alpha)))
+
 
 class TestFigure2Command:
     def test_grid_shape(self, bb84_file, capsys):

@@ -10,6 +10,7 @@ from random_matrices import random_density
 from gentleleak.cli import main
 from gentleleak.cloning import (
     CloningBoundResult,
+    CloningSweep,
     cloning_lower_bound,
     lower_bound_sweep,
     min_feasible_p2,
@@ -342,6 +343,19 @@ class TestSweepMatchesReference:
         sweep = lower_bound_sweep(bb84, [0.0, 0.1], 1.0)
         with pytest.raises(ValueError):
             sweep.lower_bits[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "columns, name",
+        [
+            (([0.1, 0.2], [0.1], [0.3], [0.7], [0.0]), "p1_cap"),
+            (([0.1], [0.1], [0.3], [0.7], [0.0, 0.0]), "slack"),
+            ((0.1, [0.1], [0.3], [0.7], [0.0]), "alpha"),
+            (([0.1], [0.1], [[0.3]], [0.7], [0.0]), "p2_star"),
+        ],
+    )
+    def test_columns_of_one_length_or_the_first_other_is_named(self, columns, name):
+        with pytest.raises(ValueError, match=f"^column {name} must be one-dimensional"):
+            CloningSweep(*columns, 1.0)
 
     def test_first_bad_alpha_is_named(self, bb84):
         with pytest.raises(ValueError, match="got 1.5"):

@@ -179,6 +179,39 @@ class TestMaximalLeakage:
             )
 
 
+def build_estimate(lower, upper):
+    return LeakageEstimate(lower, upper, 1, projective_povm(np.eye(2)).povm, np.eye(2))
+
+
+def build_interval(lower, upper):
+    return GentleLeakageInterval(lower, upper, "cloning-bound", GentlenessSpec(0.1, 0.1))
+
+
+class TestBracketCheck:
+    """LeakageEstimate and GentleLeakageInterval share one check of their two ends."""
+
+    @pytest.mark.parametrize("build", [build_estimate, build_interval])
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (np.nan, 1.0), (0.2, np.nan), (np.inf, 1.0), (-np.inf, 1.0), (0.2, np.inf),
+            (0.2, -np.inf), (np.inf, np.inf),
+            # a lower value below 0 is refused, however close to 0
+            (-1e-9, 1.0), (-1e-12, 0.0),
+            (0.5, 0.5 - 2e-12),
+        ],
+    )
+    def test_refuses_ends_not_finite_and_ordered(self, build, lower, upper):
+        with pytest.raises(ValueError, match=r"^invalid interval \["):
+            build(lower, upper)
+
+    @pytest.mark.parametrize("build", [build_estimate, build_interval])
+    @pytest.mark.parametrize("lower, upper", [(0.0, 0.0), (0.2, 1.0), (0.5 + 1e-12, 0.5)])
+    def test_keeps_valid_ends_as_given(self, build, lower, upper):
+        built = build(lower, upper)
+        assert [getattr(built, f.name) for f in dataclasses.fields(built)[:2]] == [lower, upper]
+
+
 def trine_ensemble():
     angles = 2.0 * np.pi * np.arange(3) / 3.0
     states = tuple(pure_state([np.cos(a), np.sin(a)]) for a in angles)
@@ -652,6 +685,34 @@ class TestGentleInterval:
         monkeypatch.setattr(leakage, "cloning_lower_bound", inflated)
         with pytest.raises(ValueError, match="invalid interval"):
             gentle_leakage_interval(bb84, GentlenessSpec(0.1, 0.2))
+
+    @staticmethod
+    def pin_cloning_bound(monkeypatch, bits):
+        real = leakage.cloning_lower_bound
+
+        def pinned(e, alpha, q_bits):
+            return dataclasses.replace(real(e, alpha, q_bits), lower_bits=bits)
+
+        monkeypatch.setattr(leakage, "cloning_lower_bound", pinned)
+
+    def test_search_above_the_cloning_bound_is_the_lower_end(self, bb84, monkeypatch):
+        spec = GentlenessSpec(0.1, 0.05)
+        search_bits, _ = leakage._gentle_probe_search(bb84, spec)
+        self.pin_cloning_bound(monkeypatch, 0.0)
+        iv = gentle_leakage_interval(bb84, spec)
+        assert iv.lower_bits == iv.meta["search_bits"] == search_bits > 0.0
+        assert iv.lower_witness == "gentle-povm-search"
+        doc = iv.to_json()
+        assert doc["cloning"] == iv.cloning.to_json() and doc["cloning"]["lower_bits"] == 0.0
+        assert list(doc["meta"]) == ["search_bits", "search", "upper_iterations"]
+
+    def test_a_tie_goes_to_the_cloning_bound(self, bb84, monkeypatch):
+        spec = GentlenessSpec(0.1, 0.05)
+        search_bits, _ = leakage._gentle_probe_search(bb84, spec)
+        self.pin_cloning_bound(monkeypatch, search_bits)
+        iv = gentle_leakage_interval(bb84, spec)
+        assert iv.lower_bits == iv.cloning.lower_bits == search_bits
+        assert iv.lower_witness == "cloning-bound"
 
 
 class TestIntervalProperties:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from random_matrices import haar_unitary, random_density, random_hermitian
 
+from gentleleak import linalg
 from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
@@ -171,6 +172,15 @@ class TestPsd:
         assert np.allclose(psd_inv_sqrt(stack), [np.diag([0.5, 1 / 3]), np.diag([1.0, 2.0])])
         with pytest.raises(NotPsdError, match="zero"):
             psd_inv_sqrt(np.array([np.eye(2), np.zeros((2, 2))]))
+
+
+class TestStack:
+    def test_an_empty_list_is_refused(self):
+        with pytest.raises(ValueError, match="^state: expected at least one matrix$"):
+            linalg._stack([], "state")
+
+    def test_an_empty_stack_passes(self):
+        assert linalg._stack(np.zeros((0, 2, 2)), "state").shape == (0, 2, 2)
 
 
 class TestHermitize:
