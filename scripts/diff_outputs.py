@@ -7,7 +7,8 @@ OTHER_TREE is another checkout, e.g. from `git worktree add /tmp/parent HEAD~1`.
 runs in one subprocess with PYTHONPATH=<tree>/src that calls gentleleak.cli.main per item
 and records the exit code, stdout, stderr and --out bytes. Both run in one temporary
 directory on relative paths, so a text that echoes a path compares equal. Prints the first
-differing bytes of each item, this tree's first; exits 1 if an item no --expect names differs.
+differing bytes of each item, this tree's first; exits 1 if an item no --expect names differs
+or an item an --expect names does not.
 """
 
 import argparse
@@ -76,6 +77,11 @@ DOCS = {  # the make_inputs.py files are written beside these
 RAW = {"bad.json": b'{"labels": ', "not-utf8.json": b"\xff\xfe{}"}
 BUDGET = "--alpha 0.1 --delta 0.05"
 SATURATED = {"alpha-1": "--alpha 1 --delta 0", "delta-1": "--alpha 0.1 --delta 1"}
+INTERVALS = {  # more interval budgets, per input stem
+    "bb84": SATURATED, "qutrit": SATURATED,  # every measurement is gentle, at d > 1
+    # the paper's d = 2 region value, above the six-state channel value (ROADMAP item 15)
+    "six": {"alpha-0.02": "--alpha 0.02 --delta 0", "alpha-0.05": "--alpha 0.05 --delta 0"},
+}
 SIM = "--rounds 20000 --seed 7"
 CERTIFY = {"bb84": ["z_basis", "x_basis", "gentle_probe"], "mixed": ["gentle_probe"],
            "six": ["gentle_probe"]}  # ensemble -> the make_inputs.py POVMs it is certified with
@@ -104,9 +110,8 @@ def items() -> dict:
         out[f"figure2:{stem}"] = f"figure2 {path} --grid 101 --out out.csv"
         out[f"depolarize:{stem}"] = f"depolarize {path} --p 0 0.25 0.5 1"
         out[f"interval:{stem}"] = f"interval {path} {BUDGET}"
-        if stem in ("bb84", "qutrit"):  # every measurement is gentle, at d > 1
-            out.update((f"interval:{stem}:{k}", f"interval {path} {budget}")
-                       for k, budget in SATURATED.items())
+        out.update((f"interval:{stem}:{k}", f"interval {path} {budget}")
+                   for k, budget in INTERVALS.get(stem, {}).items())
         for povm in CERTIFY.get(stem, []):
             out[f"certify:{stem}:{povm}"] = f"certify {path} data/{povm}_povm.json {BUDGET}"
     out["certify:average-state"] = out["certify:six:gentle_probe"] + " --mode average-state"
@@ -161,10 +166,12 @@ def main(argv=None) -> int:
     differ = {name: where for name in todo if (where := first_difference(mine[name], theirs[name]))}
     for name, where in differ.items():
         print(f"{name}: {'expected, ' if name in args.expect else ''}{where}")
+    for name in (stale := sorted(set(args.expect) - set(differ))):
+        print(f"{name}: expected to differ, but byte-identical")
     unexpected = len(set(differ) - set(args.expect))
     print(f"{len(todo)} items: {len(todo) - len(differ)} byte-identical, {len(differ)} differ "
           f"({unexpected} unexpected)")
-    return 1 if unexpected else 0
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ built only when asked for.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,28 +131,24 @@ def min_feasible_p2(p1: float, d: int) -> float:
     return min(max(root_lo if d == 2 else root_hi, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CloningBoundResult:
-    """Solution of the leakage lower-bound program at a disturbance level alpha."""
+    """Solution of the leakage lower-bound program at a level alpha; its JSON is its fields."""
 
+    alpha: float
     p2_star: float
     lower_bits: float
-    feasible: bool  # always True: tradeoff_p2 gives a p2 in [0, 1] at every p1
+    feasible: bool = True  # always True: tradeoff_p2 gives a p2 in [0, 1] at every p1
     p1_cap: float
-    alpha: float
     q_bits: float
     slack: float  # quadratic-form value at the optimum: ~0 at d = 2, negative for d >= 3
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "p2_star": self.p2_star,
-            "lower_bits": self.lower_bits,
-            "feasible": self.feasible,
-            "p1_cap": self.p1_cap,
-            "q_bits": self.q_bits,
-            "slack": self.slack,
-        }
+        return asdict(self)
+
+
+# The per-alpha columns of a CloningSweep, in the order its check names them.
+SWEEP_COLUMNS = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +167,8 @@ class CloningSweep(Sequence):
     q_bits: float
 
     def __post_init__(self):
-        names = ("alpha", "p1_cap", "p2_star", "lower_bits", "slack")
         # np.array copies, so _fill freezes the sweep's own columns, not the caller's
-        columns = {name: np.array(getattr(self, name)) for name in names}
+        columns = {name: np.array(getattr(self, name)) for name in SWEEP_COLUMNS}
         for name, column in columns.items():
             if column.ndim != 1 or len(column) != len(columns["alpha"]):
                 raise ValueError(f"column {name} must be one-dimensional with one entry per "
@@ -184,15 +179,8 @@ class CloningSweep(Sequence):
         return len(self.alpha)
 
     def __getitem__(self, i: int) -> CloningBoundResult:
-        return CloningBoundResult(
-            p2_star=float(self.p2_star[i]),
-            lower_bits=float(self.lower_bits[i]),
-            feasible=True,
-            p1_cap=float(self.p1_cap[i]),
-            alpha=float(self.alpha[i]),
-            q_bits=self.q_bits,
-            slack=float(self.slack[i]),
-        )
+        row = {name: float(getattr(self, name)[i]) for name in SWEEP_COLUMNS}
+        return CloningBoundResult(**row, q_bits=self.q_bits)
 
 
 def tradeoff_p2(p1, d: int):

@@ -31,13 +31,13 @@ search over certified gentle probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
 from .linalg import (
-    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _herm, _positive_part, matrix_to_json,
+    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, matrix_to_json
 )
 from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, povm_to_json
 from .states import CqEnsemble
@@ -333,28 +333,26 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
 
 @dataclass(frozen=True)
 class GentleLeakageInterval:
-    """Bracket on the leakage achievable by (alpha, delta)-gentle measurements."""
+    """Bracket on the leakage achievable by (alpha, delta)-gentle measurements.
+
+    It keeps the alpha and delta of the spec it is built from; its JSON is its fields.
+    """
 
     lower_bits: float
     upper_bits: float
     lower_witness: str  # 'cloning-bound', 'gentle-povm-search' or 'maximal-leakage-povm'
-    spec: GentlenessSpec
+    spec: InitVar[GentlenessSpec]
+    alpha: float = field(init=False)
+    delta: float = field(init=False)
     cloning: CloningBoundResult | None = None
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    def __post_init__(self, spec: GentlenessSpec):
         _check_bracket(self.lower_bits, self.upper_bits)
+        _fill(self, alpha=spec.alpha, delta=spec.delta)
 
     def to_json(self) -> dict:
-        return {
-            "lower_bits": self.lower_bits,
-            "upper_bits": self.upper_bits,
-            "lower_witness": self.lower_witness,
-            "alpha": self.spec.alpha,
-            "delta": self.spec.delta,
-            "cloning": self.cloning.to_json() if self.cloning else None,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, dict]:

@@ -14,6 +14,7 @@ unitary, Born tables, post-measurement states) is not checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -129,16 +130,20 @@ class PovmImplementation:
 
 @dataclass(frozen=True)
 class GentlenessSpec:
-    """Detection-avoidance budget: disturbance cap alpha, exception probability delta."""
+    """Detection-avoidance budget: disturbance cap alpha, exception probability delta.
+
+    Each is a real number in [0, 1], not a bool, and is stored as a Python float.
+    """
 
     alpha: float
     delta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        for name in ("alpha", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            _fill(self, **{name: float(value)})
 
 
 def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cache
+from numbers import Real
 
 import numpy as np
 
@@ -56,7 +57,8 @@ class EveStrategy:
     w1 tosses a fair coin between the Z and X bases each round; w2 always
     measures in the X basis; 'gentle' applies the three-outcome weak probe of
     ``default_gentle_probe()`` at strength ``epsilon`` in [0, MAX_EPSILON].
-    Every other kind takes no strength: its ``epsilon`` must stay 0.
+    Every other kind takes no strength: its ``epsilon`` must stay 0. A strength
+    is a real number, not a bool, and is stored as a Python float.
     """
 
     kind: str
@@ -65,12 +67,14 @@ class EveStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
-        if self.kind == "gentle" and not 0.0 <= self.epsilon <= MAX_EPSILON:
-            raise ValueError(f"gentle epsilon must be in [0, {MAX_EPSILON}], got {self.epsilon}")
-        if self.kind != "gentle" and self.epsilon != 0.0:
-            raise ValueError(
-                f"epsilon applies only to the gentle strategy, got {self.epsilon} for {self.kind!r}"
-            )
+        eps = self.epsilon
+        real = isinstance(eps, Real) and not isinstance(eps, bool)
+        if self.kind == "gentle" and not (real and 0.0 <= eps <= MAX_EPSILON):
+            raise ValueError(f"gentle epsilon must be in [0, {MAX_EPSILON}], got {eps!r}")
+        if self.kind != "gentle" and not (real and eps == 0.0):
+            raise ValueError(f"epsilon applies only to the gentle strategy, got {eps!r} "
+                             f"for {self.kind!r}")
+        _fill(self, epsilon=float(eps))
 
     @classmethod
     def gentle(cls, epsilon: float) -> "EveStrategy":

@@ -562,6 +562,25 @@ class TestIntervalCommand:
         assert doc["lower_bits"] >= 0.7608 - 5e-4
         assert doc["upper_bits"] >= doc["lower_bits"]
 
+    INTERVAL_KEYS = ["lower_bits", "upper_bits", "lower_witness", "alpha", "delta", "cloning",
+                     "meta"]
+
+    def test_json_keys(self, bb84_file, capsys):
+        code, out = run_cli(["interval", bb84_file, "--alpha", "0.1", "--delta", "0.05"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == self.INTERVAL_KEYS
+        assert list(doc["cloning"]) == [
+            "alpha", "p2_star", "lower_bits", "feasible", "p1_cap", "q_bits", "slack"
+        ]
+
+    def test_json_keys_when_saturated(self, bb84_file, capsys):
+        code, out = run_cli(["interval", bb84_file, "--alpha", "1", "--delta", "0"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == self.INTERVAL_KEYS
+        assert doc["cloning"] is None
+
     def test_one_dimensional_ensemble_is_zero(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         doc = {"labels": ["a", "b"], "probs": [0.5, 0.5], "states": [ONE_BY_ONE, ONE_BY_ONE]}

@@ -78,7 +78,8 @@ def reference_sweep(e, alphas, q_bits):
             p2 = float(max(amp, 0.0)) ** 2
         slack = a * (cap * cap + p2 * p2) + 2.0 * b * cap * p2 + c * (cap + p2) + 3.0
         bits = q_bits if p2 == 0.0 else float(np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
-        rows.append(CloningBoundResult(p2, bits, True, cap, alpha, q_bits, slack))
+        rows.append(CloningBoundResult(alpha=alpha, p2_star=p2, lower_bits=bits, p1_cap=cap,
+                                       q_bits=q_bits, slack=slack))
     return rows
 
 
@@ -211,6 +212,14 @@ class TestLowerBound:
         assert r.p2_star == pytest.approx((2.4 - np.sqrt(3.2)) / 2.0, abs=1e-9)
         assert r.lower_bits == pytest.approx(0.76082, abs=5e-4)
         assert r.slack <= 1e-9
+
+    def test_rows_are_built_by_keyword(self, bb84):
+        r = cloning_lower_bound(bb84, 0.1, 1.0)
+        with pytest.raises(TypeError):
+            CloningBoundResult(r.alpha, r.p2_star, r.lower_bits, True, r.p1_cap, 1.0, r.slack)
+        fields = dict(alpha=r.alpha, p2_star=r.p2_star, lower_bits=r.lower_bits,
+                      p1_cap=r.p1_cap, q_bits=1.0, slack=r.slack)
+        assert CloningBoundResult(**fields) == r
 
     def test_saturation_above_half(self, bb84):
         r = cloning_lower_bound(bb84, 0.5, 1.0)

@@ -626,6 +626,14 @@ class TestUnitaryInvariance:
 
 
 class TestGentleInterval:
+    def test_json_is_the_fields_in_order(self, bb84):
+        iv = gentle_leakage_interval(bb84, GentlenessSpec(np.float32(0.1), 0.05))
+        assert (iv.alpha, iv.delta) == (float(np.float32(0.1)), 0.05)
+        doc = json.loads(json.dumps(iv.to_json()))
+        assert list(doc) == [f.name for f in dataclasses.fields(iv)]
+        assert doc["cloning"] == iv.cloning.to_json()
+        assert (doc["alpha"], doc["delta"]) == (iv.alpha, iv.delta)
+
     def test_saturates_at_alpha_one(self, bb84):
         iv = gentle_leakage_interval(bb84, GentlenessSpec(1.0, 0.3))
         assert iv.lower_bits == iv.upper_bits

@@ -75,6 +75,20 @@ class TestPovmTypes:
         with pytest.raises(ValueError):
             GentlenessSpec(0.1, 1.5)
 
+    @pytest.mark.parametrize("alpha, delta, name", [
+        (True, 0.05, "alpha"), (0.1, False, "delta"), (np.True_, 0.05, "alpha"),
+        ("0.1", 0.05, "alpha"), (0.1, None, "delta"), (0.1j, 0.05, "alpha"),
+        (np.array(0.1), 0.05, "alpha"),
+    ])
+    def test_gentleness_spec_refuses_bools_and_non_reals(self, alpha, delta, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got "):
+            GentlenessSpec(alpha, delta)
+
+    def test_gentleness_spec_stores_python_floats(self):
+        spec = GentlenessSpec(np.float32(0.1), 1)
+        assert (type(spec.alpha), type(spec.delta)) == (float, float)
+        assert (spec.alpha, spec.delta) == (float(np.float32(0.1)), 1.0)
+
 
 class TestStackedChecks:
     """Each constructor checks its matrices as one stack and names the first bad index."""

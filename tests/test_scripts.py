@@ -116,3 +116,10 @@ class TestDiffOutputs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("leakage:not-utf8: expected, stderr at byte ")
         assert proc.stdout.endswith(" 1 differ (0 unexpected)\n")
+
+    def test_a_stale_expectation_fails(self):
+        proc = self.diff(ROOT, "leakage:bb84")
+        assert proc.returncode == 1, proc.stderr
+        first, last = proc.stdout.splitlines()
+        assert first == "leakage:bb84: expected to differ, but byte-identical"
+        assert re.fullmatch(r"(\d+) items: \1 byte-identical, 0 differ \(0 unexpected\)", last)

@@ -333,6 +333,24 @@ class TestStrategyPlumbing:
             EveStrategy(kind, 0.5)
         assert EveStrategy(kind).describe() == {"kind": kind}
 
+    @pytest.mark.parametrize("epsilon", [False, np.False_, "0.05", None, 0.05j])
+    def test_gentle_epsilon_is_a_real_number(self, epsilon):
+        with pytest.raises(ValueError, match=r"^gentle epsilon must be in \[0, 0.1\], got "):
+            EveStrategy("gentle", epsilon)
+
+    @pytest.mark.parametrize("epsilon", [False, np.False_, None])
+    def test_no_strength_is_not_a_bool_either(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon applies only to the gentle strategy"):
+            EveStrategy("w1", epsilon)
+
+    def test_strength_is_stored_as_a_float(self):
+        strategy = EveStrategy("gentle", np.float32(0.05))
+        assert type(strategy.epsilon) is float and strategy.epsilon == float(np.float32(0.05))
+        assert type(EveStrategy("w2", np.int64(0)).epsilon) is float
+        doc = run_simulation(strategy, 100, 1).to_json()
+        assert json.loads(json.dumps(doc))["strategy"] == {"kind": "gentle",
+                                                           "epsilon": strategy.epsilon}
+
     def test_default_probe_is_valid_contraction(self):
         m = default_gentle_probe()
         w = np.linalg.eigvalsh(m)
