@@ -96,6 +96,14 @@ ERRORS = {
     "leakage:unwritable-out": "leakage data/bb84.json --out missing/out.json",
     "simulate:w1-epsilon": "simulate --strategy w1 --epsilon 0.05",
     "figure2:grid-1": "figure2 data/bb84.json --grid 1",
+    # the range errors of real parameters, each printed by the one check
+    "interval:alpha-1.5": "interval data/bb84.json --alpha 1.5 --delta 0",
+    "certify:delta-nan": "certify data/bb84.json data/gentle_probe_povm.json"
+                         " --alpha 0.1 --delta nan",
+    "lower-bound:alpha-2": "lower-bound data/bb84.json --alpha 0.1 2",
+    "depolarize:p-1.5": "depolarize data/bb84.json --p 0.5 1.5",
+    "simulate:epsilon-0.5": "simulate --strategy gentle --epsilon 0.5",
+    "tradeoff:epsilon-nan": "tradeoff --epsilon 0 nan",
 }
 
 

@@ -11,7 +11,6 @@ from .cloning import (
 from .leakage import (
     GentleLeakageInterval,
     LeakageEstimate,
-    depolarized_leakage,
     gentle_leakage_interval,
     leakage_upper_bound,
     maximal_quantum_leakage,
@@ -50,6 +49,7 @@ from .states import (
     average_state,
     bb84_ensemble,
     depolarize,
+    depolarized_leakage,
     ensemble_from_json,
     ensemble_to_json,
     pure_state,

@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from .cloning import CloningSweep, lower_bound_sweep
-from .leakage import depolarized_leakage, gentle_leakage_interval, maximal_quantum_leakage
+from .leakage import gentle_leakage_interval, maximal_quantum_leakage
 from .linalg import ConvergenceError, SchemaError
 from .measurements import MODES, GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import STRATEGY_KINDS, EveStrategy, run_simulation, tradeoff_sweep
-from .states import depolarize, ensemble_from_json
+from .states import depolarize, depolarized_leakage, ensemble_from_json
 
 __all__ = ["main", "sweep_csv", "tradeoff_csv"]
 

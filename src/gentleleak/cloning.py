@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _fill
-from .states import CqEnsemble
+from .linalg import _eigh, _fill, _real
+from .states import CqEnsemble, _depolarized_bits
 
 __all__ = [
     "CloningBoundResult",
@@ -63,10 +63,17 @@ FEAS_TOL = 1e-12
 SPREAD_FLOOR = 1e-12
 
 
-def quadratic_coefficients(d: int) -> tuple[float, float, float]:
-    """(diagonal a, off-diagonal b, linear c) of the quadratic feasibility form."""
+def _check_dimension(d) -> None:
+    """Refuses a dimension d unless it is an integer (not a bool) of at least 2."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValueError(f"dimension must be at least 2 and an integer, got {d!r}")
     if d < 2:
         raise ValueError("dimension must be at least 2")
+
+
+def quadratic_coefficients(d: int) -> tuple[float, float, float]:
+    """(diagonal a, off-diagonal b, linear c) of the quadratic feasibility form."""
+    _check_dimension(d)
     a = 2.0 * d * d - 1.0 - d**4 / 4.0
     b = 1.0 - d**4 / 4.0
     c = -2.0 - d * d
@@ -94,8 +101,7 @@ def region_sqrt_form(p1, p2, d: int):
     defined and satisfied are False there and lhs_minus_rhs is NaN.
     """
     _check_point(p1, p2)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dimension(d)
     # np.float_power calls libm pow, as a float's ** 2 does; an array's ** 2
     # multiplies instead, which can differ in the last bit
     disc = d * d * np.float_power(p1 - p2, 2.0) - 4.0 * (1.0 - p1) * (1.0 - p2)
@@ -125,9 +131,7 @@ def min_feasible_p2(p1: float, d: int) -> float:
     Some p2 is always feasible (see the module docstring): the answer is the
     lower root of q(p1, .) at d = 2 and the upper root at d >= 3, clipped to [0, 1].
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    root_lo, root_hi = _p2_roots(p1, d)
+    root_lo, root_hi = _p2_roots(_real(p1, "p1"), d)
     return min(max(root_lo if d == 2 else root_hi, 0.0), 1.0)
 
 
@@ -173,7 +177,7 @@ class CloningSweep(Sequence):
             if column.ndim != 1 or len(column) != len(columns["alpha"]):
                 raise ValueError(f"column {name} must be one-dimensional with one entry per "
                                  f"alpha, got shape {column.shape}")
-        _fill(self, **columns)
+        _fill(self, **columns, q_bits=_real(self.q_bits, "q_bits", np.inf))
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -194,13 +198,10 @@ def tradeoff_p2(p1, d: int):
     p1, give p2 = 1 at p1 = 0 and p2 = 0 at p1 = 1. Works elementwise: a float
     p1 in [0, 1] gives a float, an array gives an array.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if not np.all((0.0 <= p1) & (p1 <= 1.0)):
-        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
+    _check_dimension(d)
+    p1 = _real(p1, "p1", grid=True)
     if d == 2:
-        root_lo, _ = _p2_roots(p1, 2)
-        p2 = np.minimum(np.maximum(root_lo, 0.0), 1.0)
+        p2 = np.minimum(np.maximum(_p2_roots(p1, 2)[0], 0.0), 1.0)
     else:
         a = np.sqrt(1.0 - p1 * (1.0 - 1.0 / (d * d))) - np.sqrt(p1) / d
         # a < 0 only by rounding at p1 = 1; libm pow, as in region_sqrt_form
@@ -219,28 +220,22 @@ def lower_bound_sweep(e: CqEnsemble, alphas, q_bits: float) -> CloningSweep:
     Keeping the receiver-branch disturbance p1 ||I/d - rho^x||_1n below alpha for
     every state caps p1 at alpha / max_x ||I/d - rho^x||_1n (at most 1; a
     maximally mixed ensemble constrains nothing). Since tradeoff_p2 never
-    increases in p1, the optimum is p1* = cap and p2* = tradeoff_p2(cap, d),
-    and lower_bits = log2(p2* + (1 - p2*) 2^q_bits). The whole grid is one
+    increases in p1, the optimum is p1* = cap and p2* = tradeoff_p2(cap, d).
+    Eve's copy is her input depolarized by p2*, so lower_bits is
+    depolarized_leakage(q_bits, p2*): the paper's noise law. The whole grid is one
     array pass: one stacked eigendecomposition for the cap, then cap, p2*,
     the quadratic-form slack and the bits as columns of a CloningSweep, in the
     order the alphas are given.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("alphas must be a one-dimensional sequence")
-    outside = ~((0.0 <= alphas) & (alphas <= 1.0))
-    if outside.any():
-        raise ValueError(f"alpha must be in [0, 1], got {float(alphas[outside.argmax()])}")
-    if not 0.0 <= q_bits < np.inf:
-        raise ValueError(f"q_bits must be non-negative and finite, got {q_bits}")
+    alphas = _real(alphas, "alpha", grid=True)  # CloningSweep checks that they are one-dimensional
+    q_bits = _real(q_bits, "q_bits", np.inf)
     d = e.dim
     w, _ = _eigh(np.eye(d) / d - e.states)
     spread = 0.5 * float(np.max(np.sum(np.abs(w), axis=-1)))
     cap = np.minimum(alphas / spread, 1.0) if spread > SPREAD_FLOOR else np.ones_like(alphas)
     p2 = tradeoff_p2(cap, d)
     _, slack = region_quadratic_form(cap, p2, d)
-    bits = np.where(p2 == 0.0, q_bits, np.log2(p2 + (1.0 - p2) * 2.0**q_bits))
-    return CloningSweep(alphas, cap, p2, bits, slack, q_bits)
+    return CloningSweep(alphas, cap, p2, _depolarized_bits(q_bits, p2), slack, q_bits)
 
 
 def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:

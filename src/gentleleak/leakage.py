@@ -40,7 +40,7 @@ from .linalg import (
     CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, matrix_to_json
 )
 from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, povm_to_json
-from .states import CqEnsemble
+from .states import CqEnsemble, depolarized_leakage
 
 __all__ = [
     "LeakageEstimate",
@@ -136,17 +136,6 @@ def _sibson(mat: np.ndarray) -> float:
 def leakage_upper_bound(e: CqEnsemble) -> float:
     """Cardinality/dimension cap log2 min(|X|, d): Y = I is dual-feasible."""
     return float(np.log2(min(len(e), e.dim)))
-
-
-def depolarized_leakage(base_bits: float, p: float) -> float:
-    """Leakage after global depolarizing noise: log2(p + (1-p) 2^base_bits)."""
-    if not 0.0 <= base_bits < np.inf:
-        raise ValueError(f"base_bits must be non-negative and finite, got {base_bits}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
-    if p == 0.0:
-        return float(base_bits)
-    return float(np.log2(p + (1.0 - p) * 2.0**base_bits))
 
 
 def _povm(h: np.ndarray) -> np.ndarray:

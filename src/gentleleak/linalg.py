@@ -7,10 +7,10 @@ a JSON list of matrices: its schema and cell types, in one pass.
 
 A public function is its check plus a private kernel that checks nothing, and
 inside the package a value derived from checked values goes to the kernel: it
-is checked once, where it enters, against a tolerance of the block below.
-Input matrices are checked in two stages: ``_stack``, the one format check, names
-the first matrix of a list that is not square, of one dimension and finite, and
-``_checked_stack`` then checks each state's or POVM element's values.
+is checked once, where it enters, against a tolerance of the block below. A real
+parameter is checked by ``_real``; input matrices in two stages: ``_stack``, the one
+format check, names the first matrix of a list that is not square, of one dimension
+and finite, and ``_checked_stack`` then checks each state's or POVM element's values.
 :func:`as_hermitian` checks and then symmetrizes with ``_herm``;
 :func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
 output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -119,6 +120,26 @@ def _stack(mats, what: str, d: int | None = None) -> np.ndarray:
         if not np.isfinite(m).all():
             raise ValueError(f"{what} {i}: matrix has non-finite entries")
     raise ValueError(f"{what}: expected at least one matrix")
+
+
+def _real(x, name: str, hi: float = 1, grid: bool = False):
+    """A real parameter x in [0, hi] as a float, or with grid, a list or array of them as float64.
+
+    A value is a real number, not a bool, and finite where hi is inf; a list with
+    a bool among numbers is refused whole. The first value refused is named as
+    '<name> must be in [0, hi], got <value>'.
+    """
+    if isinstance(x, Real) and not isinstance(x, bool):  # scalars stay off numpy
+        if 0 <= x <= hi and x < math.inf:
+            return float(x)
+    elif grid and (a := np.asarray(x)).dtype.kind in "iuf" and not (  # ints and floats
+            isinstance(x, (list, tuple)) and {bool, np.bool_} & set(map(type, x))):  # no bools
+        inside = (0 <= a) & (a <= hi) & (a < math.inf)
+        if inside.all():
+            return a.astype(float, copy=False)
+        x = float(a.flat[inside.argmin()])
+    span = f"[0, {hi}]" if hi < math.inf else "[0, inf)"
+    raise ValueError(f"{name} must be in {span}, got {x!r}")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:

@@ -14,14 +14,13 @@ unitary, Born tables, post-measurement states) is not checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .linalg import (
     COMPLETENESS_TOL, PROBE_TOL, SchemaError, _checked_stack, _eigh, _fill, _from_eig,
-    _frozen_hermitian, _herm, _spectrum, _stack, as_hermitian, as_unitary, matrices_from_json,
-    matrix_to_json,
+    _frozen_hermitian, _herm, _real, _spectrum, _stack, as_hermitian, as_unitary,
+    matrices_from_json, matrix_to_json,
 )
 from .states import CqEnsemble
 
@@ -130,20 +129,13 @@ class PovmImplementation:
 
 @dataclass(frozen=True)
 class GentlenessSpec:
-    """Detection-avoidance budget: disturbance cap alpha, exception probability delta.
-
-    Each is a real number in [0, 1], not a bool, and is stored as a Python float.
-    """
+    """Detection-avoidance budget: disturbance cap alpha, exception probability delta in [0, 1]."""
 
     alpha: float
     delta: float
 
     def __post_init__(self):
-        for name in ("alpha", "delta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-            _fill(self, **{name: float(value)})
+        _fill(self, alpha=_real(self.alpha, "alpha"), delta=_real(self.delta, "delta"))
 
 
 def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
@@ -300,9 +292,7 @@ def gentle_povm(m, epsilon: float) -> PovmImplementation:
     all Hermitian, so B† B = B B† and the outcome operators sum to I exactly.
     Requires 0 <= M <= I (within ``PROBE_TOL``) and epsilon <= MAX_EPSILON.
     """
-    if not 0.0 <= epsilon <= MAX_EPSILON:
-        raise ValueError(f"epsilon must be in [0, {MAX_EPSILON}], got {epsilon}")
-    return _probe_at(*_probe(m), epsilon)
+    return _probe_at(*_probe(m), _real(epsilon, "epsilon", MAX_EPSILON))
 
 
 def _probe(m) -> tuple[np.ndarray, np.ndarray]:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from numbers import Real
 
 import numpy as np
 
 from .leakage import _sibson
-from .linalg import _fill, _frozen_hermitian, _positive_part
+from .linalg import _fill, _frozen_hermitian, _positive_part, _real
 from .measurements import (
     MAX_EPSILON, Povm, PovmImplementation, _probe_at, _probe_root, collapse, projective_povm,
 )
@@ -57,8 +56,7 @@ class EveStrategy:
     w1 tosses a fair coin between the Z and X bases each round; w2 always
     measures in the X basis; 'gentle' applies the three-outcome weak probe of
     ``default_gentle_probe()`` at strength ``epsilon`` in [0, MAX_EPSILON].
-    Every other kind takes no strength: its ``epsilon`` must stay 0. A strength
-    is a real number, not a bool, and is stored as a Python float.
+    Every other kind takes no strength: its ``epsilon`` must stay 0.
     """
 
     kind: str
@@ -67,14 +65,8 @@ class EveStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
-        eps = self.epsilon
-        real = isinstance(eps, Real) and not isinstance(eps, bool)
-        if self.kind == "gentle" and not (real and 0.0 <= eps <= MAX_EPSILON):
-            raise ValueError(f"gentle epsilon must be in [0, {MAX_EPSILON}], got {eps!r}")
-        if self.kind != "gentle" and not (real and eps == 0.0):
-            raise ValueError(f"epsilon applies only to the gentle strategy, got {eps!r} "
-                             f"for {self.kind!r}")
-        _fill(self, epsilon=float(eps))
+        hi = MAX_EPSILON if self.kind == "gentle" else 0
+        _fill(self, epsilon=_real(self.epsilon, f"{self.kind} epsilon", hi))
 
     @classmethod
     def gentle(cls, epsilon: float) -> "EveStrategy":
@@ -220,7 +212,7 @@ def tradeoff_sweep(epsilons, rounds: int, seed: int) -> list[dict]:
     run_simulation(EveStrategy.gentle(eps), rounds, seed) call, so it holds
     that report's fields.
     """
-    reports = [run_simulation(EveStrategy.gentle(float(eps)), rounds, seed) for eps in epsilons]
+    reports = [run_simulation(EveStrategy.gentle(eps), rounds, seed) for eps in epsilons]
     return [
         {"epsilon": rep.strategy["epsilon"], "qber": rep.qber,
          "leakage_bits": rep.eve_leakage_bits, "mean_disturbance": rep.mean_disturbance}

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm, as_unitary,
-    matrices_from_json, matrix_to_json,
+    UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm, _real,
+    as_unitary, matrices_from_json, matrix_to_json,
 )
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "average_state",
     "apply_unitary",
     "depolarize",
+    "depolarized_leakage",
     "unitary_disturbance",
     "bb84_ensemble",
     "ket",
@@ -116,11 +117,22 @@ def apply_unitary(e: CqEnsemble, u) -> CqEnsemble:
 
 def depolarize(e: CqEnsemble, p: float) -> CqEnsemble:
     """Apply the global depolarizing channel rho -> p I/d + (1-p) rho to every state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
-    d = e.dim
-    eye = np.eye(d, dtype=complex)
-    return _with_states(e, p * eye / d + (1.0 - p) * e.states)
+    p = _real(p, "depolarizing parameter")
+    return _with_states(e, p * np.eye(e.dim) / e.dim + (1.0 - p) * e.states)
+
+
+def depolarized_leakage(base_bits: float, p: float) -> float:
+    """Leakage after ``depolarize`` at p of an ensemble that leaks base_bits: the noise law.
+
+    That is log2(p + (1-p) 2^base_bits), and the cloning bound applies it to Eve's copy.
+    """
+    bits = _real(base_bits, "base_bits", np.inf)
+    return float(_depolarized_bits(bits, _real(p, "depolarizing parameter")))
+
+
+def _depolarized_bits(bits, p):
+    """depolarized_leakage elementwise, exactly bits at p = 0; not checked."""
+    return np.where(p == 0.0, bits, np.log2(p + (1.0 - p) * 2.0**bits))[()]
 
 
 def unitary_disturbance(e: CqEnsemble, u) -> float:

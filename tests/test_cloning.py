@@ -304,13 +304,13 @@ class TestTradeoffP2:
 
     @pytest.mark.parametrize("p1", [-0.1, 1.5, float("nan")])
     def test_rejects_p1_outside_unit_interval(self, p1):
-        with pytest.raises(ValueError, match="p1 must lie in"):
+        with pytest.raises(ValueError, match=r"^p1 must be in \[0, 1\], got "):
             tradeoff_p2(p1, 2)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p1", [1.5, -0.5, float("nan")])
     def test_min_feasible_p2_rejects_p1_outside_unit_interval(self, p1, d):
-        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^p1 must be in \[0, 1\], got "):
             min_feasible_p2(p1, d)
 
 

@@ -340,7 +340,7 @@ class TestStrategyPlumbing:
 
     @pytest.mark.parametrize("epsilon", [False, np.False_, None])
     def test_no_strength_is_not_a_bool_either(self, epsilon):
-        with pytest.raises(ValueError, match="^epsilon applies only to the gentle strategy"):
+        with pytest.raises(ValueError, match=r"^w1 epsilon must be in \[0, 0\], got "):
             EveStrategy("w1", epsilon)
 
     def test_strength_is_stored_as_a_float(self):

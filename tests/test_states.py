@@ -10,19 +10,25 @@ from random_matrices import haar_unitary, random_density
 from gentleleak import linalg
 from gentleleak.cloning import (
     CloningSweep,
+    cloning_lower_bound,
     lower_bound_sweep,
+    min_feasible_p2,
     quadratic_coefficients,
     region_sqrt_form,
     tradeoff_p2,
 )
-from gentleleak.leakage import depolarized_leakage, sibson_infinity
+from gentleleak.leakage import depolarized_leakage, maximal_quantum_leakage, sibson_infinity
 from gentleleak.linalg import SchemaError, as_complex_matrix, as_hermitian, trace_distance
 from gentleleak.measurements import (
     Povm,
     PovmImplementation,
+    gentle_povm,
     post_measurement_state,
+    povm_from_json,
+    povm_to_json,
     projective_povm,
 )
+from gentleleak.simulate import default_gentle_probe, tradeoff_sweep
 from gentleleak.states import (
     CqEnsemble,
     apply_unitary,
@@ -122,6 +128,24 @@ def test_nan_fails_public_range_checks(call):
         (lambda: quadratic_coefficients(1), "dimension must be at least 2"),
         (lambda: region_sqrt_form(0.1, 0.1, 1), "dimension must be at least 2"),
         (lambda: tradeoff_p2(0.1, 1), "dimension must be at least 2"),
+        (lambda: quadratic_coefficients(2.5),
+         r"^dimension must be at least 2 and an integer, got 2.5$"),
+        (lambda: tradeoff_p2(0.3, 2.5), r"^dimension must be at least 2 and an integer, got 2.5$"),
+        (lambda: min_feasible_p2(0.3, 2.5),
+         r"^dimension must be at least 2 and an integer, got 2.5$"),
+        (lambda: depolarize(bb84_ensemble(), True),
+         r"^depolarizing parameter must be in \[0, 1\], got True$"),
+        (lambda: depolarized_leakage(True, 0.5), r"^base_bits must be in \[0, inf\), got True$"),
+        (lambda: depolarized_leakage(1.0, True),
+         r"^depolarizing parameter must be in \[0, 1\], got True$"),
+        (lambda: cloning_lower_bound(bb84_ensemble(), True, 1.0),
+         r"^alpha must be in \[0, 1\], got \[True\]$"),
+        (lambda: lower_bound_sweep(bb84_ensemble(), [True, False], 1.0),
+         r"^alpha must be in \[0, 1\], got \[True, False\]$"),
+        (lambda: lower_bound_sweep(bb84_ensemble(), [0.1, True], 1.0),
+         r"^alpha must be in \[0, 1\], got \[0.1, True\]$"),
+        (lambda: tradeoff_sweep([False], 10, 0),
+         r"^gentle epsilon must be in \[0, 0.1\], got False$"),
         (lambda: lower_bound_sweep(bb84_ensemble(), [[0.1]], 1.0), "one-dimensional"),
         (lambda: as_complex_matrix(np.zeros((2, 2, 2))), "expected a square matrix"),
         (lambda: as_hermitian(np.zeros((2, 3))), "expected a square matrix"),
@@ -129,12 +153,41 @@ def test_nan_fails_public_range_checks(call):
     ids=["sibson-negative-entry", "depolarized-p", "ensemble-no-states", "ensemble-probs-short",
          "ensemble-duplicate-labels", "ket-zero", "povm-empty", "povm-labels",
          "implementation-operator-count", "post-state-dimension", "quadratic-dimension",
-         "sqrt-form-dimension", "tradeoff-dimension", "sweep-alphas-2d",
+         "sqrt-form-dimension", "tradeoff-dimension", "quadratic-non-integer-dimension",
+         "tradeoff-non-integer-dimension", "min-feasible-non-integer-dimension",
+         "depolarize-bool-p", "depolarized-bool-bits", "depolarized-bool-p", "bound-bool-alpha",
+         "sweep-bool-alphas", "sweep-bool-among-alphas", "tradeoff-bool-epsilon", "sweep-alphas-2d",
          "complex-matrix-stack", "hermitian-not-square"],
 )
 def test_input_checks_name_what_they_refuse(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _sweep_bits_are_depolarized_leakage():
+    q = maximal_quantum_leakage(bb84_ensemble()).bits
+    sweep = lower_bound_sweep(bb84_ensemble(), np.linspace(0.0, 1.0, 721), q)
+    return sweep.lower_bits.tolist() == [depolarized_leakage(q, p) for p in sweep.p2_star.tolist()]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: povm_from_json(povm_to_json(gentle_povm(default_gentle_probe(), np.float32(0.05)))),
+        lambda: ensemble_from_json(ensemble_to_json(depolarize(bb84_ensemble(), np.float16(0.3)))),
+        lambda: json.dumps(cloning_lower_bound(bb84_ensemble(), 0.1, np.float32(1.0)).to_json()),
+        lambda: json.dumps(CloningSweep(*[np.zeros(1)] * 5, np.float32(1.0))[0].to_json()),
+        lambda: (isinstance(p2 := min_feasible_p2(np.float32(0.3), 2), float)
+                 and p2 == min_feasible_p2(float(np.float32(0.3)), 2)),
+        _sweep_bits_are_depolarized_leakage,
+    ],
+    ids=["gentle-povm-float32-epsilon", "depolarize-float16-p", "bound-row-float32-q-bits",
+         "sweep-row-float32-q-bits", "min-feasible-float32-p1",
+         "sweep-bits-are-depolarized-leakage"],
+)
+def test_real_parameters_enter_as_python_floats(call):
+    # a parameter is used as its float64 value, so what it builds passes as input again
+    assert call()
 
 
 def _array_constructor(name):
