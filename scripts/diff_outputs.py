@@ -84,7 +84,8 @@ INTERVALS = {  # more interval budgets, per input stem
 }
 SIM = "--rounds 20000 --seed 7"
 CERTIFY = {"bb84": ["z_basis", "x_basis", "gentle_probe"], "mixed": ["gentle_probe"],
-           "six": ["gentle_probe"]}  # ensemble -> the make_inputs.py POVMs it is certified with
+           "six": ["gentle_probe"],
+           "identical": ["z_basis"]}  # ensemble -> the make_inputs.py POVMs it is certified with
 ERRORS = {
     "leakage:bad": "leakage bad.json",
     "leakage:not-utf8": "leakage not-utf8.json",

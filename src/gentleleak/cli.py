@@ -153,9 +153,8 @@ def cmd_certify(args) -> str:
             f"{args.povm}: certification needs an 'implementation' block (gentleness"
             " is a property of one implementation, not of the POVM alone)"
         )
-    spec = GentlenessSpec(args.alpha, args.delta)
-    cert = certify_gentle(e, impl, spec, mode=args.mode)
-    return json.dumps({"alpha": spec.alpha, "delta": spec.delta, **cert.to_json()}, indent=2)
+    cert = certify_gentle(e, impl, GentlenessSpec(args.alpha, args.delta), mode=args.mode)
+    return json.dumps(cert.to_json(), indent=2)
 
 
 def cmd_depolarize(args) -> str:

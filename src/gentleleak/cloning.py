@@ -38,11 +38,11 @@ built only when asked for.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _fill, _real
+from .linalg import _eigh, _fill, _real, _Record
 from .states import CqEnsemble, _depolarized_bits
 
 __all__ = [
@@ -87,7 +87,7 @@ def region_quadratic_form(p1, p2, d: int):
     have slack <= 1e-12. Floats give a bool and a float; arrays give arrays of
     their broadcast shape.
     """
-    _check_point(p1, p2)
+    p1, p2 = _check_point(p1, p2)
     a, b, c = quadratic_coefficients(d)
     q = a * (p1 * p1 + p2 * p2) + 2.0 * b * p1 * p2 + c * (p1 + p2) + 3.0
     return q <= FEAS_TOL, q
@@ -100,7 +100,7 @@ def region_sqrt_form(p1, p2, d: int):
     negative the form is undefined and no feasibility judgement is made:
     defined and satisfied are False there and lhs_minus_rhs is NaN.
     """
-    _check_point(p1, p2)
+    p1, p2 = _check_point(p1, p2)
     _check_dimension(d)
     # np.float_power calls libm pow, as a float's ** 2 does; an array's ** 2
     # multiplies instead, which can differ in the last bit
@@ -136,7 +136,7 @@ def min_feasible_p2(p1: float, d: int) -> float:
 
 
 @dataclass(frozen=True, kw_only=True)
-class CloningBoundResult:
+class CloningBoundResult(_Record):
     """Solution of the leakage lower-bound program at a level alpha; its JSON is its fields."""
 
     alpha: float
@@ -146,9 +146,6 @@ class CloningBoundResult:
     p1_cap: float
     q_bits: float
     slack: float  # quadratic-form value at the optimum: ~0 at d = 2, negative for d >= 3
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # The per-alpha columns of a CloningSweep, in the order its check names them.
@@ -261,9 +258,12 @@ def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
     }
 
 
-def _check_point(p1, p2) -> None:
-    inside = (0.0 <= p1) & (p1 <= 1.0) & (0.0 <= p2) & (p2 <= 1.0)
+def _check_point(p1, p2):
+    """(p1, p2) in float64, scalars as floats, once no point is a bool and all are in the square."""
+    real = all(not isinstance(p, bool) and np.asarray(p).dtype.kind in "iuf" for p in (p1, p2))
+    inside = real & (0.0 <= p1) & (p1 <= 1.0) & (0.0 <= p2) & (p2 <= 1.0)
     if not np.all(inside):
         first = np.argmin(inside)  # flat index of the first point outside
         q1, q2 = (np.broadcast_to(p, np.shape(inside)).flat[first] for p in (p1, p2))
         raise ValueError(f"(p1, p2) must lie in the unit square, got ({q1}, {q2})")
+    return tuple(float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float) for p in (p1, p2))

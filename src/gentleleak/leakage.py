@@ -31,15 +31,15 @@ search over certified gentle probes.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .cloning import CloningBoundResult, cloning_lower_bound
 from .linalg import (
-    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, matrix_to_json
+    CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, _Record
 )
-from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, povm_to_json
+from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root
 from .states import CqEnsemble, depolarized_leakage
 
 __all__ = [
@@ -80,7 +80,7 @@ def _check_bracket(lower: float, upper: float) -> None:
 
 
 @dataclass(frozen=True)
-class LeakageEstimate:
+class LeakageEstimate(_Record):
     """Certified maximal leakage: bits <= true value <= upper_bits.
 
     bits is the Sibson value of achieving_povm, upper_bits the value
@@ -88,7 +88,7 @@ class LeakageEstimate:
     and iterations counts the start-point check and the interior-point
     (Newton) steps after it: 1 when a start candidate (the uniform POVM, the
     square-root measurement or, on a two-dimensional support, the Bloch-ball
-    POVM) certifies.
+    POVM) certifies. Its JSON is its fields, numpy-scalar ends as Python numbers.
     """
 
     bits: float
@@ -99,15 +99,6 @@ class LeakageEstimate:
 
     def __post_init__(self):
         _check_bracket(self.bits, self.upper_bits)
-
-    def to_json(self) -> dict:
-        return {
-            "bits": self.bits,
-            "upper_bits": self.upper_bits,
-            "iterations": self.iterations,
-            "achieving_povm": povm_to_json(self.achieving_povm),
-            "dual": matrix_to_json(self.dual),
-        }
 
 
 def sibson_infinity(p) -> float:
@@ -321,7 +312,7 @@ def maximal_quantum_leakage(e: CqEnsemble) -> LeakageEstimate:
 
 
 @dataclass(frozen=True)
-class GentleLeakageInterval:
+class GentleLeakageInterval(_Record):
     """Bracket on the leakage achievable by (alpha, delta)-gentle measurements.
 
     It keeps the alpha and delta of the spec it is built from; its JSON is its fields.
@@ -339,9 +330,6 @@ class GentleLeakageInterval:
     def __post_init__(self, spec: GentlenessSpec):
         _check_bracket(self.lower_bits, self.upper_bits)
         _fill(self, alpha=spec.alpha, delta=spec.delta)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, dict]:
@@ -361,7 +349,7 @@ def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, di
         cal = _calibrate(probe, root, spec, e, "per-state")
         if cal.certificate is None:
             continue
-        bits = _sibson(np.array(cal.certificate.outcome_probs))
+        bits = _sibson(np.array([row.probabilities for row in cal.certificate.outcomes]))
         detail["probes"] += 1
         if bits > best:
             best = bits

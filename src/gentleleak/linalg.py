@@ -17,11 +17,16 @@ output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
 ``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
 ...)`` fills a frozen dataclass without its checks. A derived value may thus
 miss an entry tolerance, by at most the drift stated beside it.
+
+Every result subclasses ``_Record``: its ``to_json`` writes the fields in order, a matrix
+by ``_matrix_doc`` (:func:`matrix_to_json` unchecked), a value with a ``to_json`` by that,
+a numpy scalar as its Python number, and tuples, lists and dicts as new lists and dicts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from itertools import chain
 from numbers import Real
 
@@ -296,8 +301,34 @@ def as_unitary(u) -> np.ndarray:
 
 def matrix_to_json(m) -> dict:
     """Serialize a complex matrix as {"dim": d, "entries": [[[re, im], ...], ...]}."""
-    a = as_complex_matrix(m)
+    return _matrix_doc(as_complex_matrix(m))
+
+
+def _matrix_doc(a: np.ndarray) -> dict:
+    """matrix_to_json of a square matrix derived from checked values; not checked."""
     return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
+
+
+def _json_value(v):
+    """One value of a result as JSON, by the rule of the module docstring."""
+    if type(v) in _JSON_NUMBERS:  # exact types, so a numpy float64 still goes to .item()
+        return v
+    if isinstance(v, np.ndarray):
+        return _matrix_doc(v)
+    if isinstance(v, (tuple, list)):
+        return list(map(_json_value, v))
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, np.generic):
+        return v.item()
+    return v.to_json() if hasattr(v, "to_json") else v
+
+
+class _Record:
+    """Base of the package's result dataclasses: to_json writes the fields in declaration order."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _rows(doc) -> list:

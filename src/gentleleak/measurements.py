@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import (
     COMPLETENESS_TOL, PROBE_TOL, SchemaError, _checked_stack, _eigh, _fill, _from_eig,
-    _frozen_hermitian, _herm, _real, _spectrum, _stack, as_hermitian, as_unitary,
-    matrices_from_json, matrix_to_json,
+    _frozen_hermitian, _herm, _matrix_doc, _real, _Record, _spectrum, _stack, as_hermitian,
+    as_unitary, matrices_from_json,
 )
 from .states import CqEnsemble
 
@@ -30,6 +30,7 @@ __all__ = [
     "Povm",
     "PovmImplementation",
     "GentlenessSpec",
+    "OutcomeRow",
     "GentlenessCertificate",
     "EpsilonCalibration",
     "born_probabilities",
@@ -95,6 +96,10 @@ class Povm:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def to_json(self) -> dict:
+        """The POVM schema: {"labels": [...], "elements": [matrix, ...]}."""
+        return {"labels": list(self.labels), "elements": [_matrix_doc(f) for f in self.elements]}
+
 
 @dataclass(frozen=True)
 class PovmImplementation:
@@ -125,6 +130,10 @@ class PovmImplementation:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+    def to_json(self) -> dict:
+        """The POVM schema of its POVM, with the operators as its "implementation" list."""
+        return {**self.povm.to_json(), "implementation": [_matrix_doc(b) for b in self.operators]}
 
 
 @dataclass(frozen=True)
@@ -175,8 +184,18 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GentlenessCertificate:
-    """Result of checking one implementation against an (alpha, delta) budget.
+class OutcomeRow(_Record):
+    """One outcome of a GentlenessCertificate."""
+
+    label: str
+    good: bool
+    max_disturbance: float | None  # max over states; None when no state can produce it
+    probabilities: tuple[float, ...]  # P[y | x], one per state
+
+
+@dataclass(frozen=True)
+class GentlenessCertificate(_Record):
+    """Result of checking one implementation against an (alpha, delta) budget: a row per outcome.
 
     worst_prob is the probability of the all-states-close event under the
     least favorable driving state (per-state mode) or under the ensemble
@@ -184,36 +203,13 @@ class GentlenessCertificate:
     post-measurement deviation over outcomes and states.
     """
 
+    alpha: float
+    delta: float
     certified: bool
     worst_prob: float
     worst_disturbance: float
     mode: str
-    outcome_labels: tuple[str, ...]
-    outcome_good: tuple[bool, ...]
-    outcome_disturbance: tuple[float, ...]  # max over states; -1 when never triggered
-    outcome_probs: tuple[tuple[float, ...], ...]  # P[y | x], one row per outcome
-
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "worst_prob": self.worst_prob,
-            "worst_disturbance": self.worst_disturbance,
-            "mode": self.mode,
-            "outcomes": [
-                {
-                    "label": lab,
-                    "good": good,
-                    "max_disturbance": dist if dist >= 0 else None,
-                    "probabilities": list(probs),
-                }
-                for lab, good, dist, probs in zip(
-                    self.outcome_labels,
-                    self.outcome_good,
-                    self.outcome_disturbance,
-                    self.outcome_probs,
-                )
-            ],
-        }
+    outcomes: tuple[OutcomeRow, ...]
 
 
 def collapse(
@@ -270,15 +266,15 @@ def certify_gentle(
         weights = probs @ e.probs  # outcome distribution under the average state
         worst_prob = float(weights[good].sum())
 
+    rows = zip(impl.povm.labels, good.tolist(), dists.tolist(), probs.tolist())
     return GentlenessCertificate(
+        alpha=spec.alpha, delta=spec.delta,
         certified=bool(worst_prob >= 1.0 - spec.delta - CERTIFY_SLACK),
         worst_prob=worst_prob,
         worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,
-        outcome_labels=impl.povm.labels,
-        outcome_good=tuple(good.tolist()),
-        outcome_disturbance=tuple(dists.tolist()),
-        outcome_probs=tuple(map(tuple, probs.tolist())),
+        outcomes=tuple(OutcomeRow(label, ok, dist if dist >= 0 else None, tuple(p))
+                       for label, ok, dist, p in rows),
     )
 
 
@@ -391,18 +387,9 @@ def projective_povm(basis) -> PovmImplementation:
     return _fill(object.__new__(PovmImplementation), povm=povm, operators=projs)
 
 
-def povm_to_json(impl_or_povm) -> dict:
-    if isinstance(impl_or_povm, PovmImplementation):
-        povm, impl = impl_or_povm.povm, impl_or_povm
-    else:
-        povm, impl = impl_or_povm, None
-    doc = {
-        "labels": list(povm.labels),
-        "elements": [matrix_to_json(f) for f in povm.elements],
-    }
-    if impl is not None:
-        doc["implementation"] = [matrix_to_json(b) for b in impl.operators]
-    return doc
+def povm_to_json(impl_or_povm: Povm | PovmImplementation) -> dict:
+    """The POVM schema of a Povm or PovmImplementation: its own to_json."""
+    return impl_or_povm.to_json()
 
 
 def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:

@@ -17,13 +17,13 @@ reported analytically, never sampled.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .leakage import _sibson
-from .linalg import _fill, _frozen_hermitian, _positive_part, _real
+from .linalg import _fill, _frozen_hermitian, _positive_part, _real, _Record
 from .measurements import (
     MAX_EPSILON, Povm, PovmImplementation, _probe_at, _probe_root, collapse, projective_povm,
 )
@@ -108,7 +108,7 @@ def strategy_implementation(strategy: EveStrategy) -> PovmImplementation | None:
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     """Outcome statistics of one simulation run.
 
     Every round counts as sifted, so qber is the share of ``rounds`` where
@@ -124,9 +124,6 @@ class SimReport:
     ci95: float
     strategy: dict = field(default_factory=dict)
     seed: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _round_tables(impl: PovmImplementation | None):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm, _real,
-    as_unitary, matrices_from_json, matrix_to_json,
+    UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm,
+    _matrix_doc, _real, as_unitary, matrices_from_json,
 )
 
 __all__ = [
@@ -155,11 +155,8 @@ def bb84_ensemble() -> CqEnsemble:
 
 
 def ensemble_to_json(e: CqEnsemble) -> dict:
-    return {
-        "labels": list(e.labels),
-        "probs": [float(p) for p in e.probs],
-        "states": [matrix_to_json(s) for s in e.states],
-    }
+    return {"labels": list(e.labels), "probs": e.probs.tolist(),
+            "states": [_matrix_doc(s) for s in e.states]}
 
 
 def ensemble_from_json(doc) -> CqEnsemble:

@@ -771,7 +771,7 @@ class TestGentleProbeSearch:
         impl = gentle_povm(_positive_part(mats[i] - mats[j]), epsilon)
         cert = certify_gentle(bb84, impl, spec)
         assert cert.certified
-        assert sibson_infinity(cert.outcome_probs) == bits
+        assert sibson_infinity([row.probabilities for row in cert.outcomes]) == bits
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("spec", [GentlenessSpec(0.1, 0.05), GentlenessSpec(0.01, 0.001)])
@@ -791,7 +791,7 @@ class TestGentleProbeSearch:
             cal = max_certified_epsilon(probe, spec, e)
             if cal.certificate is None:
                 continue
-            bits = sibson_infinity(cal.certificate.outcome_probs)
+            bits = sibson_infinity([row.probabilities for row in cal.certificate.outcomes])
             detail["probes"] += 1
             if bits > best:
                 best = bits

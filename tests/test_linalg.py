@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from random_matrices import haar_unitary, random_density, random_hermitian
 
 from gentleleak import linalg
+from gentleleak.cloning import cloning_lower_bound
+from gentleleak.leakage import gentle_leakage_interval, maximal_quantum_leakage
 from gentleleak.linalg import (
     NotPsdError,
     SchemaError,
@@ -19,6 +24,9 @@ from gentleleak.linalg import (
     trace_distance,
     trace_norm,
 )
+from gentleleak.measurements import GentlenessSpec, certify_gentle, gentle_povm, projective_povm
+from gentleleak.simulate import EveStrategy, default_gentle_probe, run_simulation
+from gentleleak.states import CqEnsemble, bb84_ensemble, pure_state
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -248,3 +256,48 @@ class TestMatrixJson:
         got = matrix_from_json({"dim": n, "entries": rows})
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _certificate():
+    impl = gentle_povm(default_gentle_probe(), 0.05)
+    return certify_gentle(bb84_ensemble(), impl, GentlenessSpec(0.1, 0.05))
+
+
+def _never_live_row():
+    # outcome 1 of the Z measurement on two copies of |0>: no state can produce it
+    e = CqEnsemble(np.full(2, 0.5), (pure_state([1, 0]),) * 2)
+    return certify_gentle(e, projective_povm(np.eye(2)), GentlenessSpec(0.1, 0.05)).outcomes[1]
+
+
+def _dicts(v):
+    """Every dict in v, v included, through dicts, lists and tuples."""
+    if isinstance(v, dict):
+        yield v
+        v = list(v.values())
+    if isinstance(v, (list, tuple)):
+        for x in v:
+            yield from _dicts(x)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: maximal_quantum_leakage(bb84_ensemble()),
+        _certificate,
+        lambda: _certificate().outcomes[0],
+        _never_live_row,
+        lambda: gentle_leakage_interval(bb84_ensemble(), GentlenessSpec(0.1, 0.05)),
+        lambda: gentle_leakage_interval(bb84_ensemble(), GentlenessSpec(1.0, 0.0)),
+        lambda: cloning_lower_bound(bb84_ensemble(), 0.1, 1.0),
+        lambda: run_simulation(EveStrategy("w1"), 100, 3),
+    ],
+    ids=["leakage-estimate", "certificate", "certificate-row", "certificate-null-row",
+         "interval-bracket", "interval-saturated", "cloning-row", "sim-report"],
+)
+def test_a_results_json_is_its_fields(build):
+    r = build()
+    doc = r.to_json()
+    assert list(doc) == [f.name for f in dataclasses.fields(r)]
+    assert json.loads(json.dumps(doc)) == doc
+    values = [getattr(r, f.name) for f in dataclasses.fields(r)]
+    assert not {id(d) for d in _dicts(values)} & {id(d) for d in _dicts(doc)}

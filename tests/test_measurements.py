@@ -307,7 +307,7 @@ class TestCertifyGentle:
         for other in (
             certify_gentle(bb84, impl, spec, mode="average-state"),
             certify_gentle(bb84, gentle_povm(bb84_pair_probe(), 0.06), spec),
-            certify_gentle(two_states, impl, spec),  # outcome_probs of another shape
+            certify_gentle(two_states, impl, spec),  # outcome probabilities of another shape
         ):
             assert first != other and not first == other
         assert first != first.to_json()
@@ -376,7 +376,7 @@ class TestDerivedStatesAreNotRechecked:
         cert = certify_gentle(e, impl, GentlenessSpec(0.1, 0.05))
         assert cert.certified
         assert cert.worst_prob == pytest.approx(1.0 - (d - 1) * eta, abs=1e-12)
-        assert cert.outcome_good == (True,) + (False,) * (d - 1)
+        assert tuple(row.good for row in cert.outcomes) == (True,) + (False,) * (d - 1)
 
     @pytest.mark.parametrize("eta", [1e-11, 1e-9, 1e-7])
     @pytest.mark.parametrize("d", [2, 3, 8])
@@ -493,7 +493,8 @@ class TestStackedCertification:
             certified, worst, dists = reference_certificate(e, impl, spec, mode)
             assert cert.certified == certified
             assert abs(cert.worst_prob - worst) <= 1e-12
-            assert np.max(np.abs(np.array(cert.outcome_disturbance) - dists)) <= 1e-12
+            got = [-1.0 if r.max_disturbance is None else r.max_disturbance for r in cert.outcomes]
+            assert np.max(np.abs(np.array(got) - dists)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_random_ensembles(self, d):
@@ -519,7 +520,8 @@ class TestStackedCertification:
         self.assert_matches_reference(e, impl, GentlenessSpec(0.0, 0.0))
         cert = certify_gentle(e, impl, GentlenessSpec(0.0, 0.0))
         assert cert.certified
-        assert np.all(np.asarray(cert.outcome_probs)[~np.eye(d, dtype=bool)] == 0.0)
+        probs = np.array([row.probabilities for row in cert.outcomes])
+        assert np.all(probs[~np.eye(d, dtype=bool)] == 0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_exactly_gentle_branch_at_alpha_zero(self, d):
@@ -531,7 +533,7 @@ class TestStackedCertification:
         spec = GentlenessSpec(0.0, 0.0)
         self.assert_matches_reference(e, impl, spec)
         cert = certify_gentle(e, impl, spec)
-        assert cert.outcome_good[0] and cert.certified
+        assert cert.outcomes[0].good and cert.certified
 
 
 def first_order_disturbance(m, rho: np.ndarray, epsilon: float) -> float:

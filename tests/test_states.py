@@ -9,15 +9,22 @@ from random_matrices import haar_unitary, random_density
 
 from gentleleak import linalg
 from gentleleak.cloning import (
+    CloningBoundResult,
     CloningSweep,
     cloning_lower_bound,
     lower_bound_sweep,
     min_feasible_p2,
     quadratic_coefficients,
+    region_quadratic_form,
     region_sqrt_form,
     tradeoff_p2,
 )
-from gentleleak.leakage import depolarized_leakage, maximal_quantum_leakage, sibson_infinity
+from gentleleak.leakage import (
+    LeakageEstimate,
+    depolarized_leakage,
+    maximal_quantum_leakage,
+    sibson_infinity,
+)
 from gentleleak.linalg import SchemaError, as_complex_matrix, as_hermitian, trace_distance
 from gentleleak.measurements import (
     Povm,
@@ -149,6 +156,10 @@ def test_nan_fails_public_range_checks(call):
         (lambda: lower_bound_sweep(bb84_ensemble(), [[0.1]], 1.0), "one-dimensional"),
         (lambda: as_complex_matrix(np.zeros((2, 2, 2))), "expected a square matrix"),
         (lambda: as_hermitian(np.zeros((2, 3))), "expected a square matrix"),
+        (lambda: region_quadratic_form(True, 0.5, 2),
+         r"^\(p1, p2\) must lie in the unit square, got \(True, 0.5\)$"),
+        (lambda: region_sqrt_form(0.5, np.True_, 2),
+         r"^\(p1, p2\) must lie in the unit square, got \(0.5, True\)$"),
     ],
     ids=["sibson-negative-entry", "depolarized-p", "ensemble-no-states", "ensemble-probs-short",
          "ensemble-duplicate-labels", "ket-zero", "povm-empty", "povm-labels",
@@ -157,7 +168,8 @@ def test_nan_fails_public_range_checks(call):
          "tradeoff-non-integer-dimension", "min-feasible-non-integer-dimension",
          "depolarize-bool-p", "depolarized-bool-bits", "depolarized-bool-p", "bound-bool-alpha",
          "sweep-bool-alphas", "sweep-bool-among-alphas", "tradeoff-bool-epsilon", "sweep-alphas-2d",
-         "complex-matrix-stack", "hermitian-not-square"],
+         "complex-matrix-stack", "hermitian-not-square", "quadratic-bool-point",
+         "sqrt-form-numpy-bool-point"],
 )
 def test_input_checks_name_what_they_refuse(call, message):
     with pytest.raises(ValueError, match=message):
@@ -170,6 +182,18 @@ def _sweep_bits_are_depolarized_leakage():
     return sweep.lower_bits.tolist() == [depolarized_leakage(q, p) for p in sweep.p2_star.tolist()]
 
 
+def _float32_point_is_computed_in_float64():
+    ok, slack = region_quadratic_form(np.float32(0.2), np.float32(0.30557), 2)
+    want = region_quadratic_form(float(np.float32(0.2)), float(np.float32(0.30557)), 2)
+    return isinstance(slack, float) and (ok, slack) == want
+
+
+def _estimate_with_float32_ends_is_json():
+    est = maximal_quantum_leakage(bb84_ensemble())
+    doc = LeakageEstimate(np.float32(0.5), np.float32(1.0), 1, est.achieving_povm, est.dual)
+    return json.dumps(doc.to_json())
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -180,10 +204,15 @@ def _sweep_bits_are_depolarized_leakage():
         lambda: (isinstance(p2 := min_feasible_p2(np.float32(0.3), 2), float)
                  and p2 == min_feasible_p2(float(np.float32(0.3)), 2)),
         _sweep_bits_are_depolarized_leakage,
+        _float32_point_is_computed_in_float64,
+        lambda: json.dumps(CloningBoundResult(alpha=np.float32(0.1), p2_star=0.3, lower_bits=0.7,
+                                              p1_cap=0.2, q_bits=1.0, slack=0.0).to_json()),
+        _estimate_with_float32_ends_is_json,
     ],
     ids=["gentle-povm-float32-epsilon", "depolarize-float16-p", "bound-row-float32-q-bits",
          "sweep-row-float32-q-bits", "min-feasible-float32-p1",
-         "sweep-bits-are-depolarized-leakage"],
+         "sweep-bits-are-depolarized-leakage", "quadratic-float32-point",
+         "bound-row-float32-alpha-json", "estimate-float32-ends-json"],
 )
 def test_real_parameters_enter_as_python_floats(call):
     # a parameter is used as its float64 value, so what it builds passes as input again
