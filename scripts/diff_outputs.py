@@ -73,6 +73,10 @@ DOCS = {  # the make_inputs.py files are written beside these
     "nonpsd-povm.json": {"elements": [mat([[-0.1, 0], [0, H]]), mat([[0.6, 0], [0, H]]),
                                       mat([[H, 0], [0, -H]]), mat([[0, 0], [0, H]])]},
     "bare-povm.json": {"elements": [mat(Z0), mat(Z1)]},
+    "true-prior.json": {**ensemble(Z0, Z1), "probs": [True, 0.5]},
+    "negative-prior.json": {**ensemble(Z0, Z1), "probs": [1.25, -0.25]},
+    "duplicate-labels.json": {**ensemble(Z0, Z1), "labels": ["a", "a"]},
+    "labels-not-list.json": {"labels": "ab", "elements": [mat(Z0), mat(Z1)]},
 }
 RAW = {"bad.json": b'{"labels": ', "not-utf8.json": b"\xff\xfe{}"}
 BUDGET = "--alpha 0.1 --delta 0.05"
@@ -94,6 +98,11 @@ ERRORS = {
     "certify:nonherm-povm": f"certify data/bb84.json nonherm-povm.json {BUDGET}",
     "certify:nonpsd-povm": f"certify data/bb84.json nonpsd-povm.json {BUDGET}",
     "certify:bare-povm": f"certify data/bb84.json bare-povm.json {BUDGET}",
+    # the prior and label checks, made once by the constructors
+    "leakage:true-prior": "leakage true-prior.json",
+    "leakage:negative-prior": "leakage negative-prior.json",
+    "leakage:duplicate-labels": "leakage duplicate-labels.json",
+    "certify:labels-not-list": f"certify data/bb84.json labels-not-list.json {BUDGET}",
     "leakage:unwritable-out": "leakage data/bb84.json --out missing/out.json",
     "simulate:w1-epsilon": "simulate --strategy w1 --epsilon 0.05",
     "figure2:grid-1": "figure2 data/bb84.json --grid 1",

@@ -1,13 +1,13 @@
 """Command-line front end: JSON/CSV in, leakage numbers out.
 
-Exit codes: 0 success, 2 input validation failure (an unreadable input or an
---out path that cannot be written included), 3 semantic precondition
-failure (e.g. certifying a POVM without an implementation), 4 numerical
-non-convergence (a leakage gap still above its tolerance when the iteration
-budget ran out, or when a solver step could no longer close it). Every command
-is deterministic (the Monte Carlo ones, simulate and tradeoff, for a fixed
---seed) and returns its output text; main writes it to stdout or, atomically
-(temp file + rename), to --out.
+Exit codes: 0 success, 1 stdout was closed before the output was written, 2 input
+validation failure (an unreadable input or an --out path that cannot be written
+included), 3 semantic precondition failure (e.g. certifying a POVM without an
+implementation), 4 numerical non-convergence (a leakage gap still above its
+tolerance when the iteration budget ran out, or when a solver step could no
+longer close it). Every command is deterministic (the Monte Carlo ones, simulate
+and tradeoff, for a fixed --seed) and returns its output text; main writes it to
+stdout or, atomically (temp file + rename), to --out.
 """
 
 from __future__ import annotations
@@ -73,9 +73,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         _write_atomic(out, text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _load_json(path: str):
@@ -103,25 +101,25 @@ def _load(path: str, parse):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """The CSV of rows, each a tuple of numbers, under the columns' header, at six decimals."""
+    line = ",".join(["%.6f"] * len(columns)) + "\n"  # one format per row: cheaper than per value
+    return ",".join(columns) + "\n" + "".join(line % r for r in rows)
+
+
 def sweep_csv(sweep: CloningSweep) -> str:
     """The lower-bound CSV (alpha,p1,p2,lower_bits at six decimals) of figure2 and lower-bound.
 
     Written from the sweep's columns, so no row object is built.
     """
     columns = (sweep.alpha, sweep.p1_cap, sweep.p2_star, sweep.lower_bits)
-    rows = zip(*(c.tolist() for c in columns))
-    return "alpha,p1,p2,lower_bits\n" + "".join("%.6f,%.6f,%.6f,%.6f\n" % r for r in rows)
+    return _csv(("alpha", "p1", "p2", "lower_bits"), zip(*(c.tolist() for c in columns)))
 
 
 def tradeoff_csv(rows) -> str:
     """The trade-off CSV (epsilon,qber,leakage_bits,mean_disturbance at six decimals)."""
-    lines = ["epsilon,qber,leakage_bits,mean_disturbance"]
-    for r in rows:
-        lines.append(
-            f"{r['epsilon']:.6f},{r['qber']:.6f},{r['leakage_bits']:.6f},"
-            f"{r['mean_disturbance']:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = ("epsilon", "qber", "leakage_bits", "mean_disturbance")
+    return _csv(columns, (tuple(r[k] for k in columns) for r in rows))
 
 
 def cmd_leakage(args) -> str:
@@ -265,7 +263,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.func(args), args.out)
+        sys.stdout.flush()
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the exit flush raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PreconditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -10,8 +10,8 @@ inside the package a value derived from checked values goes to the kernel: it
 is checked once, where it enters, against a tolerance of the block below. A real
 parameter is checked by ``_real``; input matrices in two stages: ``_stack``, the one
 format check, names the first matrix of a list that is not square, of one dimension
-and finite, and ``_checked_stack`` then checks each state's or POVM element's values.
-:func:`as_hermitian` checks and then symmetrizes with ``_herm``;
+and finite, and ``_checked_stack`` then checks each state's or POVM element's values
+(:func:`as_hermitian` is it without the PSD pass); ``_labels`` makes their labels.
 :func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
 output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
 ``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
@@ -174,23 +174,16 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def as_hermitian(m) -> np.ndarray:
-    """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
+    """Check Hermiticity and return the symmetrized matrix (M + M†)/2, read-only.
 
-    Accepts one matrix or a stack (..., d, d), checked matrix by matrix; a failure
-    names the first, in flattened order, as 'matrix <i>: ...'. Raises ValueError if
-    any entry of M - M† exceeds ``HERMITICITY_TOL`` in magnitude; the
+    Accepts one matrix or a stack (..., d, d), checked matrix by matrix by ``_checked_stack``
+    without its PSD pass; a failure names the first, in flattened order, as 'matrix <i>: ...'.
+    Raises ValueError if any entry of M - M† exceeds ``HERMITICITY_TOL`` in magnitude; the
     symmetrization absorbs roundoff from channel applications.
     """
     a = np.asarray(m, dtype=complex)
-    flat = _stack(a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:]) if a.ndim > 2 else [a],
-                  "matrix")
-    asym = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = np.flatnonzero(asym > HERMITICITY_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"matrix {i}: matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
-                         f"> {HERMITICITY_TOL:.3e}")
-    return _herm(flat).reshape(a.shape)
+    flat = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:]) if a.ndim > 2 else [a]
+    return _checked_stack(flat, "matrix", psd=False).reshape(a.shape)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -218,19 +211,19 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[..., ::-1]
 
 
-def _checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
+def _checked_stack(mats, what: str, unit_trace: bool = False, psd: bool = True) -> np.ndarray:
     """The states or POVM elements as one checked, symmetrized, read-only (n, d, d) array.
 
-    ``_stack`` checks the format of the whole list first. Then one pass with one
-    spectrum call checks each matrix's values: Hermitian, PSD and, with unit_trace,
-    of trace 1. A value failure names the first failing matrix as '<what> <i>: ...'
-    with its first failed check.
+    ``_stack`` checks the format of the whole list first. Then one pass with one spectrum call
+    checks each matrix's values: Hermitian, PSD unless psd is off, and with unit_trace, of
+    trace 1. A failure names the first failing matrix, '<what> <i>: ...', and its first check.
     """
     a = _stack(mats, what)
     asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     h = _herm(a)
-    low = _spectrum(h)[:, -1]
-    ok = (asym <= HERMITICITY_TOL) & (low >= -PSD_TOL)
+    ok = asym <= HERMITICITY_TOL
+    if psd:
+        ok &= (low := _spectrum(h)[:, -1]) >= -PSD_TOL
     if unit_trace:
         tr = h.trace(axis1=-2, axis2=-1).real
         ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
@@ -239,11 +232,16 @@ def _checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
         if asym[i] > HERMITICITY_TOL:
             raise ValueError(f"{what} {i}: matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
                              f"> {HERMITICITY_TOL:.3e}")
-        if low[i] < -PSD_TOL:
+        if psd and low[i] < -PSD_TOL:
             raise ValueError(f"{what} {i}: {what} is not PSD: min eigenvalue {low[i]:.3e}")
         raise ValueError(f"{what} {i}: {what} trace {float(tr[i])!r} is not 1")
     h.flags.writeable = False
     return h
+
+
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """Each label of a sequence, numpy arrays included, as a str; "0", ..., str(n - 1) if none."""
+    return tuple(map(str, () if labels is None else labels)) or tuple(map(str, range(n)))
 
 
 def trace_norm(m) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import (
     COMPLETENESS_TOL, PROBE_TOL, SchemaError, _checked_stack, _eigh, _fill, _from_eig,
-    _frozen_hermitian, _herm, _matrix_doc, _real, _Record, _spectrum, _stack, as_hermitian,
-    as_unitary, matrices_from_json,
+    _frozen_hermitian, _herm, _labels, _matrix_doc, _real, _Record, _spectrum, _stack,
+    as_hermitian, as_unitary, matrices_from_json,
 )
 from .states import CqEnsemble
 
@@ -71,7 +71,7 @@ class Povm:
     """Positive operators {F_y} summing to the identity.
 
     ``elements`` holds the checked, symmetrized elements as one read-only
-    (outcomes, d, d) array.
+    (outcomes, d, d) array; ``labels`` holds strings, as linalg._labels makes them.
     """
 
     elements: np.ndarray
@@ -84,7 +84,7 @@ class Povm:
         resid = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max()
         if resid > COMPLETENESS_TOL:
             raise ValueError(f"POVM completeness residual {resid:.3e}")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(elements)))
+        labels = _labels(self.labels, len(elements))
         if len(labels) != len(elements):
             raise ValueError("labels must align with elements")
         _fill(self, elements=elements, labels=labels)
@@ -382,8 +382,8 @@ def projective_povm(basis) -> PovmImplementation:
     """
     cols = as_unitary(basis).T
     projs = cols[:, :, None] * cols.conj()[:, None, :]
-    labels = tuple(str(y) for y in range(len(projs)))
-    povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(projs), labels=labels)
+    povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(projs),
+                 labels=_labels(None, len(projs)))
     return _fill(object.__new__(PovmImplementation), povm=povm, operators=projs)
 
 
@@ -403,7 +403,6 @@ def povm_from_json(doc) -> tuple[Povm, PovmImplementation | None]:
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise SchemaError(f"POVM 'labels' must be a list, got {labels!r}")
-    labels = tuple(str(x) for x in labels or ())
     try:
         povm = Povm(mats, labels)
     except ValueError as exc:

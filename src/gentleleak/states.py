@@ -7,12 +7,13 @@ their own argument; the image ensemble is symmetrized, read-only and not checked
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .linalg import (
     UNIT_TRACE_TOL, SchemaError, _checked_stack, _eigh, _fill, _frozen_hermitian, _herm,
-    _matrix_doc, _real, as_unitary, matrices_from_json,
+    _labels, _matrix_doc, _real, as_unitary, matrices_from_json,
 )
 
 __all__ = [
@@ -35,9 +36,9 @@ class CqEnsemble:
     """Classical-quantum ensemble: labels x with probabilities and encoding states.
 
     ``states`` holds the density matrices as one read-only (len, d, d) array,
-    checked by linalg._checked_stack. All probabilities must be strictly positive
-    (zero-probability symbols are rejected rather than trimmed, so user
-    errors surface) and sum to one.
+    checked by linalg._checked_stack. Each probability is a number in (0, 1], not a bool
+    (zero-probability symbols are rejected rather than trimmed, so user errors surface),
+    and they sum to one. The labels, strings by linalg._labels, are unique.
     """
 
     probs: np.ndarray
@@ -45,15 +46,17 @@ class CqEnsemble:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)  # a copy: _fill freezes it
-        if probs.ndim != 1 or len(probs) != len(self.states) or len(probs) == 0:
+        if not (np.iterable(self.probs) and 0 < len(self.probs) == len(self.states)):
             raise ValueError("need one probability per state, at least one item")
+        for i, p in enumerate(self.probs):  # before the conversion, which reads True as 1
+            if isinstance(p, (bool, np.bool_)) or not isinstance(p, Real) or not 0 < p <= 1:
+                shown = p.item() if isinstance(p, np.generic) else p
+                raise ValueError(f"prob {i}: must be a number in (0, 1], got {shown!r}")
+        probs = np.array(self.probs, dtype=float)  # a copy: _fill freezes it
         states = _checked_stack(self.states, "state", unit_trace=True)
-        if not np.all(probs > 0.0):
-            raise ValueError("all probabilities must be strictly positive")
         if not abs(float(probs.sum()) - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(states)))
+        labels = _labels(self.labels, len(states))
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and aligned with states")
         _fill(self, probs=probs, states=states, labels=labels)
@@ -171,11 +174,7 @@ def ensemble_from_json(doc) -> CqEnsemble:
         raise SchemaError(
             f"lengths disagree: {len(labels)} labels, {len(probs)} probs, {len(states)} states"
         )
-    mats = matrices_from_json(states, "state")
-    for i, p in enumerate(probs):
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
-            raise SchemaError(f"prob {i}: must be a number in (0, 1], got {p!r}")
     try:
-        return CqEnsemble(np.array(probs, dtype=float), mats, tuple(str(x) for x in labels))
+        return CqEnsemble(probs, matrices_from_json(states, "state"), labels)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

@@ -624,16 +624,21 @@ class TestSharedParser:
         assert code == 0 and json.loads(out)["mode"] == "per-state"
 
 
-def run_module(*argv, timeout):
-    """python -m gentleleak in a child that imports the package these tests import."""
+def module_env() -> dict:
+    """The environment of a child that imports the package these tests import."""
     src = str(Path(leakage.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv, timeout):
+    """python -m gentleleak in a child that imports the package these tests import."""
     return subprocess.run(
         [sys.executable, "-m", "gentleleak", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
 
 
@@ -652,3 +657,11 @@ class TestSubprocessEntryPoint:
     def test_exit_code_for_bad_input(self):
         proc = run_module("leakage", "/no/file.json", timeout=60)
         assert proc.returncode == 2
+
+    def test_closed_stdout_exits_1_quietly(self, bb84_file):
+        # the reader goes away before the output is written, as in `gentleleak ... | true`
+        proc = subprocess.Popen([sys.executable, "-m", "gentleleak", "leakage", bb84_file],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")

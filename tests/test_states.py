@@ -25,7 +25,9 @@ from gentleleak.leakage import (
     maximal_quantum_leakage,
     sibson_infinity,
 )
-from gentleleak.linalg import SchemaError, as_complex_matrix, as_hermitian, trace_distance
+from gentleleak.linalg import (
+    SchemaError, as_complex_matrix, as_hermitian, matrix_to_json, trace_distance,
+)
 from gentleleak.measurements import (
     Povm,
     PovmImplementation,
@@ -75,7 +77,7 @@ class TestDensityOperator:
 
 class TestEnsembleConstruction:
     def test_rejects_zero_probability(self):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match=r"^prob 1: must be a number in \(0, 1\], got 0.0$"):
             CqEnsemble(np.array([1.0, 0.0]), (pure_state([1, 0]), pure_state([0, 1])))
 
     def test_rejects_bad_sum(self):
@@ -451,3 +453,63 @@ class TestEnsembleJson:
     def test_rejects_non_object(self):
         with pytest.raises(SchemaError):
             ensemble_from_json([1, 2, 3])
+
+
+def _built_or_refused(build):
+    """(priors as a list, None for a POVM, and labels) of what build() returns, or its refusal."""
+    try:
+        made = build()
+    except ValueError as exc:
+        return str(exc)
+    probs = getattr(made, "probs", None)
+    return (None if probs is None else probs.tolist()), made.labels
+
+
+def _json_side(value):
+    """value as a JSON file gives it: a numpy array as its list, NaN as a literal."""
+    return json.loads(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+
+
+PRIOR_TEXT = "prob {}: must be a number in (0, 1], got {}"
+Z_BASIS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "probs, labels, want",
+    [
+        ([True], None, PRIOR_TEXT.format(0, True)),
+        (np.array([True]), None, PRIOR_TEXT.format(0, True)),
+        (np.array([1.0, 0.0]), None, PRIOR_TEXT.format(1, 0.0)),
+        ([1.25, -0.25], None, PRIOR_TEXT.format(0, 1.25)),
+        ([0.5, -0.25], None, PRIOR_TEXT.format(1, -0.25)),
+        ([0.5, np.nan], None, PRIOR_TEXT.format(1, "nan")),
+        ([0.5, 0.5], [0, 1], ([0.5, 0.5], ("0", "1"))),
+        ([0.5, 0.5], np.array(["a", "b"]), ([0.5, 0.5], ("a", "b"))),
+        ([0.5, 0.5], [[0], [1]], ([0.5, 0.5], ("[0]", "[1]"))),
+        ([0.5, 0.5], ["a", "a"], "labels must be unique and aligned with states"),
+    ],
+    ids=["true-prior", "numpy-bool-priors", "zero-prior", "prior-above-1", "negative-prior",
+         "nan-prior", "int-labels", "numpy-labels", "nested-labels", "duplicate-labels"],
+)
+def test_a_json_file_and_a_direct_call_build_the_same_ensemble(probs, labels, want):
+    # each value has one check, in the constructor, so both entry paths refuse with the
+    # same text or build the same priors and string labels
+    states = Z_BASIS[:len(probs)]
+    doc = {"labels": [str(i) for i in range(len(probs))] if labels is None else _json_side(labels),
+           "probs": _json_side(probs), "states": [matrix_to_json(s) for s in states]}
+    direct = _built_or_refused(lambda: CqEnsemble(probs, states, labels))
+    parsed = _built_or_refused(lambda: ensemble_from_json(doc))
+    assert direct == parsed == want
+
+
+@pytest.mark.parametrize(
+    "labels, want",
+    [([0, 1], ("0", "1")), (np.array(["a", "b"]), ("a", "b")), ([[0], [1]], ("[0]", "[1]")),
+     (["a", "a"], ("a", "a"))],
+    ids=["int-labels", "numpy-labels", "nested-labels", "duplicate-labels"],
+)
+def test_a_json_file_and_a_direct_call_build_the_same_povm(labels, want):
+    doc = {"labels": _json_side(labels), "elements": [matrix_to_json(f) for f in Z_BASIS]}
+    direct = _built_or_refused(lambda: Povm(Z_BASIS, labels))
+    parsed = _built_or_refused(lambda: povm_from_json(doc)[0])
+    assert direct == parsed == (None, want)
