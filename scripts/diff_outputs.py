@@ -80,9 +80,11 @@ DOCS = {  # the make_inputs.py files are written beside these
 }
 RAW = {"bad.json": b'{"labels": ', "not-utf8.json": b"\xff\xfe{}"}
 BUDGET = "--alpha 0.1 --delta 0.05"
+# every measurement is gentle, at d > 1
 SATURATED = {"alpha-1": "--alpha 1 --delta 0", "delta-1": "--alpha 0.1 --delta 1"}
+TIGHT = {"alpha-0.01": "--alpha 0.01 --delta 0.001"}  # MAX_EPSILON fails, so the probes bisect
 INTERVALS = {  # more interval budgets, per input stem
-    "bb84": SATURATED, "qutrit": SATURATED,  # every measurement is gentle, at d > 1
+    "bb84": {**SATURATED, **TIGHT}, "mixed": TIGHT, "qutrit": {**SATURATED, **TIGHT},
     # the paper's d = 2 region value, above the six-state channel value (ROADMAP item 15)
     "six": {"alpha-0.02": "--alpha 0.02 --delta 0", "alpha-0.05": "--alpha 0.05 --delta 0"},
 }

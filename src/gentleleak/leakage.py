@@ -26,7 +26,11 @@ gap, or the end of the iteration budget, raises ConvergenceError.
 Gentle leakage (the same supremum restricted to detection-avoiding
 measurements) is bracketed: from above by the certified unrestricted
 supremum, from below by the best of the cloning bound and an explicit
-search over certified gentle probes.
+search over certified gentle probes. Each probe runs at the largest strength
+the one bisection, measurements._calibrate, certifies: MAX_EPSILON if it
+passes, else the lower end after BISECTION_STEPS halvings of [0, MAX_EPSILON]
+at midpoints 0.5 (lo + hi). The search bisects all its probes in lockstep,
+with one stacked collapse per step.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .cloning import CloningBoundResult, cloning_lower_bound
 from .linalg import (
     CHANNEL_TOL, PSD_TOL, ConvergenceError, _eigh, _fill, _herm, _positive_part, _Record
 )
-from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root
+from .measurements import GentlenessSpec, Povm, _calibrate, _probe_root, _probe_verdicts
 from .states import CqEnsemble, depolarized_leakage
 
 __all__ = [
@@ -119,9 +123,13 @@ def sibson_infinity(p) -> float:
     return _sibson(mat)
 
 
-def _sibson(mat: np.ndarray) -> float:
-    """sibson_infinity of a channel table the program built from checked values; not checked."""
-    return max(float(np.log2(float(mat.max(axis=1).sum()))), 0.0)
+def _sibson(mat: np.ndarray):
+    """sibson_infinity of a channel table the program built from checked values; not checked.
+
+    Of a stack (..., outcomes, inputs) of tables, an array of one value per table.
+    """
+    bits = np.maximum(np.log2(mat.max(axis=-1).sum(axis=-1)), 0.0)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def leakage_upper_bound(e: CqEnsemble) -> float:
@@ -229,17 +237,25 @@ def _newton_step(rho: np.ndarray, g: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     schur = np.einsum("xik,xlj->ijkl", g, z_inv) + np.einsum("xik,xlj->ijkl", z_inv, g)
     schur = schur.reshape(k * k, k * k) / 2.0
 
-    def direction(sigma_mu: float, second_order: np.ndarray):
-        r = sigma_mu * z_inv.sum(axis=0) - _herm(second_order @ z_inv).sum(axis=0) - np.eye(k)
-        dy = _herm(np.linalg.solve(schur, r.reshape(-1)).reshape(k, k))
-        dg = _herm(sigma_mu * z_inv - g - (g @ dy + second_order) @ z_inv)
-        # X + t dX >= 0 exactly when I + t X^-1/2 dX X^-1/2 >= 0
+    def move(r: np.ndarray):
+        """dY solving the system for right-hand side r."""
+        return _herm(np.linalg.solve(schur, r.reshape(-1)).reshape(k, k))
+
+    def length(dg: np.ndarray, dy: np.ndarray) -> float:
+        """The step t: X + t dX >= 0 exactly when I + t X^-1/2 dX X^-1/2 >= 0."""
         dx = np.concatenate([dg, np.broadcast_to(dy, z.shape)])
         lowest = float(np.linalg.eigvalsh(inv_sqrt @ dx @ inv_sqrt).min())
-        return dg, dy, 1.0 if lowest >= 0.0 else min(1.0, -BOUNDARY_SHARE / lowest)
+        return 1.0 if lowest >= 0.0 else min(1.0, -BOUNDARY_SHARE / lowest)
 
-    dg, dy, t = direction(0.0, np.zeros_like(g))
-    dg, dy, t = direction(mu * (1.0 - t) ** 3, dg @ dy)
+    # predictor: sigma = 0 and no second-order term, so r = -I
+    dy = move(-np.eye(k))
+    dg = _herm(-g - g @ dy @ z_inv)
+    # corrector: sigma mu = mu (1 - t)^3, second-order term dG_x dY
+    sigma_mu, second_order = mu * (1.0 - length(dg, dy)) ** 3, dg @ dy
+    r = sigma_mu * z_inv.sum(axis=0) - _herm(second_order @ z_inv).sum(axis=0) - np.eye(k)
+    dy = move(r)
+    dg = _herm(sigma_mu * z_inv - g - (g @ dy + second_order) @ z_inv)
+    t = length(dg, dy)
     g, y = _povm(g + t * dg), y + t * dy
     if not float(np.einsum("xij,xji->", g, y - rho).real) / (n * k) < mu:
         raise ConvergenceError("the step did not lower the duality measure")
@@ -335,27 +351,29 @@ class GentleLeakageInterval(_Record):
 def _gentle_probe_search(e: CqEnsemble, spec: GentlenessSpec) -> tuple[float, dict]:
     """Best Sibson value over certified gentle probes built from pairwise differences.
 
-    Each probe is (rho^i - rho^j)_+ at the largest strength the calibration
-    certifies; its Born table is the one that calibration certified.
+    Each probe is (rho^i - rho^j)_+ at the largest strength the one bisection, _calibrate,
+    certifies. All probes try MAX_EPSILON in one stacked verdict, and those that fail bisect
+    in lockstep, one stacked verdict per step; each keeps the Born table of its last
+    passing strength, the one its calibration certified.
     """
     mats = e.states
     first, second = np.nonzero(~np.eye(len(mats), dtype=bool))  # every ordered pair i != j
-    best = 0.0
-    detail: dict = {"probes": 0}
     probes = _positive_part(mats[first] - mats[second])
-    for i, j, probe, root in zip(first, second, probes, _probe_root(probes)):
-        if float(np.max(np.abs(probe))) < PROBE_FLOOR:
-            continue
-        cal = _calibrate(probe, root, spec, e, "per-state")
-        if cal.certificate is None:
-            continue
-        bits = _sibson(np.array([row.probabilities for row in cal.certificate.outcomes]))
-        detail["probes"] += 1
-        if bits > best:
-            best = bits
-            detail["best_pair"] = (e.labels[i], e.labels[j])
-            detail["epsilon"] = cal.epsilon
-    return best, detail
+    live = np.abs(probes).max(axis=(1, 2)) >= PROBE_FLOOR
+    first, second, probes = first[live], second[live], probes[live]
+    roots = _probe_root(probes)
+    strengths, tables = _calibrate(
+        lambda idx, eps: _probe_verdicts(e, spec, probes[idx], roots[idx], eps), len(probes)
+    )
+    kept = [k for k, table in enumerate(tables) if table is not None]
+    detail: dict = {"probes": len(kept)}
+    bits = _sibson(np.array([tables[k] for k in kept])) if kept else np.zeros(1)
+    if bits.max() <= 0.0:  # no probe certifies, or none tells the states apart
+        return 0.0, detail
+    k = kept[int(np.argmax(bits))]  # the first of the best, in pair order
+    detail["best_pair"] = (e.labels[first[k]], e.labels[second[k]])
+    detail["epsilon"] = strengths[k]
+    return float(bits.max()), detail
 
 
 def gentle_leakage_interval(e: CqEnsemble, spec: GentlenessSpec) -> GentleLeakageInterval:

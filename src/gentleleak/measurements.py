@@ -13,6 +13,7 @@ unitary, Born tables, post-measurement states) is not checked again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +157,17 @@ def born_probabilities(e: CqEnsemble, povm: Povm) -> np.ndarray:
     """
     if povm.dim != e.dim:
         raise ValueError(f"dimension mismatch: POVM {povm.dim}, ensemble {e.dim}")
-    return np.einsum("yij,xji->yx", povm.elements, e.states).real.clip(0.0, 1.0)
+    return _born(povm.elements, e.states)
+
+
+def _born(elements: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """born_probabilities of elements (..., outcomes, d, d), unchecked: (..., outcomes, states).
+
+    A stack is tabulated as one list of outcomes, so each entry is the sum that one POVM gets.
+    """
+    flat = elements.reshape(-1, *elements.shape[-2:])
+    probs = np.einsum("yij,xji->yx", flat, states).real.clip(0.0, 1.0)
+    return probs.reshape(*elements.shape[:-2], len(states))
 
 
 def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
@@ -229,16 +240,43 @@ def collapse(
     once for one stacked spectrum call that gives every distance; ``post``
     itself is returned as computed.
     """
-    probs = born_probabilities(e, impl.povm)
-    rho = e.states
-    b = impl.operators[:, None]
-    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (outcomes, states, d, d)
+    return _collapse(born_probabilities(e, impl.povm), e.states, impl.operators)
+
+
+def _collapse(probs: np.ndarray, rho: np.ndarray, ops: np.ndarray):
+    """collapse of operators ops (..., outcomes, d, d) with Born table probs (..., outcomes, x).
+
+    A leading stack axis gives one table per implementation in the stack, and ``post`` in the
+    order of ``np.nonzero(dist >= 0)`` over all of them; each entry is the one collapse gives.
+    """
+    b = ops[..., None, :, :]
+    out = b @ rho @ b.conj().swapaxes(-1, -2)  # B_y rho^x B_y†, (..., outcomes, states, d, d)
     norm = out.trace(axis1=-2, axis2=-1).real
-    live = np.nonzero((probs > ZERO_PROB) & (norm > ZERO_PROB))  # (outcome, state) indices
+    live = np.nonzero((probs > ZERO_PROB) & (norm > ZERO_PROB))  # (..., outcome, state) indices
     post = out[live] / norm[live][:, None, None]
     dist = np.full(probs.shape, -1.0)
-    dist[live] = 0.5 * np.abs(_spectrum(_herm(post) - rho[live[1]])).sum(axis=-1)
+    dist[live] = 0.5 * np.abs(_spectrum(_herm(post) - rho[live[-1]])).sum(axis=-1)
     return probs, post, dist
+
+
+def _good_event(probs: np.ndarray, dist: np.ndarray, spec: GentlenessSpec, weights=None):
+    """(good, prob, certified) of a Born table and its distances, or of each in a stack.
+
+    An outcome is good when every state that can produce it stays within alpha of itself.
+    prob is the good event's least probability over the states, or with ``weights`` (the
+    priors) its probability under their average state; the table certifies when prob is at
+    least 1 - delta. Both comparisons allow CERTIFY_SLACK.
+    """
+    good = (dist <= spec.alpha + CERTIFY_SLACK).all(axis=-1)
+    if weights is not None:
+        probs = (probs @ weights)[..., None]  # outcome distribution under the average state
+    if good.ndim == 1:
+        prob = probs[good].sum(axis=0).min()
+    else:
+        # numpy adds fewer than eight terms in order, so on a stack of three-outcome probes a
+        # zero in place of each bad outcome leaves every sum as probs[good] gives it
+        prob = np.where(good[..., None], probs, 0.0).sum(axis=-2).min(axis=-1)
+    return good, prob, prob >= 1.0 - spec.delta - CERTIFY_SLACK
 
 
 def certify_gentle(
@@ -257,20 +295,15 @@ def certify_gentle(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     probs, _, dist = collapse(e, impl)
-    good = (dist <= spec.alpha + CERTIFY_SLACK).all(axis=1)
+    good, worst_prob, certified = _good_event(
+        probs, dist, spec, None if mode == "per-state" else e.probs
+    )
     dists = dist.max(axis=1)
-
-    if mode == "per-state":
-        worst_prob = float(probs[good].sum(axis=0).min())
-    else:
-        weights = probs @ e.probs  # outcome distribution under the average state
-        worst_prob = float(weights[good].sum())
-
     rows = zip(impl.povm.labels, good.tolist(), dists.tolist(), probs.tolist())
     return GentlenessCertificate(
         alpha=spec.alpha, delta=spec.delta,
-        certified=bool(worst_prob >= 1.0 - spec.delta - CERTIFY_SLACK),
-        worst_prob=worst_prob,
+        certified=bool(certified),
+        worst_prob=float(worst_prob),
         worst_disturbance=max(float(dists.max()), 0.0),
         mode=mode,
         outcomes=tuple(OutcomeRow(label, ok, dist if dist >= 0 else None, tuple(p))
@@ -316,11 +349,36 @@ def _probe_at(a: np.ndarray, root: np.ndarray, epsilon: float) -> PovmImplementa
 
     Not checked: the B_y are Hermitian and their squares sum to I within 4 eps^2 PROBE_TOL.
     """
-    eye = np.eye(a.shape[0], dtype=complex)
-    c = np.sqrt((1.0 - 2.0 * epsilon**2) / 2.0)
-    b = np.array([c * eye + epsilon * a, c * eye - epsilon * a, np.sqrt(2.0) * epsilon * root])
+    b = _probe_ops(a[None], root[None], [epsilon])[0]
     povm = _fill(object.__new__(Povm), elements=_frozen_hermitian(b @ b), labels=("+", "-", "0"))
     return _fill(object.__new__(PovmImplementation), povm=povm, operators=b)
+
+
+def _probe_ops(a: np.ndarray, root: np.ndarray, eps: list[float]) -> np.ndarray:
+    """{B+, B-, B0} of each probe M = a (n, d, d) at its strength eps (n), shape (n, 3, d, d).
+
+    root holds each (I - M^2)^(1/2). Each strength is squared by Python's float power, the
+    rounding the pinned outputs carry: numpy's square of an array differs from it in the
+    last bit of some strengths.
+    """
+    n, d = len(eps), a.shape[-1]
+    c = np.array([math.sqrt((1.0 - 2.0 * x**2) / 2.0) for x in eps])[:, None, None]
+    t = np.array(eps)[:, None, None]
+    ce, ta = c * np.eye(d, dtype=complex), t * a
+    b = np.empty((n, 3, d, d), dtype=complex)
+    b[:, 0], b[:, 1], b[:, 2] = ce + ta, ce - ta, np.sqrt(2.0) * t * root
+    return b
+
+
+def _probe_verdicts(e: CqEnsemble, spec: GentlenessSpec, a, root, eps):
+    """Per-state verdicts of the probes M = a (n, d, d) at strengths eps (n), in one collapse.
+
+    Returns whether each probe certifies and its Born table, shape (n, 3, states): to the
+    bit what certify_gentle gives for _probe_at(a[i], root[i], eps[i]), with no certificate.
+    """
+    ops = _probe_ops(a, root, eps)
+    probs, _, dist = _collapse(_born(_herm(ops @ ops), e.states), e.states, ops)
+    return _good_event(probs, dist, spec)[2], probs
 
 
 @dataclass(frozen=True)
@@ -346,33 +404,47 @@ def max_certified_epsilon(
 ) -> EpsilonCalibration:
     """Bisect for the largest epsilon whose gentle probe certifies at (alpha, delta).
 
-    The probe is checked and (I - M^2)^(1/2) taken once; each step then
-    builds its {B+, B-, B0} from them and runs certify_gentle. The steps are
-    those of certify_gentle(gentle_povm(m, mid)) per step, so the returned
-    epsilon is the same float, and its certificate is that of the last
-    passing step.
+    The probe is checked and (I - M^2)^(1/2) taken once; each step of _calibrate then
+    builds its {B+, B-, B0} from them and runs certify_gentle. The steps are those of
+    certify_gentle(gentle_povm(m, mid)) per step, so the returned epsilon is the same
+    float, and its certificate is that of the last passing step.
     """
-    return _calibrate(*_probe(m), spec, e, mode)
+    a, root = _probe(m)
+
+    def verdicts(_, eps):
+        cert = certify_gentle(e, _probe_at(a, root, eps[0]), spec, mode)
+        return [cert.certified], [cert]
+
+    (epsilon,), (cert,) = _calibrate(verdicts, 1)
+    return EpsilonCalibration(epsilon=epsilon, certificate=cert)
 
 
-def _calibrate(a, root, spec: GentlenessSpec, e: CqEnsemble, mode: str) -> EpsilonCalibration:
-    """max_certified_epsilon of the probe M = a with root = (I - M^2)^(1/2); M not checked."""
+def _calibrate(verdicts, n: int) -> tuple[list[float], list]:
+    """The one bisection: the largest certified strength of each of n probes, in lockstep.
 
-    def certify(eps: float) -> GentlenessCertificate:
-        return certify_gentle(e, _probe_at(a, root, eps), spec, mode)
-
-    cert = certify(MAX_EPSILON)
-    if cert.certified:
-        return EpsilonCalibration(epsilon=MAX_EPSILON, certificate=cert)
-    lo, hi, best = 0.0, MAX_EPSILON, None
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        cert = certify(mid)
-        if cert.certified:
-            lo, best = mid, cert
-        else:
-            hi = mid
-    return EpsilonCalibration(epsilon=lo, certificate=best)
+    ``verdicts(idx, eps)`` certifies the probes idx at strengths eps and returns a pass
+    flag and a record for each. Every probe tries MAX_EPSILON; the ones that fail bisect
+    [lo, hi] = [0, MAX_EPSILON] together, BISECTION_STEPS times at midpoints
+    0.5 * (lo + hi), one verdicts call per step. Returns each probe's strength
+    (MAX_EPSILON if it passed there, else lo, so 0 when no tried strength passed) and the
+    record of its last passing strength, None when none passed.
+    """
+    eps = [MAX_EPSILON] * n
+    passed, records = verdicts(list(range(n)), eps)
+    best = [record if ok else None for ok, record in zip(passed, records)]
+    idx = [i for i, ok in enumerate(passed) if not ok]
+    lo, hi = [0.0] * len(idx), [MAX_EPSILON] * len(idx)
+    for _ in range(BISECTION_STEPS if idx else 0):
+        mid = [0.5 * (low + high) for low, high in zip(lo, hi)]
+        passed, records = verdicts(idx, mid)
+        for k, ok in enumerate(passed):
+            if ok:
+                lo[k], best[idx[k]] = mid[k], records[k]
+            else:
+                hi[k] = mid[k]
+    for i, strength in zip(idx, lo):
+        eps[i] = strength
+    return eps, best
 
 
 def projective_povm(basis) -> PovmImplementation:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qubit_oracle import povm_bits, projective_bits
 from random_matrices import haar_unitary, random_density
 
-from gentleleak import leakage
+from gentleleak import leakage, measurements
 from gentleleak.leakage import (
     GAP_TOL,
     GentleLeakageInterval,
@@ -23,6 +23,8 @@ from gentleleak.leakage import (
 )
 from gentleleak.linalg import ConvergenceError, _positive_part, trace_distance
 from gentleleak.measurements import (
+    BISECTION_STEPS,
+    MAX_EPSILON,
     GentlenessSpec,
     born_probabilities,
     certify_gentle,
@@ -773,6 +775,27 @@ class TestGentleProbeSearch:
         assert cert.certified
         assert sibson_infinity([row.probabilities for row in cert.outcomes]) == bits
 
+    @staticmethod
+    def per_probe(e, spec):
+        """The search rebuilt from the public, checked max_certified_epsilon, one probe at a time;
+        with the strengths found, None for a probe below the floor."""
+        best, detail, found = 0.0, {"probes": 0}, []
+        for i, j in itertools.permutations(range(len(e)), 2):
+            probe = _positive_part(e.states[i] - e.states[j])
+            if np.max(np.abs(probe)) < leakage.PROBE_FLOOR:
+                found.append(None)
+                continue
+            cal = max_certified_epsilon(probe, spec, e)
+            found.append(cal.epsilon)
+            if cal.certificate is None:
+                continue
+            bits = sibson_infinity([row.probabilities for row in cal.certificate.outcomes])
+            detail["probes"] += 1
+            if bits > best:
+                best = bits
+                detail.update(best_pair=(e.labels[i], e.labels[j]), epsilon=cal.epsilon)
+        return best, detail, found
+
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("spec", [GentlenessSpec(0.1, 0.05), GentlenessSpec(0.01, 0.001)])
     def test_matches_public_calibration_per_probe(self, seed, spec):
@@ -783,20 +806,50 @@ class TestGentleProbeSearch:
         e = bb84_ensemble() if seed == 0 else random_ensemble(
             rng, d, int(rng.integers(2, 5)), rank=int(rng.integers(1, d + 1))
         )
-        best, detail = 0.0, {"probes": 0}
-        for i, j in itertools.permutations(range(len(e)), 2):
-            probe = _positive_part(e.states[i] - e.states[j])
-            if np.max(np.abs(probe)) < leakage.PROBE_FLOOR:
-                continue
-            cal = max_certified_epsilon(probe, spec, e)
-            if cal.certificate is None:
-                continue
-            bits = sibson_infinity([row.probabilities for row in cal.certificate.outcomes])
-            detail["probes"] += 1
-            if bits > best:
-                best = bits
-                detail.update(best_pair=(e.labels[i], e.labels[j]), epsilon=cal.epsilon)
+        best, detail, _ = self.per_probe(e, spec)
         assert leakage._gentle_probe_search(e, spec) == (best, detail)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_a_stack_that_splits_three_ways(self, d):
+        # the last state repeats the first, so two probes fall below the floor; of the
+        # others some certify at MAX_EPSILON and some bisect, all in one lockstep stack
+        rng = np.random.default_rng([0, d])
+        states = [random_density(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(3)]
+        e = CqEnsemble(rng.dirichlet(np.ones(4)), [*states, states[0]])
+        spec = GentlenessSpec(0.05, 0.01)
+        best, detail, found = self.per_probe(e, spec)
+        assert found.count(None) == 2
+        assert MAX_EPSILON in found
+        assert any(eps is not None and 0.0 < eps < MAX_EPSILON for eps in found)
+        assert leakage._gentle_probe_search(e, spec) == (best, detail)
+
+    @pytest.mark.parametrize(
+        "e, spec, calls",
+        [
+            (bb84_ensemble(), GentlenessSpec(0.1, 0.05), 1),  # every probe certifies at 1/10
+            (bb84_ensemble(), GentlenessSpec(0.01, 0.001), 1 + BISECTION_STEPS),
+            (random_ensemble(np.random.default_rng(6), 3, 6), GentlenessSpec(0.01, 0.001),
+             1 + BISECTION_STEPS),  # 30 probes
+        ],
+    )
+    def test_one_stacked_verdict_per_step(self, e, spec, calls, monkeypatch):
+        # however many probes, the interval runs one stacked verdict per bisection step
+        # and never the per-probe certify_gentle
+        sizes = []
+        stacked = leakage._probe_verdicts
+
+        def counting(*args):
+            sizes.append(len(args[-1]))  # the strengths, one per probe
+            return stacked(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the probe search called certify_gentle")
+
+        monkeypatch.setattr(leakage, "_probe_verdicts", counting)
+        monkeypatch.setattr(measurements, "certify_gentle", refused)
+        gentle_leakage_interval(e, spec)
+        assert len(sizes) == calls
+        assert sizes[0] == len(e) * (len(e) - 1)
 
 
 def dual_cases():

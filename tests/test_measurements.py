@@ -715,10 +715,17 @@ class TestCalibrationMatchesReference:
             self.assert_same(bb84_pair_probe(), spec, bb84, mode)
 
     @pytest.mark.parametrize(
-        "spec", [GentlenessSpec(0.5, 0.5), GentlenessSpec(0.01, 0.001), GentlenessSpec(0.0, 0.0)]
+        "spec, calls",
+        [
+            (GentlenessSpec(0.5, 0.5), 1),
+            (GentlenessSpec(0.01, 0.001), 1 + BISECTION_STEPS),
+            (GentlenessSpec(0.0, 0.0), 1 + BISECTION_STEPS),
+        ],
     )
-    def test_one_certify_gentle_call_per_tried_strength(self, bb84, spec, monkeypatch):
-        # the early exit tries 1/10 only; otherwise 1/10 and every bisection midpoint
+    def test_one_certify_gentle_call_per_tried_strength(self, bb84, spec, calls, monkeypatch):
+        # the early exit tries 1/10 only; otherwise 1/10 and every bisection midpoint, the
+        # 32 certify_gentle calls per calibration that the benchmark's certify workload counts
+        assert 1 + BISECTION_STEPS == 32
         tried = []
         real = measurements.certify_gentle
 
@@ -728,7 +735,8 @@ class TestCalibrationMatchesReference:
 
         monkeypatch.setattr(measurements, "certify_gentle", counting)
         cal = max_certified_epsilon(bb84_pair_probe(), spec, bb84)
-        assert len(tried) == (1 if cal.epsilon == 0.1 else 1 + BISECTION_STEPS)
+        assert len(tried) == calls
+        assert (cal.epsilon == MAX_EPSILON) == (calls == 1)
 
     def test_rejects_invalid_probe_and_mode(self, bb84):
         spec = GentlenessSpec(0.1, 0.05)
