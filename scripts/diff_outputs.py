@@ -116,6 +116,9 @@ ERRORS = {
     "depolarize:p-1.5": "depolarize data/bb84.json --p 0.5 1.5",
     "simulate:epsilon-0.5": "simulate --strategy gentle --epsilon 0.5",
     "tradeoff:epsilon-nan": "tradeoff --epsilon 0 nan",
+    # the range errors of integer parameters, each printed by the one check
+    "simulate:rounds-0": "simulate --strategy none --rounds 0",
+    "simulate:seed-negative": "simulate --strategy none --seed -1",
 }
 
 
@@ -135,6 +138,7 @@ def items() -> dict:
         for povm in CERTIFY.get(stem, []):
             out[f"certify:{stem}:{povm}"] = f"certify {path} data/{povm}_povm.json {BUDGET}"
     out["certify:average-state"] = out["certify:six:gentle_probe"] + " --mode average-state"
+    out["lower-bound:alpha-negative-zero"] = "lower-bound data/bb84.json --alpha -0.0 0.1"
     for kind in ("none", "intercept-z", "w1", "w2", "gentle"):
         out[f"simulate:{kind}"] = f"simulate --strategy {kind} {SIM}"
     out["tradeoff"] = f"tradeoff --epsilon 0 0.05 0.1 {SIM}"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cloning import CloningSweep, lower_bound_sweep
 from .leakage import gentle_leakage_interval, maximal_quantum_leakage
-from .linalg import ConvergenceError, SchemaError
+from .linalg import ConvergenceError, SchemaError, _integer
 from .measurements import MODES, GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import STRATEGY_KINDS, EveStrategy, run_simulation, tradeoff_sweep
 from .states import depolarize, depolarized_leakage, ensemble_from_json
@@ -138,9 +138,7 @@ def cmd_lower_bound(args) -> str:
 
 def cmd_figure2(args) -> str:
     e = _load(args.ensemble, ensemble_from_json)
-    if args.grid_points < 2:
-        raise SchemaError("--grid needs at least 2 points")
-    return _bound_csv(e, np.linspace(0.0, 1.0, args.grid_points))
+    return _bound_csv(e, np.linspace(0.0, 1.0, _integer(args.grid_points, "--grid", 2)))
 
 
 def cmd_certify(args) -> str:

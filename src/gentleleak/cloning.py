@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _fill, _real, _Record
+from .linalg import _eigh, _fill, _integer, _real, _Record
 from .states import CqEnsemble, _depolarized_bits
 
 __all__ = [
@@ -63,17 +63,9 @@ FEAS_TOL = 1e-12
 SPREAD_FLOOR = 1e-12
 
 
-def _check_dimension(d) -> None:
-    """Refuses a dimension d unless it is an integer (not a bool) of at least 2."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension must be at least 2 and an integer, got {d!r}")
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-
-
 def quadratic_coefficients(d: int) -> tuple[float, float, float]:
     """(diagonal a, off-diagonal b, linear c) of the quadratic feasibility form."""
-    _check_dimension(d)
+    d = _integer(d, "dimension", 2)
     a = 2.0 * d * d - 1.0 - d**4 / 4.0
     b = 1.0 - d**4 / 4.0
     c = -2.0 - d * d
@@ -87,7 +79,7 @@ def region_quadratic_form(p1, p2, d: int):
     have slack <= 1e-12. Floats give a bool and a float; arrays give arrays of
     their broadcast shape.
     """
-    p1, p2 = _check_point(p1, p2)
+    p1, p2 = _real(p1, "p1", grid=True), _real(p2, "p2", grid=True)
     a, b, c = quadratic_coefficients(d)
     q = a * (p1 * p1 + p2 * p2) + 2.0 * b * p1 * p2 + c * (p1 + p2) + 3.0
     return q <= FEAS_TOL, q
@@ -100,8 +92,8 @@ def region_sqrt_form(p1, p2, d: int):
     negative the form is undefined and no feasibility judgement is made:
     defined and satisfied are False there and lhs_minus_rhs is NaN.
     """
-    p1, p2 = _check_point(p1, p2)
-    _check_dimension(d)
+    p1, p2 = _real(p1, "p1", grid=True), _real(p2, "p2", grid=True)
+    d = _integer(d, "dimension", 2)
     # np.float_power calls libm pow, as a float's ** 2 does; an array's ** 2
     # multiplies instead, which can differ in the last bit
     disc = d * d * np.float_power(p1 - p2, 2.0) - 4.0 * (1.0 - p1) * (1.0 - p2)
@@ -195,7 +187,7 @@ def tradeoff_p2(p1, d: int):
     p1, give p2 = 1 at p1 = 0 and p2 = 0 at p1 = 1. Works elementwise: a float
     p1 in [0, 1] gives a float, an array gives an array.
     """
-    _check_dimension(d)
+    d = _integer(d, "dimension", 2)
     p1 = _real(p1, "p1", grid=True)
     if d == 2:
         p2 = np.minimum(np.maximum(_p2_roots(p1, 2)[0], 0.0), 1.0)
@@ -241,8 +233,9 @@ def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
     Counts the points where the square-root form is defined and how often its
     verdict differs from the quadratic form's. The two do not algebraically
     agree; this report records the mismatch instead of resolving it. Both
-    forms are evaluated on the whole grid in one array pass.
+    forms are evaluated on the whole grid, of at least 2 points a side, in one array pass.
     """
+    grid = _integer(grid, "grid", 2)
     pts = np.linspace(0.0, 1.0, grid)
     p1, p2 = pts[:, None], pts[None, :]
     defined, ok_sqrt, _ = region_sqrt_form(p1, p2, d)
@@ -256,14 +249,3 @@ def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
         "sqrt_only_feasible": int((ok_sqrt & ~ok_quad).sum()),
         "quad_only_feasible": int((defined & ~ok_sqrt & ok_quad).sum()),
     }
-
-
-def _check_point(p1, p2):
-    """(p1, p2) in float64, scalars as floats, once no point is a bool and all are in the square."""
-    real = all(not isinstance(p, bool) and np.asarray(p).dtype.kind in "iuf" for p in (p1, p2))
-    inside = real & (0.0 <= p1) & (p1 <= 1.0) & (0.0 <= p2) & (p2 <= 1.0)
-    if not np.all(inside):
-        first = np.argmin(inside)  # flat index of the first point outside
-        q1, q2 = (np.broadcast_to(p, np.shape(inside)).flat[first] for p in (p1, p2))
-        raise ValueError(f"(p1, p2) must lie in the unit square, got ({q1}, {q2})")
-    return tuple(float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float) for p in (p1, p2))

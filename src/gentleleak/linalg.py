@@ -8,10 +8,11 @@ a JSON list of matrices: its schema and cell types, in one pass.
 A public function is its check plus a private kernel that checks nothing, and
 inside the package a value derived from checked values goes to the kernel: it
 is checked once, where it enters, against a tolerance of the block below. A real
-parameter is checked by ``_real``; input matrices in two stages: ``_stack``, the one
-format check, names the first matrix of a list that is not square, of one dimension
-and finite, and ``_checked_stack`` then checks each state's or POVM element's values
-(:func:`as_hermitian` is it without the PSD pass); ``_labels`` makes their labels.
+parameter is checked by ``_real``, an integer one by ``_integer``; input matrices in
+two stages: ``_stack``, the one format check, names the first matrix of a list that
+is not square, of one dimension and finite, and ``_checked_stack`` then checks each
+state's or POVM element's values (:func:`as_hermitian` is it without the PSD pass);
+``_labels`` makes their labels.
 :func:`eig_hermitian` is ``_eigh`` (descending ``numpy.linalg.eigh``) of its
 output, and ``_spectrum`` (``numpy.linalg.eigvalsh``) gives eigenvalues alone.
 ``_frozen_hermitian`` symmetrizes and freezes, and ``_fill(object.__new__(cls),
@@ -131,20 +132,33 @@ def _real(x, name: str, hi: float = 1, grid: bool = False):
     """A real parameter x in [0, hi] as a float, or with grid, a list or array of them as float64.
 
     A value is a real number, not a bool, and finite where hi is inf; a list with
-    a bool among numbers is refused whole. The first value refused is named as
-    '<name> must be in [0, hi], got <value>'.
+    a bool among numbers is refused whole. A 0-d grid comes back as a float, and
+    -0.0 as 0.0. The first value refused is named as '<name> must be in [0, hi], got <value>'.
     """
     if isinstance(x, Real) and not isinstance(x, bool):  # scalars stay off numpy
         if 0 <= x <= hi and x < math.inf:
-            return float(x)
+            return float(x) + 0.0
     elif grid and (a := np.asarray(x)).dtype.kind in "iuf" and not (  # ints and floats
             isinstance(x, (list, tuple)) and {bool, np.bool_} & set(map(type, x))):  # no bools
         inside = (0 <= a) & (a <= hi) & (a < math.inf)
         if inside.all():
-            return a.astype(float, copy=False)
+            return float(a) + 0.0 if a.ndim == 0 else a.astype(float) + 0.0
         x = float(a.flat[inside.argmin()])
     span = f"[0, {hi}]" if hi < math.inf else "[0, inf)"
     raise ValueError(f"{name} must be in {span}, got {x!r}")
+
+
+def _integer(x, name: str, lo: int, hi: int | None = None) -> int:
+    """An integer parameter x in [lo, hi], or [lo, inf) where hi is None, as an int.
+
+    A value is a Python or numpy integer, not a bool. The value refused is named
+    with its name and that range, as ``_real`` names a real one.
+    """
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        if lo <= (n := int(x)) and (hi is None or n <= hi):
+            return n
+    span = f"[{lo}, inf)" if hi is None else f"[{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer in {span}, got {x!r}")
 
 
 def _herm(a: np.ndarray) -> np.ndarray:

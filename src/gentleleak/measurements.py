@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import (
     COMPLETENESS_TOL, PROBE_TOL, SchemaError, _checked_stack, _eigh, _fill, _from_eig,
-    _frozen_hermitian, _herm, _labels, _matrix_doc, _real, _Record, _spectrum, _stack,
+    _frozen_hermitian, _herm, _integer, _labels, _matrix_doc, _real, _Record, _spectrum, _stack,
     as_hermitian, as_unitary, matrices_from_json,
 )
 from .states import CqEnsemble
@@ -180,10 +180,7 @@ def post_measurement_state(rho, impl: PovmImplementation, y: int) -> np.ndarray:
     rho = _checked_stack([rho], "state", unit_trace=True)[0]
     if rho.shape[0] != impl.dim:
         raise ValueError("dimension mismatch between state and implementation")
-    if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
-        raise ValueError(f"outcome y must be an integer, got {y!r}")
-    if not 0 <= y < len(impl):
-        raise ValueError(f"outcome {y} out of range for {len(impl)} outcomes")
+    y = _integer(y, "outcome y", 0, len(impl) - 1)
     b = impl.operators[y]
     out = b @ rho @ b.conj().T
     prob = float(np.trace(out).real)

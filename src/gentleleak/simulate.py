@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 
 from .leakage import _sibson
-from .linalg import _fill, _frozen_hermitian, _positive_part, _real, _Record
+from .linalg import _fill, _frozen_hermitian, _integer, _positive_part, _real, _Record
 from .measurements import (
     MAX_EPSILON, Povm, PovmImplementation, _probe_at, _probe_root, collapse, projective_povm,
 )
@@ -177,12 +177,8 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     seed) always reproduces the same report bit for bit. The values a seed
     gives differ from versions that sampled round by round; the law does not.
     """
-    integer = [isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (rounds, seed)]
-    if not (integer[0] and 1 <= rounds <= np.iinfo(np.int64).max):
-        raise ValueError(f"rounds must lie in [1, 2**63 - 1] and be an integer, got {rounds!r}")
-    if not (integer[1] and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    rounds, seed = int(rounds), int(seed)
+    rounds = _integer(rounds, "rounds", 1, np.iinfo(np.int64).max)
+    seed = _integer(seed, "seed", 0)
     probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)

@@ -328,7 +328,7 @@ class TestFigure2Command:
 
     def test_grid_of_one_point_is_input_error(self, bb84_file, capsys):
         assert main(["figure2", bb84_file, "--grid", "1"]) == 2
-        assert capsys.readouterr().err == "error: --grid needs at least 2 points\n"
+        assert capsys.readouterr().err == "error: --grid must be an integer in [2, inf), got 1\n"
 
     def test_byte_identical_reruns(self, bb84_file, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

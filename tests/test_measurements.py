@@ -251,13 +251,15 @@ class TestPostMeasurementState:
     @pytest.mark.parametrize("y", [-1, 3])
     def test_rejects_an_outcome_out_of_range(self, y):
         impl = gentle_povm(bb84_pair_probe(), 0.05)
-        with pytest.raises(ValueError, match=f"outcome {y} out of range for 3 outcomes"):
+        text = r"^outcome y must be an integer in \[0, 2\], got "
+        with pytest.raises(ValueError, match=text + f"{y}$"):
             post_measurement_state(pure_state([1, 0]), impl, y)
 
     @pytest.mark.parametrize("y", [True, 1.0, "1"])
     def test_rejects_an_outcome_that_is_not_an_integer(self, y):
         impl = gentle_povm(bb84_pair_probe(), 0.05)
-        with pytest.raises(ValueError, match=f"outcome y must be an integer, got {y!r}"):
+        text = r"^outcome y must be an integer in \[0, 2\], got "
+        with pytest.raises(ValueError, match=text + f"{y!r}$"):
             post_measurement_state(pure_state([1, 0]), impl, y)
 
     def test_output_is_symmetrized_and_read_only(self):

@@ -202,7 +202,8 @@ class TestRunSimulation:
             run_simulation(EveStrategy("none"), 0, seed=0)
 
     def test_rejects_rounds_beyond_int64(self):
-        with pytest.raises(ValueError, match="rounds must lie"):
+        text = rf"^rounds must be an integer in \[1, {2**63 - 1}\], got {2**63}$"
+        with pytest.raises(ValueError, match=text):
             run_simulation(EveStrategy("w1"), 2**63, seed=0)
 
     @pytest.mark.parametrize("rounds", [10.9, 10.0, True, "10"])
@@ -229,7 +230,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1, None])
     def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
         # True ran as seed 1; 1.5 raised numpy's TypeError
-        with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got "):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got "):
             run_simulation(EveStrategy("w1"), 10, seed)
 
     def test_numpy_integer_seed_gives_a_plain_json_value(self):

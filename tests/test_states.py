@@ -15,6 +15,7 @@ from gentleleak.cloning import (
     lower_bound_sweep,
     min_feasible_p2,
     quadratic_coefficients,
+    region_disagreement_report,
     region_quadratic_form,
     region_sqrt_form,
     tradeoff_p2,
@@ -29,6 +30,7 @@ from gentleleak.linalg import (
     SchemaError, as_complex_matrix, as_hermitian, matrix_to_json, trace_distance,
 )
 from gentleleak.measurements import (
+    GentlenessSpec,
     Povm,
     PovmImplementation,
     gentle_povm,
@@ -134,14 +136,21 @@ def test_nan_fails_public_range_checks(call):
          "one operator per POVM element"),
         (lambda: post_measurement_state(np.eye(3) / 3, projective_povm(np.eye(2)), 0),
          "dimension mismatch"),
-        (lambda: quadratic_coefficients(1), "dimension must be at least 2"),
-        (lambda: region_sqrt_form(0.1, 0.1, 1), "dimension must be at least 2"),
-        (lambda: tradeoff_p2(0.1, 1), "dimension must be at least 2"),
+        (lambda: quadratic_coefficients(1), r"^dimension must be an integer in \[2, inf\), got 1$"),
+        (lambda: region_sqrt_form(0.1, 0.1, 1),
+         r"^dimension must be an integer in \[2, inf\), got 1$"),
+        (lambda: tradeoff_p2(0.1, 1), r"^dimension must be an integer in \[2, inf\), got 1$"),
         (lambda: quadratic_coefficients(2.5),
-         r"^dimension must be at least 2 and an integer, got 2.5$"),
-        (lambda: tradeoff_p2(0.3, 2.5), r"^dimension must be at least 2 and an integer, got 2.5$"),
+         r"^dimension must be an integer in \[2, inf\), got 2.5$"),
+        (lambda: tradeoff_p2(0.3, 2.5), r"^dimension must be an integer in \[2, inf\), got 2.5$"),
         (lambda: min_feasible_p2(0.3, 2.5),
-         r"^dimension must be at least 2 and an integer, got 2.5$"),
+         r"^dimension must be an integer in \[2, inf\), got 2.5$"),
+        (lambda: region_disagreement_report(2, True),
+         r"^grid must be an integer in \[2, inf\), got True$"),
+        (lambda: region_disagreement_report(2, 1),
+         r"^grid must be an integer in \[2, inf\), got 1$"),
+        (lambda: region_disagreement_report(2, 2.5),
+         r"^grid must be an integer in \[2, inf\), got 2.5$"),
         (lambda: depolarize(bb84_ensemble(), True),
          r"^depolarizing parameter must be in \[0, 1\], got True$"),
         (lambda: depolarized_leakage(True, 0.5), r"^base_bits must be in \[0, inf\), got True$"),
@@ -158,16 +167,16 @@ def test_nan_fails_public_range_checks(call):
         (lambda: lower_bound_sweep(bb84_ensemble(), [[0.1]], 1.0), "one-dimensional"),
         (lambda: as_complex_matrix(np.zeros((2, 2, 2))), "expected a square matrix"),
         (lambda: as_hermitian(np.zeros((2, 3))), "expected a square matrix"),
-        (lambda: region_quadratic_form(True, 0.5, 2),
-         r"^\(p1, p2\) must lie in the unit square, got \(True, 0.5\)$"),
+        (lambda: region_quadratic_form(True, 0.5, 2), r"^p1 must be in \[0, 1\], got True$"),
         (lambda: region_sqrt_form(0.5, np.True_, 2),
-         r"^\(p1, p2\) must lie in the unit square, got \(0.5, True\)$"),
+         r"^p2 must be in \[0, 1\], got (np\.True_|True)$"),  # numpy 2 and 1 reprs
     ],
     ids=["sibson-negative-entry", "depolarized-p", "ensemble-no-states", "ensemble-probs-short",
          "ensemble-duplicate-labels", "ket-zero", "povm-empty", "povm-labels",
          "implementation-operator-count", "post-state-dimension", "quadratic-dimension",
          "sqrt-form-dimension", "tradeoff-dimension", "quadratic-non-integer-dimension",
          "tradeoff-non-integer-dimension", "min-feasible-non-integer-dimension",
+         "report-bool-grid", "report-grid-1", "report-non-integer-grid",
          "depolarize-bool-p", "depolarized-bool-bits", "depolarized-bool-p", "bound-bool-alpha",
          "sweep-bool-alphas", "sweep-bool-among-alphas", "tradeoff-bool-epsilon", "sweep-alphas-2d",
          "complex-matrix-stack", "hermitian-not-square", "quadratic-bool-point",
@@ -190,6 +199,14 @@ def _float32_point_is_computed_in_float64():
     return isinstance(slack, float) and (ok, slack) == want
 
 
+def _region_forms_compute_on_lists():
+    # the forms' own point check compared a float with a list and raised TypeError
+    p1, p2 = [0.9, 1.0], [0.1, 0.5]
+    quad, sqrt = region_quadratic_form(p1, p2, 2)[1], region_sqrt_form(p1, p2, 2)[2]
+    return (quad.tolist() == [region_quadratic_form(a, b, 2)[1] for a, b in zip(p1, p2)]
+            and sqrt.tolist() == [region_sqrt_form(a, b, 2)[2] for a, b in zip(p1, p2)])
+
+
 def _estimate_with_float32_ends_is_json():
     est = maximal_quantum_leakage(bb84_ensemble())
     doc = LeakageEstimate(np.float32(0.5), np.float32(1.0), 1, est.achieving_povm, est.dual)
@@ -210,11 +227,18 @@ def _estimate_with_float32_ends_is_json():
         lambda: json.dumps(CloningBoundResult(alpha=np.float32(0.1), p2_star=0.3, lower_bits=0.7,
                                               p1_cap=0.2, q_bits=1.0, slack=0.0).to_json()),
         _estimate_with_float32_ends_is_json,
+        _region_forms_compute_on_lists,
+        lambda: type(region_quadratic_form(np.array(0.2), 0.3, 2)[1]) is float,
+        lambda: all(type(c) is float for c in quadratic_coefficients(np.int64(3))),
+        lambda: not np.signbit(GentlenessSpec(-0.0, 0.1).alpha),
+        lambda: not np.signbit(lower_bound_sweep(bb84_ensemble(), [-0.0], 1.0).alpha[0]),
     ],
     ids=["gentle-povm-float32-epsilon", "depolarize-float16-p", "bound-row-float32-q-bits",
          "sweep-row-float32-q-bits", "min-feasible-float32-p1",
          "sweep-bits-are-depolarized-leakage", "quadratic-float32-point",
-         "bound-row-float32-alpha-json", "estimate-float32-ends-json"],
+         "bound-row-float32-alpha-json", "estimate-float32-ends-json", "region-forms-on-lists",
+         "quadratic-0d-point", "numpy-int-dimension-coefficients", "negative-zero-alpha",
+         "negative-zero-alpha-grid"],
 )
 def test_real_parameters_enter_as_python_floats(call):
     # a parameter is used as its float64 value, so what it builds passes as input again

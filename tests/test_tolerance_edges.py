@@ -365,9 +365,11 @@ def test_every_small_float_literal_is_a_named_constant():
     assert not loose, loose
 
 
-@pytest.mark.parametrize("text", ["non-finite entries", "expected a square matrix"])
+@pytest.mark.parametrize("text", ["non-finite entries", "expected a square matrix",
+                                  "must be an integer in"])
 def test_each_format_text_is_written_once(text):
-    # linalg._stack is the one format check: no other function words its failures
+    # linalg._stack is the one format check and linalg._integer the one integer check:
+    # no other function words their failures
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(gentleleak.__file__).parent.glob("*.py"))
