@@ -139,6 +139,8 @@ def items() -> dict:
             out[f"certify:{stem}:{povm}"] = f"certify {path} data/{povm}_povm.json {BUDGET}"
     out["certify:average-state"] = out["certify:six:gentle_probe"] + " --mode average-state"
     out["lower-bound:alpha-negative-zero"] = "lower-bound data/bb84.json --alpha -0.0 0.1"
+    out["depolarize:p-negative-zero"] = "depolarize data/bb84.json --p -0.0 0.5"
+    out["interval:bb84:out"] = f"interval data/bb84.json {BUDGET} --out out.json"
     for kind in ("none", "intercept-z", "w1", "w2", "gentle"):
         out[f"simulate:{kind}"] = f"simulate --strategy {kind} {SIM}"
     out["tradeoff"] = f"tradeoff --epsilon 0 0.05 0.1 {SIM}"

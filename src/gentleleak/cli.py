@@ -6,8 +6,10 @@ included), 3 semantic precondition failure (e.g. certifying a POVM without an
 implementation), 4 numerical non-convergence (a leakage gap still above its
 tolerance when the iteration budget ran out, or when a solver step could no
 longer close it). Every command is deterministic (the Monte Carlo ones, simulate
-and tradeoff, for a fixed --seed) and returns its output text; main writes it to
-stdout or, atomically (temp file + rename), to --out.
+and tradeoff, for a fixed --seed) and returns its result: a record, a dict or CSV
+text. main reads the ensemble of the commands that take one, writes a result that is
+not text as indented JSON, and puts the same bytes on stdout or, atomically (temp
+file + rename), in --out.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .cloning import CloningSweep, lower_bound_sweep
 from .leakage import gentle_leakage_interval, maximal_quantum_leakage
-from .linalg import ConvergenceError, SchemaError, _integer
+from .linalg import ConvergenceError, SchemaError, _integer, _json_value, _real
 from .measurements import MODES, GentlenessSpec, certify_gentle, povm_from_json
 from .simulate import STRATEGY_KINDS, EveStrategy, run_simulation, tradeoff_sweep
 from .states import depolarize, depolarized_leakage, ensemble_from_json
@@ -67,13 +69,6 @@ def _write_atomic(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _load_json(path: str):
@@ -122,9 +117,8 @@ def tradeoff_csv(rows) -> str:
     return _csv(columns, (tuple(r[k] for k in columns) for r in rows))
 
 
-def cmd_leakage(args) -> str:
-    e = _load(args.ensemble, ensemble_from_json)
-    return json.dumps(maximal_quantum_leakage(e).to_json(), indent=2)
+def cmd_leakage(e, args):
+    return maximal_quantum_leakage(e)
 
 
 def _bound_csv(e, alphas) -> str:
@@ -132,59 +126,51 @@ def _bound_csv(e, alphas) -> str:
     return sweep_csv(lower_bound_sweep(e, alphas, maximal_quantum_leakage(e).bits))
 
 
-def cmd_lower_bound(args) -> str:
-    return _bound_csv(_load(args.ensemble, ensemble_from_json), args.alpha)
+def cmd_lower_bound(e, args) -> str:
+    return _bound_csv(e, args.alpha)
 
 
-def cmd_figure2(args) -> str:
-    e = _load(args.ensemble, ensemble_from_json)
+def cmd_figure2(e, args) -> str:
     return _bound_csv(e, np.linspace(0.0, 1.0, _integer(args.grid_points, "--grid", 2)))
 
 
-def cmd_certify(args) -> str:
-    e = _load(args.ensemble, ensemble_from_json)
+def cmd_certify(e, args):
     _, impl = _load(args.povm, povm_from_json)
     if impl is None:
         raise PreconditionFailure(
             f"{args.povm}: certification needs an 'implementation' block (gentleness"
             " is a property of one implementation, not of the POVM alone)"
         )
-    cert = certify_gentle(e, impl, GentlenessSpec(args.alpha, args.delta), mode=args.mode)
-    return json.dumps(cert.to_json(), indent=2)
+    return certify_gentle(e, impl, GentlenessSpec(args.alpha, args.delta), mode=args.mode)
 
 
-def cmd_depolarize(args) -> str:
-    e = _load(args.ensemble, ensemble_from_json)
-    rows = []
-    for p in args.p:
-        est = maximal_quantum_leakage(depolarize(e, p))
-        rows.append({"p": p, "bits": est.bits, "upper_bits": est.upper_bits})
+def cmd_depolarize(e, args) -> dict:
+    ps = [_real(p, "depolarizing parameter") for p in args.p]
+    ests = [maximal_quantum_leakage(depolarize(e, p)) for p in ps]
     base = maximal_quantum_leakage(e)
-    doc = {
+    return {
         "base_bits": base.bits,
-        "closed_form_bits": [depolarized_leakage(base.bits, p) for p in args.p],
-        "rows": rows,
+        "closed_form_bits": [depolarized_leakage(base.bits, p) for p in ps],
+        "rows": [{"p": p, "bits": est.bits, "upper_bits": est.upper_bits}
+                 for p, est in zip(ps, ests)],
     }
-    return json.dumps(doc, indent=2)
 
 
-def cmd_interval(args) -> str:
-    e = _load(args.ensemble, ensemble_from_json)
-    iv = gentle_leakage_interval(e, GentlenessSpec(args.alpha, args.delta))
-    return json.dumps(iv.to_json(), indent=2)
+def cmd_interval(e, args):
+    return gentle_leakage_interval(e, GentlenessSpec(args.alpha, args.delta))
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(_, args):
     if args.strategy == "gentle":
         strategy = EveStrategy.gentle(0.05 if args.epsilon is None else args.epsilon)
     elif args.epsilon is not None:
         raise SchemaError("--epsilon applies only to --strategy gentle")
     else:
         strategy = EveStrategy(args.strategy)
-    return json.dumps(run_simulation(strategy, args.rounds, args.seed).to_json(), indent=2)
+    return run_simulation(strategy, args.rounds, args.seed)
 
 
-def cmd_tradeoff(args) -> str:
+def cmd_tradeoff(_, args) -> str:
     return tradeoff_csv(tradeoff_sweep(args.epsilon, args.rounds, args.seed))
 
 
@@ -260,7 +246,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _emit(args.func(args), args.out)
+        e = _load(args.ensemble, ensemble_from_json) if "ensemble" in args else None
+        result = args.func(e, args)
+        if not isinstance(result, str):
+            result = json.dumps(_json_value(result), indent=2) + "\n"
+        if args.out:
+            _write_atomic(args.out, result)
+        else:
+            sys.stdout.write(result)
         sys.stdout.flush()
         return EXIT_OK
     except BrokenPipeError:

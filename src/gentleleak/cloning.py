@@ -236,6 +236,7 @@ def region_disagreement_report(d: int = 2, grid: int = 200) -> dict:
     forms are evaluated on the whole grid, of at least 2 points a side, in one array pass.
     """
     grid = _integer(grid, "grid", 2)
+    d = _integer(d, "dimension", 2)
     pts = np.linspace(0.0, 1.0, grid)
     p1, p2 = pts[:, None], pts[None, :]
     defined, ok_sqrt, _ = region_sqrt_form(p1, p2, d)

@@ -168,6 +168,11 @@ def _wilson_ci95(errors: int, rounds: int) -> float:
     return float(abs(centre - q) + half)
 
 
+def _rounds_and_seed(rounds, seed) -> tuple[int, int]:
+    """rounds in [1, 2**63 - 1] (numpy's multinomial count) and seed in [0, inf), as ints."""
+    return _integer(rounds, "rounds", 1, np.iinfo(np.int64).max), _integer(seed, "seed", 0)
+
+
 def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     """Sample ``rounds`` rounds through their (symbol, Eve outcome) cell counts.
 
@@ -177,8 +182,7 @@ def run_simulation(strategy: EveStrategy, rounds: int, seed: int) -> SimReport:
     seed) always reproduces the same report bit for bit. The values a seed
     gives differ from versions that sampled round by round; the law does not.
     """
-    rounds = _integer(rounds, "rounds", 1, np.iinfo(np.int64).max)
-    seed = _integer(seed, "seed", 0)
+    rounds, seed = _rounds_and_seed(rounds, seed)
     probs_xy, err, dist, channel = _round_tables(strategy_implementation(strategy))
     weights = probs_xy.ravel() / 4.0  # uniform symbol draw
     rng = np.random.default_rng(seed)
@@ -200,11 +204,12 @@ def tradeoff_sweep(epsilons, rounds: int, seed: int) -> list[dict]:
     """Leakage/disturbance trade-off of the gentle strategy over a strength grid.
 
     Rows carry Monte Carlo qber and mean disturbance next to the analytic
-    leakage, ordered as the input grid; a strength outside [0, MAX_EPSILON]
-    raises ValueError. Each row comes from one
-    run_simulation(EveStrategy.gentle(eps), rounds, seed) call, so it holds
-    that report's fields.
+    leakage, ordered as the input grid. rounds and seed are checked first, as
+    run_simulation checks them; a strength outside [0, MAX_EPSILON] raises
+    ValueError. Each row comes from one run_simulation(EveStrategy.gentle(eps),
+    rounds, seed) call, so it holds that report's fields.
     """
+    rounds, seed = _rounds_and_seed(rounds, seed)
     reports = [run_simulation(EveStrategy.gentle(eps), rounds, seed) for eps in epsilons]
     return [
         {"epsilon": rep.strategy["epsilon"], "qber": rep.qber,

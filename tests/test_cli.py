@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 
 from random_matrices import random_density
 
-from gentleleak import leakage
+from gentleleak import cli, leakage
 from gentleleak.cli import main, tradeoff_csv
 from gentleleak.linalg import matrix_to_json
 from gentleleak.measurements import povm_to_json, projective_povm
@@ -411,6 +412,13 @@ class TestDepolarizeCommand:
         code, _ = run_cli(["depolarize", bb84_file, "--p", "2.0"], capsys)
         assert code == 2
 
+    def test_rows_hold_the_checked_p(self, bb84_file, capsys):
+        # the rows echoed the raw --p, so -0.0 printed as "p": -0.0
+        code, out = run_cli(["depolarize", bb84_file, "--p", "-0.0", "0.5"], capsys)
+        assert code == 0
+        assert '"p": -0.0' not in out
+        assert [row["p"] for row in json.loads(out)["rows"]] == [0.0, 0.5]
+
 
 class TestSimulateCommand:
     def test_w1_qber(self, capsys):
@@ -622,6 +630,38 @@ class TestSharedParser:
         assert code == 0 and json.loads(out)["mode"] == "average-state"
         code, out = run_cli(argv, capsys)
         assert code == 0 and json.loads(out)["mode"] == "per-state"
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["leakage", "BB84"],  # a record
+            ["depolarize", "BB84", "--p", "0", "0.5"],  # a dict
+            ["lower-bound", "BB84", "--alpha", "0.1"],  # CSV text
+        ],
+        ids=["record", "dict", "csv"],
+    )
+    def test_out_bytes_equal_stdout_bytes(self, argv, bb84_file, tmp_path, capsysbinary):
+        # a JSON --out file lacked the final newline that stdout got
+        argv = [bb84_file if a == "BB84" else a for a in argv]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+        assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
+
+    @pytest.mark.parametrize("name", ["json.dumps", "ensemble_from_json"])
+    def test_main_alone_reads_the_ensemble_and_writes_json(self, name):
+        # each command loaded its ensemble and dumped its JSON itself
+        tree = ast.parse(Path(cli.__file__).read_text())
+        owner = {id(node): f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found = [owner.get(id(node)) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) == name]
+        assert found == ["main"]
 
 
 def module_env() -> dict:

@@ -177,6 +177,12 @@ class TestSqrtForm:
         keys = ("sqrt_defined", "agree_feasible", "sqrt_only_feasible", "quad_only_feasible")
         assert tuple(rep[k] for k in keys) == counts
 
+    def test_report_is_plain_json(self):
+        # the dimension was echoed as given, so an np.int64 broke json.dumps of the report
+        rep = region_disagreement_report(np.int64(2), 3)
+        assert type(rep["dim"]) is int
+        assert json.loads(json.dumps(rep)) == region_disagreement_report(2, 3)
+
     def test_array_matches_point_calls(self):
         p1, p2 = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
         defined, ok, diff = region_sqrt_form(p1, p2, 3)

@@ -200,6 +200,9 @@ class TestRunSimulation:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
             run_simulation(EveStrategy("none"), 0, seed=0)
+        # checked at entry: with no strengths the sweep returned []
+        with pytest.raises(ValueError, match=r"^rounds must be an integer in \[1, "):
+            tradeoff_sweep([], 0, 3)
 
     def test_rejects_rounds_beyond_int64(self):
         text = rf"^rounds must be an integer in \[1, {2**63 - 1}\], got {2**63}$"
@@ -232,6 +235,8 @@ class TestRunSimulation:
         # True ran as seed 1; 1.5 raised numpy's TypeError
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got "):
             run_simulation(EveStrategy("w1"), 10, seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, inf\), got "):
+            tradeoff_sweep([], 10, seed)
 
     def test_numpy_integer_seed_gives_a_plain_json_value(self):
         # a numpy seed was stored as it came and broke json.dumps of the report

@@ -151,6 +151,10 @@ def test_nan_fails_public_range_checks(call):
          r"^grid must be an integer in \[2, inf\), got 1$"),
         (lambda: region_disagreement_report(2, 2.5),
          r"^grid must be an integer in \[2, inf\), got 2.5$"),
+        (lambda: region_disagreement_report(1, 1),  # the grid first, then the dimension
+         r"^grid must be an integer in \[2, inf\), got 1$"),
+        (lambda: region_disagreement_report(1, 3),
+         r"^dimension must be an integer in \[2, inf\), got 1$"),
         (lambda: depolarize(bb84_ensemble(), True),
          r"^depolarizing parameter must be in \[0, 1\], got True$"),
         (lambda: depolarized_leakage(True, 0.5), r"^base_bits must be in \[0, inf\), got True$"),
@@ -177,6 +181,7 @@ def test_nan_fails_public_range_checks(call):
          "sqrt-form-dimension", "tradeoff-dimension", "quadratic-non-integer-dimension",
          "tradeoff-non-integer-dimension", "min-feasible-non-integer-dimension",
          "report-bool-grid", "report-grid-1", "report-non-integer-grid",
+         "report-grid-before-dimension", "report-dimension-1",
          "depolarize-bool-p", "depolarized-bool-bits", "depolarized-bool-p", "bound-bool-alpha",
          "sweep-bool-alphas", "sweep-bool-among-alphas", "tradeoff-bool-epsilon", "sweep-alphas-2d",
          "complex-matrix-stack", "hermitian-not-square", "quadratic-bool-point",
